@@ -15,10 +15,9 @@ the quant module (v = q + lift).
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -95,6 +94,10 @@ class EdgeSpec:
         return self.v_min + offset
 
     @property
+    def bounds(self) -> tuple[int, int]:
+        return self.v_min, self.v_max
+
+    @property
     def max_abs(self) -> int:
         return max(abs(self.v_min), abs(self.v_max))
 
@@ -114,6 +117,11 @@ class EdgeSpec:
     def to_float(self, v) -> np.ndarray:
         return np.asarray(v, dtype=np.float64) * self.scale
 
+    def describe(self) -> dict:
+        p = self.params
+        return {"raw": False, "alpha": p.alpha, "beta": p.beta,
+                "bits": p.bits, "signed": p.signed}
+
 
 @dataclass(frozen=True)
 class RawSpec:
@@ -122,6 +130,10 @@ class RawSpec:
     scale: float
     v_lo: int
     v_hi: int
+
+    @property
+    def bounds(self) -> tuple[int, int]:
+        return self.v_lo, self.v_hi
 
     @property
     def max_abs(self) -> int:
@@ -134,15 +146,71 @@ class RawSpec:
     def to_float(self, v) -> np.ndarray:
         return np.asarray(v, dtype=np.float64) * self.scale
 
+    def describe(self) -> dict:
+        return {"raw": True, "scale": self.scale, "v_lo": self.v_lo,
+                "v_hi": self.v_hi, "width": self.width}
+
 
 # Nodes -----------------------------------------------------------------------
-#
-# Node lifecycle: built with structure and float weights only, then bound to
-# quantized edges by the pipeline realization step.  `clear()` never touches
-# quantization and is what calibration runs.
+
+class Node:
+    """The node protocol, with the defaults node types override.
+
+    A node is built with structure and float weights only.
+    `bind(specs, bits, edge, normalization)` returns a copy bound to one
+    bit-width configuration, sharing the float weights, so the plan's own
+    nodes are never modified: `specs` maps every name bound so far to its
+    output edge, `edge(name)` is the plan's quantized edge for a node and
+    `normalization` the plan's z-score constants.  `clear()` never touches
+    quantization and is what calibration runs.  On a bound node, `step()`
+    runs `run_int`, checks any accumulator against its declared range and
+    returns the value with its observed magnitude (None when nothing
+    accumulates); `budget_entry()` and `describe()` feed the budget report
+    and the JSON serialization.
+    """
+
+    @property
+    def inputs(self) -> list:
+        return [self.src]
+
+    def step(self, *vs):
+        return self.run_int(*vs), None
+
+    def materialize(self) -> None:
+        """Build whatever binding deferred until the budget holds."""
+
+    def budget_entry(self, observed_bits: int | None = None):
+        return None
+
+    def describe(self) -> dict:
+        return {"name": self.name, "type": type(self).__name__,
+                "inputs": self.inputs, "out_edge": self.out_spec.describe()}
+
+
+def _check_range(name, arr, lo, hi):
+    if arr.size and (arr.min() < lo or arr.max() > hi):
+        raise CircuitOverflow(f"node {name}: observed value outside declared range "
+                              f"[{lo}, {hi}]")
+
+
+def _max_abs(arr) -> int:
+    return int(np.abs(arr).max(initial=0))
+
+
+def _accumulate(node, v):
+    """Step of a node whose output is a raw accumulator."""
+    acc = node.run_int(v)
+    _check_range(node.name, acc, node.out_spec.v_lo, node.out_spec.v_hi)
+    return acc, _max_abs(acc)
+
+
+def _describe_weights(w: np.ndarray) -> dict:
+    return {"shape": list(w.shape), "nonzero": int(np.count_nonzero(w)),
+            "sha256": hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()}
+
 
 @dataclass
-class ConvNode:
+class ConvNode(Node):
     """Strided 1-D convolution of the signal with a fixed kernel bank."""
 
     name: str
@@ -158,9 +226,8 @@ class ConvNode:
         return frame_signal(x, self.weights_f.shape[1], self.stride) @ self.weights_f.T
 
     def nonzero_taps(self) -> int:
-        if self.weights_q is None:
-            return int(np.max(np.count_nonzero(self.weights_f, axis=1)))
-        return int(np.max(np.count_nonzero(self.weights_q, axis=1)))
+        w = self.weights_f if self.weights_q is None else self.weights_q
+        return int(np.max(np.count_nonzero(w, axis=1)))
 
     def acc_range(self) -> tuple[int, int]:
         pos = np.maximum(self.weights_q, 0).sum(axis=1)
@@ -170,13 +237,31 @@ class ConvNode:
         lo = int((pos * a + neg * b).min())
         return lo, hi
 
+    def bind(self, specs, bits, edge, normalization):
+        weights_q, w_scale = quantize_weights(self.weights_f, bits.weight_bits)
+        node = replace(self, weights_q=weights_q, w_scale=w_scale,
+                       in_spec=specs[self.src])
+        lo, hi = node.acc_range()
+        node.out_spec = RawSpec(scale=node.in_spec.scale * w_scale, v_lo=lo, v_hi=hi)
+        return node
+
     def run_int(self, v: np.ndarray) -> np.ndarray:
         frames = frame_signal(v, self.weights_q.shape[1], self.stride)
         return frames @ self.weights_q.T  # (T, C)
 
+    step = _accumulate
+
+    def budget_entry(self, observed_bits=None):
+        return BudgetEntry(self.name, "conv", self.out_spec.width,
+                           self.nonzero_taps(), observed_bits)
+
+    def describe(self) -> dict:
+        return {**super().describe(), "weights": _describe_weights(self.weights_q),
+                "weight_scale": self.w_scale, "stride": self.stride}
+
 
 @dataclass
-class MatmulNode:
+class MatmulNode(Node):
     """Channel-mixing matrix applied per frame (mel filterbank, DCT)."""
 
     name: str
@@ -192,13 +277,21 @@ class MatmulNode:
 
     nonzero_taps = ConvNode.nonzero_taps
     acc_range = ConvNode.acc_range
+    bind = ConvNode.bind
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
         return v @ self.weights_q.T
 
+    step = _accumulate
+    budget_entry = ConvNode.budget_entry
+
+    def describe(self) -> dict:
+        return {**super().describe(), "weights": _describe_weights(self.weights_q),
+                "weight_scale": self.w_scale}
+
 
 @dataclass
-class LutNode:
+class LutNode(Node):
     """Elementwise lookup table keyed on the incoming integer value.
 
     Semantics: 'square' and 'abs' emit raw (un-requantized) integers so the
@@ -236,13 +329,18 @@ class LutNode:
             return x  # calibration pass collects un-normalized values
         return self.semantic_fn(x)
 
-    def domain(self) -> tuple[int, int]:
-        if isinstance(self.in_spec, EdgeSpec):
-            return self.in_spec.v_min, self.in_spec.v_max
-        return self.in_spec.v_lo, self.in_spec.v_hi
+    def bind(self, specs, bits, edge, normalization):
+        node = replace(self, in_spec=specs[self.src])
+        if self.semantic in ("square", "abs"):
+            node.build_table()  # raw output: its spec comes with the table
+            return node
+        if self.semantic == "normalize":
+            node.norm_center, node.norm_scale = normalization[self.name]
+        node.out_spec = edge(self.name)
+        return node
 
     def build_table(self):
-        lo, hi = self.domain()
+        lo, hi = self.in_spec.bounds
         v_in = np.arange(lo, hi + 1, dtype=np.int64)
         if self.semantic == "square":
             self.table = v_in * v_in
@@ -256,13 +354,24 @@ class LutNode:
             y = self.semantic_fn(self.in_spec.to_float(v_in))
             self.table = self.out_spec.to_v(y)
 
+    def materialize(self) -> None:
+        if self.table is None:
+            self.build_table()
+
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        lo, _ = self.domain()
-        return self.table[v - lo]
+        return self.table[v - self.in_spec.bounds[0]]
+
+    def budget_entry(self, observed_bits=None):
+        return BudgetEntry(self.name, f"lut:{self.semantic}",
+                           width_of(self.out_spec.max_abs), None, None)
+
+    def describe(self) -> dict:
+        return {**super().describe(), "semantic": self.semantic,
+                "table_size": int(self.table.size)}
 
 
 @dataclass
-class ReduceNode:
+class ReduceNode(Node):
     """Integer sum (or mean, as a rescaled sum) over one axis."""
 
     name: str
@@ -276,29 +385,43 @@ class ReduceNode:
     def _split(self, x: np.ndarray):
         if self.axis == "pair":
             t, c2 = x.shape
-            return x.reshape(t, 2, c2 // 2), 1, 2
+            return x.reshape(t, 2, c2 // 2), 1
         if self.axis == "channels":
-            return x, x.ndim - 1, x.shape[-1]
+            return x, x.ndim - 1
         if self.axis == "time":
-            return x, 0, x.shape[0]
+            return x, 0
         raise CircuitError(f"unknown reduce axis {self.axis!r}")
 
     def clear(self, x: np.ndarray) -> np.ndarray:
-        arr, ax, _ = self._split(x)
+        arr, ax = self._split(x)
         return arr.sum(axis=ax) if self.op == "sum" else arr.mean(axis=ax)
 
-    def in_range(self) -> tuple[int, int]:
-        if isinstance(self.in_spec, EdgeSpec):
-            return self.in_spec.v_min, self.in_spec.v_max
-        return self.in_spec.v_lo, self.in_spec.v_hi
+    def bind(self, specs, bits, edge, normalization):
+        fan = 2 if self.axis == "pair" else self.fan_in
+        if fan is None:
+            raise CircuitError(f"reduce node {self.name} needs fan_in")
+        in_spec = specs[self.src]
+        lo, hi = in_spec.bounds
+        scale = in_spec.scale / fan if self.op == "mean" else in_spec.scale
+        return replace(self, in_spec=in_spec, fan_in=fan,
+                       out_spec=RawSpec(scale=scale, v_lo=fan * lo, v_hi=fan * hi))
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        arr, ax, _ = self._split(v)
+        arr, ax = self._split(v)
         return arr.sum(axis=ax)
+
+    step = _accumulate
+
+    def budget_entry(self, observed_bits=None):
+        return BudgetEntry(self.name, "reduce", self.out_spec.width,
+                           self.fan_in, observed_bits)
+
+    def describe(self) -> dict:
+        return {**super().describe(), "op": self.op, "axis": self.axis}
 
 
 @dataclass
-class StdNode:
+class StdNode(Node):
     """Population standard deviation over time, via exact integer moments.
 
     Keeps two accumulators (sum and sum of squares); the variance uses the
@@ -319,6 +442,9 @@ class StdNode:
         m = self.in_spec.max_abs
         return t * m, t * m * m
 
+    def bind(self, specs, bits, edge, normalization):
+        return replace(self, in_spec=specs[self.src], out_spec=edge(self.name))
+
     def run_int(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = v.shape[0]
         s1 = v.sum(axis=0)
@@ -327,9 +453,21 @@ class StdNode:
         std = self.in_spec.scale * np.sqrt(m2.astype(np.float64)) / t
         return self.out_spec.to_v(std), s1, s2
 
+    def step(self, v):
+        out, s1, s2 = self.run_int(v)
+        w1, w2 = self.acc_worst()
+        _check_range(self.name, s1, -w1, w1)
+        _check_range(self.name, s2, 0, w2)
+        return out, max(_max_abs(s1), _max_abs(s2))
+
+    def budget_entry(self, observed_bits=None):
+        w1, w2 = self.acc_worst()
+        return BudgetEntry(self.name, "std", max(width_of(w1), width_of(w2)),
+                           self.fan_in, observed_bits)
+
 
 @dataclass
-class ConcatNode:
+class ConcatNode(Node):
     """Concatenate scalar heads that share one set of output params."""
 
     name: str
@@ -337,11 +475,29 @@ class ConcatNode:
     in_spec: EdgeSpec | None = None
     out_spec: EdgeSpec | None = None
 
+    @property
+    def inputs(self) -> list:
+        return self.srcs
+
     def clear(self, *xs) -> np.ndarray:
         return np.array([float(np.asarray(x)) for x in xs])
 
+    def bind(self, specs, bits, edge, normalization):
+        in_spec = specs[self.srcs[0]]
+        if any(specs[s] != in_spec for s in self.srcs):
+            raise CircuitError("concat inputs must share output params")
+        return replace(self, in_spec=in_spec, out_spec=in_spec)
+
     def run_int(self, *vs) -> np.ndarray:
         return np.array([int(np.asarray(v)) for v in vs], dtype=np.int64)
+
+
+def _clear_forward(nodes: list, samples: np.ndarray) -> dict:
+    """Float forward of a node list: every node's value, keyed by name."""
+    values = {"input": samples}
+    for n in nodes:
+        values[n.name] = n.clear(*(values[s] for s in n.inputs))
+    return values
 
 
 # Weight quantization ---------------------------------------------------------
@@ -390,17 +546,7 @@ class AccumulatorReport:
         return {
             "feasible": self.feasible,
             "budget_bits": BUDGET_BITS,
-            "nodes": [
-                {
-                    "node": e.node,
-                    "kind": e.kind,
-                    "worst_case_bits": e.worst_case_bits,
-                    "l_taps": e.l_taps,
-                    "observed_max_bits": e.observed_max_bits,
-                    "violation": e.violation,
-                }
-                for e in self.entries
-            ],
+            "nodes": [{**asdict(e), "violation": e.violation} for e in self.entries],
         }
 
 
@@ -421,7 +567,6 @@ class CircuitGraph:
     input_spec: EdgeSpec
     nodes: list
     output_node: str
-    meta: dict = field(default_factory=dict)
 
     def node(self, name: str):
         for n in self.nodes:
@@ -429,41 +574,15 @@ class CircuitGraph:
                 return n
         raise KeyError(name)
 
-    def _inputs_of(self, n) -> list:
-        return n.srcs if isinstance(n, ConcatNode) else [n.src]
-
     def execute(self, buf: AudioBuffer) -> ExecutionResult:
         values = {"input": self.input_spec.to_v(buf.samples)}
         observed: dict = {}
         for n in self.nodes:
-            ins = [values[s] for s in self._inputs_of(n)]
-            if isinstance(n, (ConvNode, MatmulNode)):
-                acc = n.run_int(ins[0])
-                self._check(n.name, acc, n.out_spec.v_lo, n.out_spec.v_hi)
-                observed[n.name] = int(np.abs(acc).max(initial=0))
-                values[n.name] = acc
-            elif isinstance(n, LutNode):
-                values[n.name] = n.run_int(ins[0])
-            elif isinstance(n, ReduceNode):
-                acc = n.run_int(ins[0])
-                self._check(n.name, acc, n.out_spec.v_lo, n.out_spec.v_hi)
-                observed[n.name] = int(np.abs(acc).max(initial=0))
-                values[n.name] = acc
-            elif isinstance(n, StdNode):
-                out, s1, s2 = n.run_int(ins[0])
-                w1, w2 = n.acc_worst()
-                self._check(n.name, s1, -w1, w1)
-                self._check(n.name, s2, 0, w2)
-                observed[n.name] = max(int(np.abs(s1).max(initial=0)),
-                                       int(np.abs(s2).max(initial=0)))
-                values[n.name] = out
-            elif isinstance(n, ConcatNode):
-                values[n.name] = n.run_int(*ins)
-            else:
-                raise CircuitError(f"unknown node type {type(n).__name__}")
-        out_node = self.node(self.output_node)
+            values[n.name], obs = n.step(*(values[s] for s in n.inputs))
+            if obs is not None:
+                observed[n.name] = obs
         v = values[self.output_node]
-        spec = out_node.out_spec
+        spec = self.node(self.output_node).out_spec
         q = v - spec.lift
         return ExecutionResult(
             output=QuantizedTensor(data=q, params=spec.params),
@@ -471,84 +590,25 @@ class CircuitGraph:
             observed=observed,
         )
 
-    @staticmethod
-    def _check(name, arr, lo, hi):
-        if arr.size and (arr.min() < lo or arr.max() > hi):
-            raise CircuitOverflow(
-                f"node {name}: observed value outside declared range [{lo}, {hi}]"
-            )
-
     def run_clear(self, buf: AudioBuffer) -> dict:
         """Float forward of the same structure (no quantization anywhere)."""
-        values = {"input": buf.samples}
-        for n in self.nodes:
-            ins = [values[s] for s in self._inputs_of(n)]
-            values[n.name] = n.clear(*ins) if isinstance(n, ConcatNode) else n.clear(ins[0])
-        return values
+        return _clear_forward(self.nodes, buf.samples)
 
     def check_budget(self, observed: dict | None = None) -> AccumulatorReport:
-        entries = []
-        for n in self.nodes:
-            obs = observed.get(n.name) if observed else None
-            obs_bits = width_of(obs) if obs is not None else None
-            if isinstance(n, (ConvNode, MatmulNode)):
-                entries.append(BudgetEntry(n.name, "conv", n.out_spec.width,
-                                           n.nonzero_taps(), obs_bits))
-            elif isinstance(n, ReduceNode):
-                entries.append(BudgetEntry(n.name, "reduce", n.out_spec.width,
-                                           n.fan_in, obs_bits))
-            elif isinstance(n, StdNode):
-                w1, w2 = n.acc_worst()
-                entries.append(BudgetEntry(n.name, "std",
-                                           max(width_of(w1), width_of(w2)),
-                                           n.fan_in, obs_bits))
-            elif isinstance(n, LutNode):
-                entries.append(BudgetEntry(n.name, f"lut:{n.semantic}",
-                                           width_of(n.out_spec.max_abs), None, None))
-        return AccumulatorReport(entries=entries)
+        observed = observed or {}
+        entries = (n.budget_entry(width_of(observed[n.name]) if n.name in observed else None)
+                   for n in self.nodes)
+        return AccumulatorReport(entries=[e for e in entries if e is not None])
 
     def to_json(self) -> str:
-        def edge(spec):
-            if spec is None:
-                return None
-            if isinstance(spec, RawSpec):
-                return {"raw": True, "scale": spec.scale, "v_lo": spec.v_lo,
-                        "v_hi": spec.v_hi, "width": spec.width}
-            p = spec.params
-            return {"raw": False, "alpha": p.alpha, "beta": p.beta,
-                    "bits": p.bits, "signed": p.signed}
-
-        def weights(w):
-            return {
-                "shape": list(w.shape),
-                "nonzero": int(np.count_nonzero(w)),
-                "sha256": hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest(),
-            }
-
-        nodes = []
-        for n in self.nodes:
-            d = {"name": n.name, "type": type(n).__name__,
-                 "inputs": self._inputs_of(n)}
-            if isinstance(n, (ConvNode, MatmulNode)):
-                d["weights"] = weights(n.weights_q)
-                d["weight_scale"] = n.w_scale
-                if isinstance(n, ConvNode):
-                    d["stride"] = n.stride
-            if isinstance(n, LutNode):
-                d["semantic"] = n.semantic
-                d["table_size"] = int(n.table.size)
-            if isinstance(n, ReduceNode):
-                d["op"], d["axis"] = n.op, n.axis
-            d["out_edge"] = edge(n.out_spec)
-            nodes.append(d)
         doc = {
             "format_version": 1,
             "kind": self.kind,
             "approx": self.approx_label,
             "bits": self.bits.as_dict(),
-            "input_edge": edge(self.input_spec),
+            "input_edge": self.input_spec.describe(),
             "output_node": self.output_node,
-            "nodes": nodes,
+            "nodes": [n.describe() for n in self.nodes],
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -593,12 +653,10 @@ class PipelinePlan:
             ranges[name] = (lo, hi)
 
         collected: dict = {name: [] for name in (self.normalization or {})}
-        graph_like = CircuitGraph(self.kind, approx_label(self.approx), None,
-                                  None, self.nodes, self.output_node)
         for buf in calibration:
             if buf.sample_rate_hz != self.sample_rate_hz:
                 raise CircuitError("calibration buffer sample rate mismatch")
-            values = graph_like.run_clear(buf)
+            values = _clear_forward(self.nodes, buf.samples)
             widen("input", buf.samples)
             for n in self.nodes:
                 widen(n.name, values[n.name])
@@ -623,71 +681,33 @@ class PipelinePlan:
                 materialize_tables: bool = True) -> CircuitGraph:
         if self.ranges is None:
             raise CircuitError("plan must be calibrated before realization")
-        nodes = copy.deepcopy(self.nodes)
         input_spec = EdgeSpec.from_range(*self.ranges["input"], bits=bits.input_bits,
                                          signed=False)
         specs: dict = {"input": input_spec}
 
-        # Heads feeding a concat must land on one shared quantized edge, so
-        # their ranges are pooled before any of them is realized.
-        concat_srcs: set = set()
-        for n in nodes:
-            if isinstance(n, ConcatNode):
-                concat_srcs.update(n.srcs)
+        # Heads feeding a multi-input node (the descriptor concat) must land
+        # on one shared quantized edge, so their ranges are pooled before any
+        # of them is realized.
+        pooled = {s for n in self.nodes if len(n.inputs) > 1 for s in n.inputs}
         shared_edge = None
-        if concat_srcs:
-            lo = min(self.ranges[s][0] for s in concat_srcs)
-            hi = max(self.ranges[s][1] for s in concat_srcs)
+        if pooled:
+            lo = min(self.ranges[s][0] for s in pooled)
+            hi = max(self.ranges[s][1] for s in pooled)
             shared_edge = EdgeSpec.from_range(lo, hi, bits=bits.output_bits,
                                               signed=lo < 0.0)
 
-        def edge_for(name: str, role: str) -> EdgeSpec:
-            if name in concat_srcs:
+        def edge(name: str) -> EdgeSpec:
+            if name in pooled:
                 return shared_edge
             lo, hi = self.ranges[name]
-            b = bits.output_bits if role == "out" else bits.mid_bits
+            b = bits.output_bits if name == self.output_node else bits.mid_bits
             return EdgeSpec.from_range(lo, hi, bits=b, signed=lo < 0.0)
 
-        for n in nodes:
-            role = "out" if n.name == self.output_node else "mid"
-            if isinstance(n, (ConvNode, MatmulNode)):
-                n.weights_q, n.w_scale = quantize_weights(n.weights_f, bits.weight_bits)
-                n.in_spec = specs[n.src]
-                lo, hi = n.acc_range()
-                n.out_spec = RawSpec(scale=n.in_spec.scale * n.w_scale, v_lo=lo, v_hi=hi)
-            elif isinstance(n, LutNode):
-                n.in_spec = specs[n.src]
-                if n.semantic in ("square", "abs"):
-                    pass  # out_spec derived in build_table
-                else:
-                    if n.semantic == "normalize":
-                        n.norm_center, n.norm_scale = self.normalization[n.name]
-                    n.out_spec = edge_for(n.name, role)
-            elif isinstance(n, ReduceNode):
-                n.in_spec = specs[n.src]
-                arr_lo, arr_hi = n.in_range()
-                fan = {"pair": 2, "channels": None, "time": None}[n.axis]
-                if fan is None:
-                    fan = n.fan_in
-                    if fan is None:
-                        raise CircuitError(f"reduce node {n.name} needs fan_in")
-                n.fan_in = fan
-                in_scale = n.in_spec.scale
-                scale = in_scale / fan if n.op == "mean" else in_scale
-                n.out_spec = RawSpec(scale=scale, v_lo=fan * arr_lo, v_hi=fan * arr_hi)
-            elif isinstance(n, StdNode):
-                n.in_spec = specs[n.src]
-                n.out_spec = edge_for(n.name, role)
-            elif isinstance(n, ConcatNode):
-                n.in_spec = specs[n.srcs[0]]
-                for s in n.srcs:
-                    if specs[s] != n.in_spec:
-                        raise CircuitError("concat inputs must share output params")
-                n.out_spec = n.in_spec
-            # square/abs luts fill out_spec below
-            if isinstance(n, LutNode) and n.semantic in ("square", "abs"):
-                n.build_table()
-            specs[n.name] = n.out_spec
+        nodes = []
+        for n in self.nodes:
+            bound = n.bind(specs, bits, edge, self.normalization)
+            specs[n.name] = bound.out_spec
+            nodes.append(bound)
 
         graph = CircuitGraph(
             kind=self.kind,
@@ -696,8 +716,6 @@ class PipelinePlan:
             input_spec=input_spec,
             nodes=nodes,
             output_node=self.output_node,
-            meta={"sample_rate_hz": self.sample_rate_hz,
-                  "window_length": self.cfg.window_length, "hop": self.cfg.hop},
         )
         report = graph.check_budget()
         if enforce_budget and not report.feasible:
@@ -705,8 +723,7 @@ class PipelinePlan:
         if materialize_tables:
             # remaining tables are only materialized once the budget holds
             for n in nodes:
-                if isinstance(n, LutNode) and n.table is None:
-                    n.build_table()
+                n.materialize()
         return graph
 
 
@@ -723,9 +740,9 @@ def _energy_head(nodes: list, src: str, approx: ApproxSpec, prefix: str,
     return head
 
 
-def _stft_power_nodes(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: int,
-                      window: np.ndarray) -> tuple[list, str]:
-    bank = approx_kernels(approx, cfg, window, sample_rate_hz)
+def _stft_power_nodes(approx: ApproxSpec, cfg: StftConfig,
+                      sample_rate_hz: int) -> tuple[list, str]:
+    bank = approx_kernels(approx, cfg, hann_window(cfg.window_length), sample_rate_hz)
     nodes = [
         ConvNode(name="stft_conv", src="input", weights_f=bank.stacked(),
                  stride=cfg.hop),
@@ -736,6 +753,18 @@ def _stft_power_nodes(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: int,
     return nodes, "stft_power"
 
 
+def _gamma_nodes(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: int,
+                 gamma: GammatoneSpec) -> list:
+    kernels = gammatone_kernels(gamma, cfg, sample_rate_hz)
+    nodes = [
+        ConvNode(name="gamma_conv", src="input", weights_f=kernels, stride=cfg.hop),
+        LutNode(name="gamma_conv_requant", src="gamma_conv", semantic="requant"),
+    ]
+    head = _energy_head(nodes, "gamma_conv_requant", approx, "gamma", paired=False)
+    nodes.append(LutNode(name="gamma_spec", src=head, semantic="requant"))
+    return nodes
+
+
 def build_transform_plan(kind: str, approx: ApproxSpec, cfg: StftConfig,
                          sample_rate_hz: int,
                          mel: MelSpec | None = None,
@@ -744,20 +773,11 @@ def build_transform_plan(kind: str, approx: ApproxSpec, cfg: StftConfig,
     """Un-calibrated pipeline structure for one transform."""
     if kind not in TRANSFORMS:
         raise CircuitError(f"unknown transform {kind!r}")
-    window = hann_window(cfg.window_length)
     if kind == "gammatone":
-        spec = gamma or GammatoneSpec()
-        kernels = gammatone_kernels(spec, cfg, sample_rate_hz)
-        nodes = [
-            ConvNode(name="gamma_conv", src="input", weights_f=kernels,
-                     stride=cfg.hop),
-            LutNode(name="gamma_conv_requant", src="gamma_conv", semantic="requant"),
-        ]
-        head = _energy_head(nodes, "gamma_conv_requant", approx, "gamma", paired=False)
-        nodes.append(LutNode(name="gamma_spec", src=head, semantic="requant"))
+        nodes = _gamma_nodes(approx, cfg, sample_rate_hz, gamma or GammatoneSpec())
         output = "gamma_spec"
     else:
-        nodes, power = _stft_power_nodes(approx, cfg, sample_rate_hz, window)
+        nodes, power = _stft_power_nodes(approx, cfg, sample_rate_hz)
         output = power
         if kind in ("mel", "mfcc"):
             mspec = mel or MelSpec()
@@ -789,11 +809,12 @@ def build_descriptor_plan(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: i
     `n_frames` fixes the time fan-in of the reductions, so all inputs must
     produce the same frame count (equal-length clips).
     """
-    window = hann_window(cfg.window_length)
+    if n_frames < 2:
+        raise CircuitError("need at least 2 frames for time statistics")
     mspec = mel or MelSpec()
     gspec = gamma or GammatoneSpec()
 
-    nodes, power = _stft_power_nodes(approx, cfg, sample_rate_hz, window)
+    nodes, power = _stft_power_nodes(approx, cfg, sample_rate_hz)
 
     # mean/std over time of per-frame RMS of the STFT power spectrogram
     nodes.append(ReduceNode(name="rms_mean_power", src=power, op="mean",
@@ -815,13 +836,7 @@ def build_descriptor_plan(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: i
     nodes.append(LutNode(name="m_mstds", src="m_mstds_sum", semantic="normalize"))
 
     # same over gammatone channels
-    kernels = gammatone_kernels(gspec, cfg, sample_rate_hz)
-    nodes.append(ConvNode(name="gamma_conv", src="input", weights_f=kernels,
-                          stride=cfg.hop))
-    nodes.append(LutNode(name="gamma_conv_requant", src="gamma_conv",
-                         semantic="requant"))
-    head = _energy_head(nodes, "gamma_conv_requant", approx, "gamma", paired=False)
-    nodes.append(LutNode(name="gamma_spec", src=head, semantic="requant"))
+    nodes += _gamma_nodes(approx, cfg, sample_rate_hz, gspec)
     nodes.append(StdNode(name="gamma_stds", src="gamma_spec", fan_in=n_frames))
     nodes.append(ReduceNode(name="m_gstds_sum", src="gamma_stds", op="mean",
                             axis="channels", fan_in=gspec.n_filters))
@@ -829,11 +844,10 @@ def build_descriptor_plan(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: i
 
     nodes.append(ConcatNode(name="descriptor_vector",
                             srcs=list(DESCRIPTOR_NAMES)))
-    plan = PipelinePlan(kind="descriptors", approx=approx, cfg=cfg,
+    return PipelinePlan(kind="descriptors", approx=approx, cfg=cfg,
                         sample_rate_hz=sample_rate_hz, nodes=nodes,
                         output_node="descriptor_vector",
                         normalization={name: None for name in DESCRIPTOR_NAMES})
-    return plan
 
 
 def build_pipeline(kind: str, approx: ApproxSpec, bits: BitWidthConfig,

@@ -47,7 +47,6 @@ from .dataset import (
     ingest,
     load_entries,
     split_clips,
-    stratified_split,
     synthetic_clips,
 )
 from .descriptors import CSV_FIELDS, DescriptorVector, write_descriptor_csv
@@ -213,29 +212,30 @@ def resolve_settings(args) -> dict:
 
 
 def gather_clips(settings) -> tuple[list, list, list]:
-    """Return (calibration clips, evaluation clips, skip messages)."""
+    """Return (calibration clips, evaluation clips, skip messages).
+
+    Single-file-class warnings from the split are printed to stderr.
+    """
     if settings.get("synthetic"):
-        clips = synthetic_clips(str(settings["synthetic"]), settings["clips"],
+        items = synthetic_clips(str(settings["synthetic"]), settings["clips"],
                                 settings["seed"], settings["sample_rate"],
                                 settings["duration"])
-        calib, evalu = split_clips(clips, settings["calib_fraction"],
-                                   settings["seed"])
-        return calib, evalu, []
-    if settings.get("dataset"):
+        skips = []
+    elif settings.get("dataset"):
         manifest = ingest(settings["dataset"], settings["sample_rate"])
         skips = [f"{s.path}: {s.reason}" for s in manifest.skipped]
         if not manifest.entries:
             raise CliError("all dataset files were skipped")
-        cal_m, eval_m = stratified_split(manifest, settings["calib_fraction"],
+        bufs = load_entries(manifest.entries, settings["sample_rate"])
+        items = [SyntheticClip(file_id=e.file_id, label=e.label, buffer=b)
+                 for e, b in zip(manifest.entries, bufs)]
+    else:
+        raise CliError("need either --dataset or --synthetic")
+    calib, evalu, warnings = split_clips(items, settings["calib_fraction"],
                                          settings["seed"])
-
-        def to_clips(m):
-            bufs = load_entries(m.entries, settings["sample_rate"])
-            return [SyntheticClip(file_id=e.file_id, label=e.label, buffer=b)
-                    for e, b in zip(m.entries, bufs)]
-
-        return to_clips(cal_m), to_clips(eval_m), skips
-    raise CliError("need either --dataset or --synthetic")
+    for msg in warnings:
+        print(f"warning: {msg}", file=sys.stderr)
+    return calib, evalu, skips
 
 
 def truncate_to_common_length(clips: list) -> list:
@@ -271,14 +271,23 @@ def _descriptor_vectors(settings, calib, evalu):
     return vectors
 
 
+def _transform_plan(settings):
+    return build_transform_plan(settings["transform"], settings["approx_spec"],
+                                settings["stft_config"], settings["sample_rate"],
+                                mel=settings["mel_spec"], gamma=settings["gamma_spec"],
+                                n_mfcc=settings["n_mfcc"])
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_spectrogram(settings, calib, evalu, out: Path) -> None:
     cfg = settings["stft_config"]
     kind = settings["transform"]
-    plan = build_transform_plan(kind, settings["approx_spec"], cfg,
-                                settings["sample_rate"],
-                                mel=settings["mel_spec"],
-                                gamma=settings["gamma_spec"],
-                                n_mfcc=settings["n_mfcc"])
+    plan = _transform_plan(settings)
     plan.calibrate([c.buffer for c in calib])
     graph = plan.realize(settings["bits_config"])
     distances = []
@@ -306,9 +315,7 @@ def cmd_spectrogram(settings, calib, evalu, out: Path) -> None:
             "sample_rate_hz": settings["sample_rate"],
             "transform": kind, "channel_freqs_hz": channels,
             "mean_distance": float(np.mean([d for _, d in distances]))}
-    with open(out / "axes.json", "w") as fh:
-        json.dump(axes, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "axes.json", axes)
     print(f"spectrogram: {len(evalu)} clips, "
           f"mean distance {axes['mean_distance']:.6f}")
 
@@ -385,9 +392,7 @@ def cmd_validate_bounds(settings, calib, evalu, out: Path) -> None:
                                "satisfied": bool(residual < 1e-9)}
     doc = {"format_version": 1, "clips": len(clips),
            "poorman_bound": poorman_ok, "dilation_aliasing": aliasing}
-    with open(out / "bounds.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "bounds.json", doc)
     ok = (all(v["all_satisfied"] for v in poorman_ok.values())
           and all(v["satisfied"] for v in aliasing.values()))
     print(f"validate-bounds: {'all checks satisfied' if ok else 'VIOLATIONS found'}")
@@ -396,12 +401,7 @@ def cmd_validate_bounds(settings, calib, evalu, out: Path) -> None:
 
 
 def cmd_budget(settings, calib, evalu, out: Path) -> None:
-    cfg = settings["stft_config"]
-    plan = build_transform_plan(settings["transform"], settings["approx_spec"],
-                                cfg, settings["sample_rate"],
-                                mel=settings["mel_spec"],
-                                gamma=settings["gamma_spec"],
-                                n_mfcc=settings["n_mfcc"])
+    plan = _transform_plan(settings)
     plan.calibrate([c.buffer for c in calib + evalu])
     graph = plan.realize(settings["bits_config"], enforce_budget=False,
                          materialize_tables=False)
@@ -409,9 +409,7 @@ def cmd_budget(settings, calib, evalu, out: Path) -> None:
     doc = {"format_version": 1, "transform": settings["transform"],
            "bits": settings["bits_config"].as_dict()}
     doc.update(report.as_dict())
-    with open(out / "budget.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "budget.json", doc)
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 

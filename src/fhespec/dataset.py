@@ -45,16 +45,9 @@ class DatasetManifest:
     sample_rate_hz: int
     entries: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
 
     def labels(self) -> list:
         return sorted({e.label for e in self.entries})
-
-    def by_label(self) -> dict:
-        out: dict = {label: [] for label in self.labels()}
-        for e in self.entries:
-            out[e.label].append(e)
-        return out
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -107,33 +100,34 @@ def ingest(root, sample_rate_hz: int) -> DatasetManifest:
     return manifest
 
 
-def stratified_split(manifest: DatasetManifest, fraction: float,
-                     seed: int) -> tuple[DatasetManifest, DatasetManifest]:
-    """Per-class proportional split with at least one calibration file each.
+def split_clips(items: list, fraction: float, seed: int) -> tuple[list, list, list]:
+    """Per-class proportional calibration/evaluation split of labelled items.
 
-    Deterministic under a fixed seed.  A single-file class contributes its
-    only file to calibration, with a warning recorded on both manifests.
+    Works on anything with a `.label` (synthetic clips, manifest entries).
+    Deterministic under a fixed seed; every class gives at least one item to
+    calibration and, when it has two or more, at least one to evaluation.
+    A single-item class contributes its only item to calibration, with a
+    warning.  Returns (calibration, evaluation, warnings).
     """
     if not 0.0 < fraction < 1.0:
         raise DatasetError("calibration fraction must be in (0, 1)")
+    by_label: dict = {}
+    for item in items:
+        by_label.setdefault(item.label, []).append(item)
     rng = np.random.default_rng(seed)
-    calib = DatasetManifest(root=manifest.root,
-                            sample_rate_hz=manifest.sample_rate_hz)
-    evalu = DatasetManifest(root=manifest.root,
-                            sample_rate_hz=manifest.sample_rate_hz)
-    for label, entries in sorted(manifest.by_label().items()):
-        order = rng.permutation(len(entries))
-        n_cal = max(1, int(math.floor(fraction * len(entries) + 0.5)))
-        if len(entries) == 1:
-            calib.warnings.append(
-                f"class {label!r} has a single file; assigned to calibration")
-        elif n_cal >= len(entries):
-            n_cal = len(entries) - 1
+    calib, evalu, warnings = [], [], []
+    for label in sorted(by_label):
+        members = by_label[label]
+        order = rng.permutation(len(members))
+        n_cal = max(1, int(math.floor(fraction * len(members) + 0.5)))
+        if len(members) == 1:
+            warnings.append(f"class {label!r} has a single file; assigned to calibration")
+        else:
+            n_cal = min(n_cal, len(members) - 1)
         chosen = set(order[:n_cal].tolist())
-        for i, e in enumerate(entries):
-            (calib if i in chosen else evalu).entries.append(e)
-    evalu.warnings = calib.warnings = list(calib.warnings)
-    return calib, evalu
+        for i, item in enumerate(members):
+            (calib if i in chosen else evalu).append(item)
+    return calib, evalu, warnings
 
 
 def load_entries(entries: list, sample_rate_hz: int) -> list:
@@ -197,22 +191,3 @@ def synthetic_clips(kind: str, count: int, seed: int,
                 file_id=f"{k}_{i:04d}", label=label,
                 buffer=AudioBuffer(samples=x, sample_rate_hz=sample_rate_hz)))
     return clips
-
-
-def split_clips(clips: list, fraction: float, seed: int) -> tuple[list, list]:
-    """Stratified calibration/evaluation split of synthetic clips."""
-    by_label: dict = {}
-    for c in clips:
-        by_label.setdefault(c.label, []).append(c)
-    rng = np.random.default_rng(seed)
-    calib, evalu = [], []
-    for label in sorted(by_label):
-        entries = by_label[label]
-        order = rng.permutation(len(entries))
-        n_cal = max(1, int(math.floor(fraction * len(entries) + 0.5)))
-        if len(entries) > 1:
-            n_cal = min(n_cal, len(entries) - 1)
-        chosen = set(order[:n_cal].tolist())
-        for i, c in enumerate(entries):
-            (calib if i in chosen else evalu).append(c)
-    return calib, evalu

@@ -1,11 +1,13 @@
-"""Scalar audio descriptors computed from spectrogram statistics.
+"""Per-clip descriptor vectors and their CSV form.
 
 Four per-clip descriptors summarize a recording: mean and standard deviation
 over time of the per-frame RMS of the STFT power spectrogram, the mean over
 channels of the per-channel std over time of the Mel spectrogram, and the
-same statistic on the gammatone spectrogram.  Descriptors are z-scored with
-constants frozen from a calibration set so that the clear and the simulated
-encrypted pipeline normalize identically.
+same statistic on the gammatone spectrogram.  One graph,
+`circuit.build_descriptor_plan`, computes both arms: `run_clear` is the float
+forward pass and `execute` the integer circuit.  Both z-score with the
+constants the plan froze from its calibration clips, so the clear and the
+simulated encrypted descriptors normalize identically.
 """
 
 from __future__ import annotations
@@ -13,66 +15,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-import numpy as np
-
-from .approx import ApproxSpec, L1Energy, approx_kernels
-from .transforms import (
-    AudioBuffer,
-    GammatoneSpec,
-    MelSpec,
-    SignalError,
-    Spectrogram,
-    StftConfig,
-    apply_filterbank,
-    gammatone_kernels,
-    gammatone_spectrogram,
-    hann_window,
-    mel_filterbank_matrix,
-)
-
-DESCRIPTOR_NAMES = ("m_gstds", "m_mstds", "mean_rms", "std_rms")
+from .circuit import DESCRIPTOR_NAMES
 
 CSV_FIELDS = ("file_id", "class", "m_gstds", "m_mstds", "mean_rms", "std_rms", "path")
-
-
-def rms_per_frame(power: Spectrogram) -> np.ndarray:
-    """Root of the mean power over frequency channels, one value per frame."""
-    return np.sqrt(power.values.mean(axis=1))
-
-
-def mean_std_over_time(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population std along the time axis of a (T, ...) array."""
-    if values.shape[0] < 2:
-        raise SignalError("need at least 2 frames for time statistics")
-    return values.mean(axis=0), values.std(axis=0)
-
-
-@dataclass(frozen=True)
-class NormalizationConstants:
-    """Per-descriptor z-score centers and scales, frozen after calibration."""
-
-    center: dict
-    scale: dict
-
-    @classmethod
-    def identity(cls) -> "NormalizationConstants":
-        return cls(center={n: 0.0 for n in DESCRIPTOR_NAMES},
-                   scale={n: 1.0 for n in DESCRIPTOR_NAMES})
-
-    @classmethod
-    def from_raw(cls, raw_vectors: list) -> "NormalizationConstants":
-        """Fit centers/scales on raw descriptor dicts from a calibration set."""
-        center, scale = {}, {}
-        for name in DESCRIPTOR_NAMES:
-            vals = np.array([v[name] for v in raw_vectors], dtype=np.float64)
-            center[name] = float(vals.mean())
-            s = float(vals.std())
-            scale[name] = s if s > 0.0 else 1.0
-        return cls(center=center, scale=scale)
-
-    def apply(self, raw: dict) -> dict:
-        return {n: (raw[n] - self.center[n]) / self.scale[n]
-                for n in DESCRIPTOR_NAMES}
 
 
 @dataclass(frozen=True)
@@ -86,60 +31,6 @@ class DescriptorVector:
         row = {"file_id": self.file_id, "class": self.label, "path": self.path}
         row.update({n: repr(self.values[n]) for n in DESCRIPTOR_NAMES})
         return row
-
-
-def clear_descriptors_raw(buf: AudioBuffer, approx: ApproxSpec, cfg: StftConfig,
-                          mel: MelSpec | None = None,
-                          gamma: GammatoneSpec | None = None) -> dict:
-    """Un-normalized descriptor values from the floating-point pipelines."""
-    window = hann_window(cfg.window_length)
-    bank = approx_kernels(approx, cfg, window, buf.sample_rate_hz)
-    spec = bank.apply(buf)
-    if isinstance(approx, L1Energy):
-        power = Spectrogram(values=np.abs(spec.real) + np.abs(spec.imag))
-    else:
-        power = Spectrogram(values=spec.real**2 + spec.imag**2)
-
-    rms = rms_per_frame(power)
-    mean_rms, std_rms = mean_std_over_time(rms)
-
-    mspec = mel or MelSpec()
-    matrix = mel_filterbank_matrix(mspec, cfg, buf.sample_rate_hz)
-    mel_vals = apply_filterbank(power, matrix)
-    _, mel_stds = mean_std_over_time(mel_vals.values)
-
-    gspec = gamma or GammatoneSpec()
-    kernels = gammatone_kernels(gspec, cfg, buf.sample_rate_hz)
-    if isinstance(approx, L1Energy):
-        frames_out = np.abs(
-            gammatone_spectrogram(buf, kernels, cfg).values) ** 0.5
-        gamma_vals = Spectrogram(values=frames_out)
-    else:
-        gamma_vals = gammatone_spectrogram(buf, kernels, cfg)
-    _, gamma_stds = mean_std_over_time(gamma_vals.values)
-
-    return {
-        "m_gstds": float(gamma_stds.mean()),
-        "m_mstds": float(mel_stds.mean()),
-        "mean_rms": float(mean_rms),
-        "std_rms": float(std_rms),
-    }
-
-
-def clear_descriptors(buf: AudioBuffer, approx: ApproxSpec, cfg: StftConfig,
-                      norm: NormalizationConstants,
-                      mel: MelSpec | None = None,
-                      gamma: GammatoneSpec | None = None) -> dict:
-    return norm.apply(clear_descriptors_raw(buf, approx, cfg, mel, gamma))
-
-
-def fit_normalization(calibration: list, approx: ApproxSpec, cfg: StftConfig,
-                      mel: MelSpec | None = None,
-                      gamma: GammatoneSpec | None = None) -> NormalizationConstants:
-    """Freeze z-score constants from the clear pipeline on calibration clips."""
-    raw = [clear_descriptors_raw(buf, approx, cfg, mel, gamma)
-           for buf in calibration]
-    return NormalizationConstants.from_raw(raw)
 
 
 def write_descriptor_csv(path, vectors: list) -> None:

@@ -21,6 +21,7 @@ from scipy.stats import rankdata
 
 from .approx import ApproxSpec
 from .circuit import (
+    BUDGET_BITS,
     DESCRIPTOR_NAMES,
     BudgetViolation,
     ConvNode,
@@ -31,7 +32,6 @@ from .quant import BitWidthConfig, accumulator_bits
 
 SIGNIFICANCE_LEVEL = 0.05
 EXACT_MW_POOLED_MAX = 20
-BUDGET_BITS = 16
 
 
 class EvalError(ValueError):
@@ -272,12 +272,27 @@ def _plan_max_taps(plan) -> int:
 
     Sparse approximations (dilation, cropping) lower this, which is exactly
     what lets them afford wider input/weight quantization."""
-    return max(int(np.max(np.count_nonzero(n.weights_f, axis=1)))
-               for n in plan.nodes if isinstance(n, ConvNode))
+    return max(n.nonzero_taps() for n in plan.nodes if isinstance(n, ConvNode))
 
 
-def _rank_key(res: GridSearchResult):
-    return (-res.mean_r, res.config.as_tuple())
+def _search(plan, space: list, score) -> list:
+    """Prune, realize and score each config of `space`, in sorted order.
+
+    Returns (config, score(graph), None) for a realized config and
+    (config, None, reason) for one the prune or the budget rejects."""
+    max_taps = _plan_max_taps(plan)
+    out = []
+    for bits in sorted(space, key=lambda c: c.as_tuple()):
+        if not conv_feasible(bits, max_taps):
+            out.append((bits, None, "accumulator bound"))
+            continue
+        try:
+            graph = plan.realize(bits)
+        except BudgetViolation as exc:
+            out.append((bits, None, str(exc)))
+            continue
+        out.append((bits, score(graph), None))
+    return out
 
 
 def grid_search(space: list, approx: ApproxSpec, calibration: list,
@@ -295,22 +310,12 @@ def grid_search(space: list, approx: ApproxSpec, calibration: list,
     plan = build_descriptor_plan(approx, cfg, sample_rate_hz, n_frames,
                                  mel=mel, gamma=gamma)
     plan.calibrate(calibration)
-    max_taps = _plan_max_taps(plan)
+    clear_cache: list = []  # the clear arm does not depend on the bit widths
 
-    results = []
-    clear_cache: dict | None = None
-    for bits in sorted(space, key=lambda c: c.as_tuple()):
-        if not conv_feasible(bits, max_taps):
-            results.append(GridSearchResult(bits, False, reason="accumulator bound"))
-            continue
-        try:
-            graph = plan.realize(bits)
-        except BudgetViolation as exc:
-            results.append(GridSearchResult(bits, False, reason=str(exc)))
-            continue
-        if clear_cache is None:
-            clear_cache = [graph.run_clear(buf)["descriptor_vector"]
-                           for buf in evaluation]
+    def correlations(graph) -> dict:
+        if not clear_cache:
+            clear_cache.extend(graph.run_clear(buf)["descriptor_vector"]
+                               for buf in evaluation)
         fhe = [graph.execute(buf).dequantized for buf in evaluation]
         rs = {}
         for i, name in enumerate(DESCRIPTOR_NAMES):
@@ -320,9 +325,12 @@ def grid_search(space: list, approx: ApproxSpec, calibration: list,
                 rs[name] = pearson(c, f)
             except UndefinedCorrelation:
                 rs[name] = 0.0  # constant arm carries no ranking signal
-        results.append(GridSearchResult(bits, True, per_descriptor_r=rs))
+        return rs
 
-    ranked = sorted([r for r in results if r.feasible], key=_rank_key)
+    results = [GridSearchResult(bits, rs is not None, per_descriptor_r=rs, reason=reason)
+               for bits, rs, reason in _search(plan, space, correlations)]
+    ranked = sorted([r for r in results if r.feasible],
+                    key=lambda r: (-r.mean_r, r.config.as_tuple()))
     return ranked + [r for r in results if not r.feasible]
 
 
@@ -338,21 +346,14 @@ def transform_distance_search(space: list, kind: str, approx: ApproxSpec,
     plan = build_transform_plan(kind, approx, cfg, sample_rate_hz,
                                 mel=mel, gamma=gamma)
     plan.calibrate(calibration)
-    max_taps = _plan_max_taps(plan)
-    scored = []
-    for bits in sorted(space, key=lambda c: c.as_tuple()):
-        if not conv_feasible(bits, max_taps):
-            continue
-        try:
-            graph = plan.realize(bits)
-        except BudgetViolation:
-            continue
-        dists = []
-        for buf in evaluation:
-            clear = graph.run_clear(buf)[graph.output_node]
-            fhe = graph.execute(buf).dequantized
-            dists.append(normalized_euclidean(clear, fhe))
-        scored.append((bits, float(np.mean(dists))))
+
+    def mean_distance(graph) -> float:
+        return float(np.mean([normalized_euclidean(graph.run_clear(buf)[graph.output_node],
+                                                   graph.execute(buf).dequantized)
+                              for buf in evaluation]))
+
+    scored = [(bits, d) for bits, d, _ in _search(plan, space, mean_distance)
+              if d is not None]
     return sorted(scored, key=lambda t: (t[1], t[0].as_tuple()))
 
 

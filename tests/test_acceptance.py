@@ -206,7 +206,7 @@ def test_best_grid_config_reaches_small_transform_distance():
     gamma = GammatoneSpec(n_filters=32)
     clips = synthetic_clips("tones,noise", 100, seed=106)
     assert len(clips) == 200
-    calib_c, eval_c = split_clips(clips, 0.1, seed=106)
+    calib_c, eval_c, _ = split_clips(clips, 0.1, seed=106)
     calib = [c.buffer for c in calib_c]
     evalu = [c.buffer for c in eval_c]
     space = [BitWidthConfig(5, 8, 3, 7), BitWidthConfig(4, 8, 4, 7)]
@@ -238,7 +238,7 @@ def test_statistical_replication_clear_and_constructed_effect():
     mel = MelSpec(n_mels=32)
     gamma = GammatoneSpec(n_filters=32)
     clips = synthetic_clips("tones", 60, seed=107)
-    calib_c, eval_c = split_clips(clips, 0.1, seed=107)
+    calib_c, eval_c, _ = split_clips(clips, 0.1, seed=107)
     calib = [c.buffer for c in calib_c]
     n_frames = cfg.frame_count(len(calib[0]))
 

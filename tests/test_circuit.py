@@ -4,9 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import fake_quant_reference
-from fhespec.approx import Conventional, Cropping, Dilation, L1Energy, Poorman
+from fhespec.approx import (
+    Conventional,
+    Cropping,
+    Dilation,
+    FreqAdaptiveWindow,
+    L1Energy,
+    Poorman,
+)
 from fhespec.circuit import (
     BUDGET_BITS,
     BudgetViolation,
@@ -270,3 +279,53 @@ def test_calibration_errors():
         plan.realize(BITS)  # not calibrated yet
     with pytest.raises(CircuitError):
         plan.calibrate([AudioBuffer(np.ones(CLIP_LEN), 8000)])  # rate mismatch
+
+
+# Properties over random configurations ----------------------------------------
+
+BITS_ST = st.builds(BitWidthConfig, *[st.integers(2, 8)] * 4)
+PLAN_KINDS = ("stft", "mel", "mfcc", "gammatone", "descriptors")
+
+
+def calibrated_plan(kind, approx):
+    if kind == "descriptors":
+        plan = build_descriptor_plan(approx, CFG, FS, n_frames=30, mel=MEL, gamma=GAMMA)
+    else:
+        plan = build_transform_plan(kind, approx, CFG, FS, mel=MEL, gamma=GAMMA, n_mfcc=8)
+    return plan.calibrate(clips(4, seed=40))
+
+
+def realize_or_none(plan, bits):
+    try:
+        return plan.realize(bits)
+    except BudgetViolation:
+        return None
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(kind=st.sampled_from(PLAN_KINDS),
+       approx=st.sampled_from(APPROXES + [Dilation(rate=None),
+                                          FreqAdaptiveWindow(n_min=16)]),
+       a=BITS_ST, b=BITS_ST)
+def test_realize_properties_over_random_configs(kind, approx, a, b):
+    plan = calibrated_plan(kind, approx)
+    graph_a, graph_b = realize_or_none(plan, a), realize_or_none(plan, b)
+    # binding never mutates the plan: B after A serializes like a fresh B
+    fresh_b = realize_or_none(calibrated_plan(kind, approx), b)
+    assert (graph_b is None) == (fresh_b is None)
+    if graph_b is not None:
+        assert graph_b.to_json() == fresh_b.to_json()
+    # every config that realizes is bit-exact with the oracle
+    evalu = clips(2, seed=41)
+    for graph in (graph_a, graph_b):
+        for buf in evalu if graph is not None else []:
+            assert np.array_equal(graph.execute(buf).output.data,
+                                  fake_quant_reference(graph, buf))
+    # the clear forward pass does not depend on the bit widths
+    loose = [plan.realize(bits, enforce_budget=False, materialize_tables=False)
+             for bits in (a, b)]
+    for buf in evalu:
+        clear_a, clear_b = (g.run_clear(buf) for g in loose)
+        assert clear_a.keys() == clear_b.keys()
+        for name in clear_a:
+            assert np.array_equal(clear_a[name], clear_b[name])

@@ -23,7 +23,6 @@ from fhespec.dataset import (
     ingest,
     read_wav,
     split_clips,
-    stratified_split,
     synthetic_clips,
     write_wav,
 )
@@ -105,30 +104,37 @@ def test_stratified_split_deterministic_and_proportional(tmp_path):
     root = tmp_path / "data"
     make_dataset(root, per_class=10)
     manifest = ingest(root, FS)
-    cal1, ev1 = stratified_split(manifest, 0.2, seed=7)
-    cal2, ev2 = stratified_split(manifest, 0.2, seed=7)
-    assert [e.path for e in cal1.entries] == [e.path for e in cal2.entries]
-    assert [e.path for e in ev1.entries] == [e.path for e in ev2.entries]
+    cal1, ev1, warnings = split_clips(manifest.entries, 0.2, seed=7)
+    cal2, ev2, _ = split_clips(manifest.entries, 0.2, seed=7)
+    assert [e.path for e in cal1] == [e.path for e in cal2]
+    assert [e.path for e in ev1] == [e.path for e in ev2]
     for label in ("alpha", "beta"):
-        assert sum(e.label == label for e in cal1.entries) == 2
-        assert sum(e.label == label for e in ev1.entries) == 8
+        assert sum(e.label == label for e in cal1) == 2
+        assert sum(e.label == label for e in ev1) == 8
     assert len(cal1) + len(ev1) == len(manifest)
-    assert not set(e.path for e in cal1.entries) & set(
-        e.path for e in ev1.entries)
+    assert not set(e.path for e in cal1) & set(e.path for e in ev1)
+    assert warnings == []
     with pytest.raises(DatasetError):
-        stratified_split(manifest, 1.5, seed=0)
+        split_clips(manifest.entries, 1.5, seed=0)
 
 
-def test_single_file_class_goes_to_calibration(tmp_path):
+def test_single_file_class_goes_to_calibration(tmp_path, capsys):
     root = tmp_path / "data"
     make_dataset(root, per_class=3)
     solo = root / "solo"
     solo.mkdir()
-    write_wav(solo / "only.wav", AudioBuffer(np.ones(500) * 0.1, FS))
-    cal, ev = stratified_split(ingest(root, FS), 0.3, seed=0)
-    assert any(e.label == "solo" for e in cal.entries)
-    assert not any(e.label == "solo" for e in ev.entries)
-    assert cal.warnings and "solo" in cal.warnings[0]
+    write_wav(solo / "only.wav", AudioBuffer(np.ones(992) * 0.1, FS))
+    cal, ev, warnings = split_clips(ingest(root, FS).entries, 0.3, seed=0)
+    assert any(e.label == "solo" for e in cal)
+    assert not any(e.label == "solo" for e in ev)
+    assert len(warnings) == 1 and "solo" in warnings[0]
+    # the CLI prints the warning; a warning is not a skip
+    code = main(["budget", "--dataset", str(root), "--window", "64",
+                 "--hop", "32", "--n-mels", "8", "--n-gammatone", "8",
+                 "--bits", "5,6,4,5", "--calib-fraction", "0.3",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert "warning: class 'solo' has a single file" in capsys.readouterr().err
 
 
 # Synthetic corpora ------------------------------------------------------------
@@ -152,11 +158,15 @@ def test_synthetic_deterministic_and_labelled():
 
 def test_split_clips_stratified():
     clips = synthetic_clips("tones,noise", 10, seed=4)
-    calib, evalu = split_clips(clips, 0.2, seed=5)
+    calib, evalu, warnings = split_clips(clips, 0.2, seed=5)
     assert len(calib) + len(evalu) == len(clips)
     for label in ("tone_soft", "tone_loud", "noise"):
         assert sum(c.label == label for c in calib) >= 1
         assert sum(c.label == label for c in evalu) >= 1
+    assert warnings == []
+    for bad in (0.0, 1.0, -0.1):
+        with pytest.raises(DatasetError):
+            split_clips(clips, bad, seed=5)
 
 
 def test_truncate_to_common_length():

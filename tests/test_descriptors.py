@@ -1,21 +1,18 @@
-"""Descriptor tests: formulas, normalization, CSV, circuit agreement."""
+"""Descriptor tests: formulas, normalization, CSV, circuit agreement.
+
+The clear descriptors are the float forward pass (`run_clear`) of the joint
+descriptor graph, so the formula checks read its intermediate nodes.
+"""
 
 import numpy as np
 import pytest
 
 from fhespec.approx import Conventional, L1Energy
-from fhespec.circuit import build_descriptor_plan
+from fhespec.circuit import DESCRIPTOR_NAMES, CircuitError, build_descriptor_plan
 from fhespec.descriptors import (
     CSV_FIELDS,
-    DESCRIPTOR_NAMES,
     DescriptorVector,
-    NormalizationConstants,
-    clear_descriptors,
-    clear_descriptors_raw,
-    fit_normalization,
-    mean_std_over_time,
     read_descriptor_csv,
-    rms_per_frame,
     write_descriptor_csv,
 )
 from fhespec.evaluate import pearson
@@ -24,8 +21,6 @@ from fhespec.transforms import (
     AudioBuffer,
     GammatoneSpec,
     MelSpec,
-    SignalError,
-    Spectrogram,
     StftConfig,
 )
 
@@ -33,33 +28,56 @@ FS = 16000
 CFG = StftConfig(64, 32)
 MEL = MelSpec(n_mels=8)
 GAMMA = GammatoneSpec(n_filters=8)
+DBITS = BitWidthConfig(6, 7, 4, 5)
+N_FRAMES = 30  # 992 samples at N=64, hop=32
 
 
 def noise_buf(seed, n=992, scale=0.5):
     return AudioBuffer(np.random.default_rng(seed).standard_normal(n) * scale, FS)
 
 
+def descriptor_graph(approx=Conventional(), calib=None):
+    plan = build_descriptor_plan(approx, CFG, FS, N_FRAMES, mel=MEL, gamma=GAMMA)
+    plan.calibrate(calib or [noise_buf(s, scale=0.2 + 0.1 * s) for s in range(4)])
+    return plan, plan.realize(DBITS)
+
+
+def raw_descriptors(graph, values) -> dict:
+    """Un-normalized descriptors: the inputs of the normalize lookups."""
+    return {n: float(values[graph.node(n).src]) for n in DESCRIPTOR_NAMES}
+
+
 def test_rms_per_frame_formula():
-    rng = np.random.default_rng(0)
-    power = Spectrogram(values=rng.uniform(0.0, 4.0, size=(6, 33)))
-    rms = rms_per_frame(power)
-    assert rms.shape == (6,)
-    assert np.allclose(rms, np.sqrt(power.values.mean(axis=1)))
+    _, graph = descriptor_graph()
+    values = graph.run_clear(noise_buf(0))
+    power = np.asarray(values["stft_power"])
+    assert power.shape == (N_FRAMES, CFG.bins)
+    assert values["rms"].shape == (N_FRAMES,)
+    assert np.allclose(values["rms"], np.sqrt(power.mean(axis=1)), rtol=1e-12)
 
 
 def test_mean_std_over_time():
-    x = np.array([[1.0, 2.0], [3.0, 6.0], [5.0, 10.0]])
-    mean, std = mean_std_over_time(x)
-    assert np.allclose(mean, [3.0, 6.0])
-    assert np.allclose(std, x.std(axis=0))  # population convention
-    with pytest.raises(SignalError):
-        mean_std_over_time(x[:1])
+    _, graph = descriptor_graph()
+    values = graph.run_clear(noise_buf(3))
+    rms = values["rms"]
+    assert float(values["mean_rms_sum"]) == pytest.approx(rms.mean(), rel=1e-12)
+    # population convention
+    assert float(values["std_rms_val"]) == pytest.approx(rms.std(ddof=0), rel=1e-12)
+    mel = np.asarray(values["mel_spec"])
+    assert np.allclose(values["mel_stds"], mel.std(axis=0), rtol=1e-12)
+    # time statistics need at least two frames
+    with pytest.raises(CircuitError):
+        build_descriptor_plan(Conventional(), CFG, FS, 1, mel=MEL, gamma=GAMMA)
 
 
 def test_descriptor_values_against_direct_recompute():
     buf = noise_buf(1)
-    raw = clear_descriptors_raw(buf, Conventional(), CFG, mel=MEL, gamma=GAMMA)
-    assert set(raw) == set(DESCRIPTOR_NAMES)
+    _, graph = descriptor_graph()
+    values = graph.run_clear(buf)
+    vector = values["descriptor_vector"]
+    assert vector.shape == (len(DESCRIPTOR_NAMES),)
+    assert np.array_equal(vector, [float(values[n]) for n in DESCRIPTOR_NAMES])
+    raw = raw_descriptors(graph, values)
     # independent recomputation of the RMS pair from a plain spectrogram
     from fhespec.transforms import hann_window, power_spectrogram, stft
 
@@ -71,38 +89,44 @@ def test_descriptor_values_against_direct_recompute():
 
 def test_l1_descriptors_differ_from_squared():
     buf = noise_buf(2)
-    sq = clear_descriptors_raw(buf, Conventional(), CFG, mel=MEL, gamma=GAMMA)
-    l1 = clear_descriptors_raw(buf, L1Energy(), CFG, mel=MEL, gamma=GAMMA)
-    assert sq["mean_rms"] != l1["mean_rms"]
+    _, sq = descriptor_graph(Conventional())
+    _, l1 = descriptor_graph(L1Energy())
+    assert (raw_descriptors(sq, sq.run_clear(buf))["mean_rms"]
+            != raw_descriptors(l1, l1.run_clear(buf))["mean_rms"])
 
 
 def test_normalization_constants():
-    raws = [{n: float(i + j) for j, n in enumerate(DESCRIPTOR_NAMES)}
-            for i in range(5)]
-    norm = NormalizationConstants.from_raw(raws)
+    calib = [noise_buf(s, scale=0.2 + 0.1 * s) for s in range(5)]
+    plan, graph = descriptor_graph(calib=calib)
+    runs = [graph.run_clear(b) for b in calib]
     for name in DESCRIPTOR_NAMES:
-        vals = np.array([r[name] for r in raws])
-        assert norm.center[name] == pytest.approx(vals.mean())
-        assert norm.scale[name] == pytest.approx(vals.std())
-        z = np.array([norm.apply(r)[name] for r in raws])
+        raw = np.array([raw_descriptors(graph, v)[name] for v in runs])
+        center, scale = plan.normalization[name]
+        assert center == pytest.approx(raw.mean(), rel=1e-12)
+        assert scale == pytest.approx(raw.std(), rel=1e-12)
+        z = np.array([float(v[name]) for v in runs])
         assert z.mean() == pytest.approx(0.0, abs=1e-12)
         assert z.std() == pytest.approx(1.0, rel=1e-12)
     # constant descriptor: scale falls back to 1 instead of dividing by zero
-    flat = NormalizationConstants.from_raw([{n: 2.0 for n in DESCRIPTOR_NAMES}] * 3)
-    assert all(s == 1.0 for s in flat.scale.values())
-    ident = NormalizationConstants.identity()
-    assert ident.apply(raws[0]) == raws[0]
+    flat, _ = descriptor_graph(calib=[AudioBuffer(np.zeros(992), FS)] * 3)
+    assert flat.normalization == {n: (0.0, 1.0) for n in DESCRIPTOR_NAMES}
 
 
 def test_fit_normalization_matches_manual():
-    bufs = [noise_buf(s) for s in range(4)]
-    norm = fit_normalization(bufs, Conventional(), CFG, mel=MEL, gamma=GAMMA)
-    raws = [clear_descriptors_raw(b, Conventional(), CFG, mel=MEL, gamma=GAMMA)
-            for b in bufs]
-    manual = NormalizationConstants.from_raw(raws)
-    assert norm == manual
-    z = clear_descriptors(bufs[0], Conventional(), CFG, norm, mel=MEL, gamma=GAMMA)
-    assert z == norm.apply(raws[0])
+    """The plan's frozen constants are the z-score of the calibration clips,
+    and both the clear forward pass and the circuit apply them."""
+    bufs = [noise_buf(s, scale=0.2 + 0.1 * s) for s in range(4)]
+    plan, graph = descriptor_graph(calib=bufs)
+    raws = [raw_descriptors(graph, graph.run_clear(b)) for b in bufs]
+    for name in DESCRIPTOR_NAMES:
+        vals = np.array([r[name] for r in raws], dtype=np.float64)
+        assert plan.normalization[name] == (float(vals.mean()), float(vals.std()))
+        lut = graph.node(name)
+        assert (lut.norm_center, lut.norm_scale) == plan.normalization[name]
+    z = graph.run_clear(bufs[0])["descriptor_vector"]
+    want = [(raws[0][n] - plan.normalization[n][0]) / plan.normalization[n][1]
+            for n in DESCRIPTOR_NAMES]
+    assert np.array_equal(z, want)
 
 
 def test_csv_round_trip(tmp_path):
