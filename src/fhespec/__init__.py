@@ -23,9 +23,7 @@ from .circuit import (
     CircuitGraph,
     CircuitOverflow,
     build_descriptor_plan,
-    build_pipeline,
     build_transform_plan,
-    simulate_fhe_transform,
 )
 from .evaluate import (
     DiscoveryErrorReport,

@@ -271,22 +271,6 @@ def poorman_kernels(bank: KernelBank, roots: int) -> KernelBank:
     return dc_replace(bank, real=bank.window * root.real, imag=bank.window * root.imag)
 
 
-def poorman_bound(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
-                  frame: int, roots: int) -> float:
-    """k-independent error bound 2*|sin(pi/2L)| * ||x_frame||_2 * ||w||_2.
-
-    Each projected coefficient is within chord distance 2*sin(pi/2L) of the
-    exact one, so by Cauchy-Schwarz the per-bin error is at most
-    ||x_frame||_2 * ||w * d||_2 <= 2*sin(pi/2L) * ||x_frame||_2 * ||w||_2.
-    The norms factor separately; bounding the windowed product's norm alone
-    would not survive the worst case.
-    """
-    frames = frame_signal(buf.samples, cfg.window_length, cfg.hop)
-    energy = float(np.sqrt(np.sum(frames[frame] ** 2)))
-    w_norm = float(np.sqrt(np.sum(np.asarray(window) ** 2)))
-    return 2.0 * abs(np.sin(np.pi / (2.0 * roots))) * energy * w_norm
-
-
 # l1 energy -------------------------------------------------------------------
 
 def l1_energy(spec: ComplexSpectrogram) -> Spectrogram:
@@ -361,7 +345,15 @@ class BoundReport:
 
 def poorman_bound_report(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
                          roots: int) -> BoundReport:
-    """Per-(m, k) poorman error against the per-frame upper bound."""
+    """Per-(m, k) poorman error against the k-independent per-frame bound.
+
+    The bound is 2*|sin(pi/2L)| * ||x_frame||_2 * ||w||_2.  Each projected
+    coefficient is within chord distance 2*sin(pi/2L) of the exact one, so
+    by Cauchy-Schwarz the per-bin error is at most
+    ||x_frame||_2 * ||w * d||_2 <= 2*sin(pi/2L) * ||x_frame||_2 * ||w||_2.
+    The norms factor separately; bounding the windowed product's norm alone
+    would not survive the worst case.
+    """
     base = stft_kernels(cfg, window)
     poor = poorman_kernels(base, roots)
     exact = base.apply(buf)

@@ -33,7 +33,6 @@ from .transforms import (
     AudioBuffer,
     GammatoneSpec,
     MelSpec,
-    Spectrogram,
     StftConfig,
     dct_matrix,
     frame_signal,
@@ -366,8 +365,9 @@ class LutNode(Node):
                            width_of(self.out_spec.max_abs), None, None)
 
     def describe(self) -> dict:
+        lo, hi = self.in_spec.bounds
         return {**super().describe(), "semantic": self.semantic,
-                "table_size": int(self.table.size)}
+                "table_size": hi - lo + 1}
 
 
 @dataclass
@@ -677,8 +677,14 @@ class PipelinePlan:
         self.ranges = ranges
         return self
 
-    def realize(self, bits: BitWidthConfig, enforce_budget: bool = True,
-                materialize_tables: bool = True) -> CircuitGraph:
+    def realize(self, bits: BitWidthConfig, enforce_budget: bool = True) -> CircuitGraph:
+        """Bind one bit-width configuration.
+
+        An over-budget configuration raises `BudgetViolation`, or with
+        `enforce_budget=False` returns a graph for its budget report and
+        JSON only: its deferred lookup tables are not built, so it cannot
+        execute.
+        """
         if self.ranges is None:
             raise CircuitError("plan must be calibrated before realization")
         input_spec = EdgeSpec.from_range(*self.ranges["input"], bits=bits.input_bits,
@@ -718,12 +724,15 @@ class PipelinePlan:
             output_node=self.output_node,
         )
         report = graph.check_budget()
-        if enforce_budget and not report.feasible:
-            raise BudgetViolation([(e.node, e.worst_case_bits) for e in report.violations])
-        if materialize_tables:
-            # remaining tables are only materialized once the budget holds
-            for n in nodes:
-                n.materialize()
+        if not report.feasible:
+            if enforce_budget:
+                raise BudgetViolation([(e.node, e.worst_case_bits)
+                                       for e in report.violations])
+            return graph
+        # remaining tables are only materialized once the budget holds: an
+        # over-budget input edge can make a lookup table huge
+        for n in nodes:
+            n.materialize()
         return graph
 
 
@@ -848,25 +857,3 @@ def build_descriptor_plan(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: i
                         sample_rate_hz=sample_rate_hz, nodes=nodes,
                         output_node="descriptor_vector",
                         normalization={name: None for name in DESCRIPTOR_NAMES})
-
-
-def build_pipeline(kind: str, approx: ApproxSpec, bits: BitWidthConfig,
-                   calibration: list, cfg: StftConfig, sample_rate_hz: int,
-                   mel: MelSpec | None = None, gamma: GammatoneSpec | None = None,
-                   n_mfcc: int = 13) -> CircuitGraph:
-    """Build, calibrate and realize one transform pipeline."""
-    plan = build_transform_plan(kind, approx, cfg, sample_rate_hz, mel, gamma, n_mfcc)
-    plan.calibrate(calibration)
-    return plan.realize(bits)
-
-
-def simulate_fhe_transform(buf: AudioBuffer, kind: str, approx: ApproxSpec,
-                           bits: BitWidthConfig, calibration: list,
-                           cfg: StftConfig,
-                           mel: MelSpec | None = None,
-                           gamma: GammatoneSpec | None = None) -> Spectrogram:
-    """Dequantized output of the integer circuit for one input buffer."""
-    graph = build_pipeline(kind, approx, bits, calibration, cfg,
-                           buf.sample_rate_hz, mel, gamma)
-    result = graph.execute(buf)
-    return Spectrogram(values=result.dequantized)

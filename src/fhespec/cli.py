@@ -17,6 +17,7 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +44,7 @@ from .circuit import (
 from .dataset import (
     DatasetError,
     SYNTHETIC_KINDS,
-    SyntheticClip,
     ingest,
-    load_entries,
     split_clips,
     synthetic_clips,
 )
@@ -80,7 +79,7 @@ EXIT_SKIPS = 3
 DEFAULTS = {
     "transform": "stft",
     "approx": "conventional",
-    "bits": "6,6,4,6",
+    "bits": "5,8,4,5",
     "calib_fraction": 0.10,
     "seed": 0,
     "out": "out",
@@ -226,9 +225,7 @@ def gather_clips(settings) -> tuple[list, list, list]:
         skips = [f"{s.path}: {s.reason}" for s in manifest.skipped]
         if not manifest.entries:
             raise CliError("all dataset files were skipped")
-        bufs = load_entries(manifest.entries, settings["sample_rate"])
-        items = [SyntheticClip(file_id=e.file_id, label=e.label, buffer=b)
-                 for e, b in zip(manifest.entries, bufs)]
+        items = manifest.entries
     else:
         raise CliError("need either --dataset or --synthetic")
     calib, evalu, warnings = split_clips(items, settings["calib_fraction"],
@@ -241,14 +238,18 @@ def gather_clips(settings) -> tuple[list, list, list]:
 def truncate_to_common_length(clips: list) -> list:
     """Trim all clips to the shortest so every clip yields the same frames."""
     n = min(len(c.buffer) for c in clips)
-    return [SyntheticClip(c.file_id, c.label,
-                          AudioBuffer(c.buffer.samples[:n],
-                                      c.buffer.sample_rate_hz))
+    return [replace(c, buffer=AudioBuffer(c.buffer.samples[:n],
+                                          c.buffer.sample_rate_hz))
             if len(c.buffer) > n else c
             for c in clips]
 
 
-def _descriptor_vectors(settings, calib, evalu):
+def _descriptor_plan(settings, calib, evalu):
+    """Calibrated descriptor plan and the evaluation clips it expects.
+
+    The descriptor reductions have a fixed time fan-in, so every clip is
+    first trimmed to the common length.
+    """
     cfg = settings["stft_config"]
     all_clips = truncate_to_common_length(calib + evalu)
     calib, evalu = all_clips[: len(calib)], all_clips[len(calib):]
@@ -257,7 +258,11 @@ def _descriptor_vectors(settings, calib, evalu):
                                  settings["sample_rate"], n_frames,
                                  mel=settings["mel_spec"],
                                  gamma=settings["gamma_spec"])
-    plan.calibrate([c.buffer for c in calib])
+    return plan.calibrate([c.buffer for c in calib]), evalu
+
+
+def _descriptor_vectors(settings, calib, evalu):
+    plan, evalu = _descriptor_plan(settings, calib, evalu)
     graph = plan.realize(settings["bits_config"])
     vectors = []
     for clip in evalu:
@@ -348,17 +353,9 @@ def cmd_stattest(settings, calib, evalu, out: Path) -> None:
 
 
 def cmd_gridsearch(settings, calib, evalu, out: Path) -> None:
-    cfg = settings["stft_config"]
     space = parse_grid(str(settings.get("grid", "full")))
-    all_clips = truncate_to_common_length(calib + evalu)
-    calib, evalu = all_clips[: len(calib)], all_clips[len(calib):]
-    n_frames = cfg.frame_count(len(calib[0].buffer))
-    results = grid_search(space, settings["approx_spec"],
-                          [c.buffer for c in calib],
-                          [c.buffer for c in evalu],
-                          cfg, settings["sample_rate"], n_frames,
-                          mel=settings["mel_spec"],
-                          gamma=settings["gamma_spec"])
+    plan, evalu = _descriptor_plan(settings, calib, evalu)
+    results = grid_search(space, plan, [c.buffer for c in evalu])
     write_grid_json(out / "gridsearch.json", results)
     feasible = [r for r in results if r.feasible]
     if feasible:
@@ -403,8 +400,7 @@ def cmd_validate_bounds(settings, calib, evalu, out: Path) -> None:
 def cmd_budget(settings, calib, evalu, out: Path) -> None:
     plan = _transform_plan(settings)
     plan.calibrate([c.buffer for c in calib + evalu])
-    graph = plan.realize(settings["bits_config"], enforce_budget=False,
-                         materialize_tables=False)
+    graph = plan.realize(settings["bits_config"], enforce_budget=False)
     report = graph.check_budget()
     doc = {"format_version": 1, "transform": settings["transform"],
            "bits": settings["bits_config"].as_dict()}

@@ -1,9 +1,11 @@
-"""Dataset handling: WAV ingestion, manifests, splits, synthetic corpora.
+"""Dataset handling: labelled clips, WAV ingestion, splits, synthetic corpora.
 
+Every source yields the same `Clip` (file id, class label, decoded buffer).
 Datasets follow a directory-per-class layout (root/classA/*.wav, optionally
-one more level of sub-class directories).  Files that cannot be decoded or
-whose sample rate differs from the configured rate are collected in a skip
-report instead of aborting the run; there is no resampling or down-mixing.
+one more level of sub-class directories); `ingest` decodes each file once
+and keeps the buffer.  Files that cannot be decoded or whose sample rate
+differs from the configured rate are collected in a skip report instead of
+aborting the run; there is no resampling or down-mixing.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ class DatasetError(ValueError):
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
-    path: Path
-    label: str
-    sublabel: str | None = None
+class Clip:
+    """One labelled, decoded audio clip (a WAV file or a synthetic signal)."""
 
-    @property
-    def file_id(self) -> str:
-        return self.path.stem
+    file_id: str
+    label: str
+    buffer: AudioBuffer
+    sublabel: str | None = None
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def write_wav(path, buf: AudioBuffer) -> None:
 
 
 def ingest(root, sample_rate_hz: int) -> DatasetManifest:
-    """Scan a directory-per-class tree into a manifest, collecting skips."""
+    """Decode a directory-per-class tree into a manifest of clips, collecting skips."""
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
@@ -89,12 +90,12 @@ def ingest(root, sample_rate_hz: int) -> DatasetManifest:
         label = rel.parts[0]
         sublabel = rel.parts[1] if len(rel.parts) > 2 else None
         try:
-            read_wav(wav_path, expected_rate_hz=sample_rate_hz)
+            buf = read_wav(wav_path, expected_rate_hz=sample_rate_hz)
         except (DatasetError, SignalError, ValueError) as exc:
             manifest.skipped.append(SkipRecord(wav_path, str(exc)))
             continue
-        manifest.entries.append(ManifestEntry(path=wav_path, label=label,
-                                              sublabel=sublabel))
+        manifest.entries.append(Clip(file_id=wav_path.stem, label=label,
+                                     buffer=buf, sublabel=sublabel))
     if not manifest.entries and not manifest.skipped:
         raise DatasetError(f"dataset root {root} contains no .wav files")
     return manifest
@@ -103,7 +104,7 @@ def ingest(root, sample_rate_hz: int) -> DatasetManifest:
 def split_clips(items: list, fraction: float, seed: int) -> tuple[list, list, list]:
     """Per-class proportional calibration/evaluation split of labelled items.
 
-    Works on anything with a `.label` (synthetic clips, manifest entries).
+    Works on anything with a `.label`.
     Deterministic under a fixed seed; every class gives at least one item to
     calibration and, when it has two or more, at least one to evaluation.
     A single-item class contributes its only item to calibration, with a
@@ -130,20 +131,9 @@ def split_clips(items: list, fraction: float, seed: int) -> tuple[list, list, li
     return calib, evalu, warnings
 
 
-def load_entries(entries: list, sample_rate_hz: int) -> list:
-    return [read_wav(e.path, expected_rate_hz=sample_rate_hz) for e in entries]
-
-
 # Synthetic corpora ------------------------------------------------------------
 
 SYNTHETIC_KINDS = ("tones", "noise", "chirps")
-
-
-@dataclass(frozen=True)
-class SyntheticClip:
-    file_id: str
-    label: str
-    buffer: AudioBuffer
 
 
 def _tone(rng, n, rate, amplitude):
@@ -187,7 +177,7 @@ def synthetic_clips(kind: str, count: int, seed: int,
                 f0 = rng.uniform(50.0, 500.0)
                 f1 = rng.uniform(1000.0, sample_rate_hz / 2.0 * 0.8)
                 x = np.sin(2.0 * np.pi * (f0 * t + (f1 - f0) * t**2 / (2.0 * duration_s)))
-            clips.append(SyntheticClip(
+            clips.append(Clip(
                 file_id=f"{k}_{i:04d}", label=label,
                 buffer=AudioBuffer(samples=x, sample_rate_hz=sample_rate_hz)))
     return clips

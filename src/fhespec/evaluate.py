@@ -19,14 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .approx import ApproxSpec
 from .circuit import (
     BUDGET_BITS,
     DESCRIPTOR_NAMES,
     BudgetViolation,
     ConvNode,
-    build_descriptor_plan,
-    build_transform_plan,
+    PipelinePlan,
 )
 from .quant import BitWidthConfig, accumulator_bits
 
@@ -295,21 +293,17 @@ def _search(plan, space: list, score) -> list:
     return out
 
 
-def grid_search(space: list, approx: ApproxSpec, calibration: list,
-                evaluation: list, cfg, sample_rate_hz: int, n_frames: int,
-                mel=None, gamma=None) -> list:
+def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:
     """Rank bit-width configurations by clear-vs-simulated descriptor Pearson.
 
-    The descriptor pipeline spans all three filter banks, so the search is
-    joint over the full descriptor vector.  Calibration runs once; each
-    configuration only re-realizes the quantized graph.  Infeasible configs
-    are reported with feasible=False and excluded from the ranking.
+    `plan` is a calibrated descriptor plan; the descriptor pipeline spans all
+    three filter banks, so the search is joint over the full descriptor
+    vector.  Each configuration only re-realizes the quantized graph.
+    Infeasible configs are reported with feasible=False and excluded from
+    the ranking.
     """
-    if not space or not calibration or not evaluation:
+    if not space or not evaluation:
         raise EvalError("grid search needs a nonempty space and datasets")
-    plan = build_descriptor_plan(approx, cfg, sample_rate_hz, n_frames,
-                                 mel=mel, gamma=gamma)
-    plan.calibrate(calibration)
     clear_cache: list = []  # the clear arm does not depend on the bit widths
 
     def correlations(graph) -> dict:
@@ -334,19 +328,15 @@ def grid_search(space: list, approx: ApproxSpec, calibration: list,
     return ranked + [r for r in results if not r.feasible]
 
 
-def transform_distance_search(space: list, kind: str, approx: ApproxSpec,
-                              calibration: list, evaluation: list, cfg,
-                              sample_rate_hz: int, mel=None, gamma=None) -> list:
+def transform_distance_search(space: list, plan: PipelinePlan,
+                              evaluation: list) -> list:
     """Rank configurations by mean clear-vs-simulated spectrogram distance.
 
-    Returns (config, mean_distance) pairs for feasible configs, best first;
-    the distance compares each clip's dequantized circuit output with the
-    float forward pass of the same graph.
+    `plan` is a calibrated transform plan.  Returns (config, mean_distance)
+    pairs for feasible configs, best first; the distance compares each
+    clip's dequantized circuit output with the float forward pass of the
+    same graph.
     """
-    plan = build_transform_plan(kind, approx, cfg, sample_rate_hz,
-                                mel=mel, gamma=gamma)
-    plan.calibrate(calibration)
-
     def mean_distance(graph) -> float:
         return float(np.mean([normalized_euclidean(graph.run_clear(buf)[graph.output_node],
                                                    graph.execute(buf).dequantized)

@@ -62,10 +62,6 @@ class QuantParams:
     def q_max(self) -> int:
         return self.levels - self.offset
 
-    @property
-    def max_abs_int(self) -> int:
-        return max(abs(self.q_min), abs(self.q_max))
-
 
 @dataclass(frozen=True)
 class QuantizedTensor:

@@ -38,7 +38,7 @@ from fhespec.circuit import (
     LutNode,
     RawSpec,
     ReduceNode,
-    build_pipeline,
+    build_transform_plan,
 )
 from fhespec.cli import main
 from fhespec.dataset import split_clips, synthetic_clips
@@ -160,8 +160,9 @@ def test_integer_circuits_bit_exact_against_reference():
     checked = 0
     for kind in ("stft", "mel", "mfcc", "gammatone"):
         for approx in approxes:
-            graph = build_pipeline(kind, approx, bits, calib, cfg, FS,
-                                   mel=mel, gamma=gamma, n_mfcc=13)
+            plan = build_transform_plan(kind, approx, cfg, FS,
+                                        mel=mel, gamma=gamma, n_mfcc=13)
+            graph = plan.calibrate(calib).realize(bits)
             for buf in inputs:
                 got = graph.execute(buf).output.data
                 want = fake_quant_reference(graph, buf)
@@ -212,9 +213,9 @@ def test_best_grid_config_reaches_small_transform_distance():
     space = [BitWidthConfig(5, 8, 3, 7), BitWidthConfig(4, 8, 4, 7)]
     best = {}
     for kind in ("stft", "mel", "gammatone", "mfcc"):
-        scored = transform_distance_search(space, kind, Conventional(),
-                                           calib, evalu, cfg, FS,
-                                           mel=mel, gamma=gamma)
+        plan = build_transform_plan(kind, Conventional(), cfg, FS,
+                                    mel=mel, gamma=gamma)
+        scored = transform_distance_search(space, plan.calibrate(calib), evalu)
         assert scored, kind
         best[kind] = scored[0][1]
     for kind in ("stft", "mel", "gammatone"):
@@ -244,17 +245,14 @@ def test_statistical_replication_clear_and_constructed_effect():
 
     space = [BitWidthConfig(5, 6, 3, 4), BitWidthConfig(4, 6, 4, 4),
              BitWidthConfig(4, 5, 3, 4)]
-    ranked = grid_search(space, Conventional(), calib,
-                         [c.buffer for c in eval_c], cfg, FS, n_frames,
-                         mel=mel, gamma=gamma)
-    feasible = [r for r in ranked if r.feasible]
-    assert feasible
-
     from fhespec.circuit import DESCRIPTOR_NAMES, build_descriptor_plan
 
     plan = build_descriptor_plan(Conventional(), cfg, FS, n_frames,
                                  mel=mel, gamma=gamma)
     plan.calibrate(calib)
+    ranked = grid_search(space, plan, [c.buffer for c in eval_c])
+    feasible = [r for r in ranked if r.feasible]
+    assert feasible
     graph = plan.realize(feasible[0].config)
     clear_by, fhe_by = {}, {}
     for clip in eval_c:

@@ -25,10 +25,8 @@ from fhespec.circuit import (
     RawSpec,
     approx_label,
     build_descriptor_plan,
-    build_pipeline,
     build_transform_plan,
     quantize_weights,
-    simulate_fhe_transform,
 )
 from fhespec.evaluate import normalized_euclidean
 from fhespec.quant import BitWidthConfig
@@ -118,8 +116,8 @@ APPROXES = [Conventional(), Dilation(rate=4), Poorman(roots=4), L1Energy(),
 @pytest.mark.parametrize("approx", APPROXES, ids=lambda a: a.kind)
 def test_integer_execution_matches_reference(kind, approx):
     calib = clips(4, seed=20)
-    graph = build_pipeline(kind, approx, BITS, calib, CFG, FS,
-                           mel=MEL, gamma=GAMMA, n_mfcc=8)
+    plan = build_transform_plan(kind, approx, CFG, FS, mel=MEL, gamma=GAMMA, n_mfcc=8)
+    graph = plan.calibrate(calib).realize(BITS)
     for buf in clips(5, seed=21):
         got = graph.execute(buf).output.data
         want = fake_quant_reference(graph, buf)
@@ -140,7 +138,8 @@ def test_descriptor_circuit_matches_reference():
 
 def test_dequantized_consistent_with_output_params():
     calib = clips(3, seed=24)
-    graph = build_pipeline("stft", Conventional(), BITS, calib, CFG, FS)
+    plan = build_transform_plan("stft", Conventional(), CFG, FS)
+    graph = plan.calibrate(calib).realize(BITS)
     res = graph.execute(calib[0])
     p = res.output.params
     assert np.allclose(res.dequantized,
@@ -152,7 +151,8 @@ def test_dequantized_consistent_with_output_params():
 
 def test_budget_report_structure():
     calib = clips(3, seed=25)
-    graph = build_pipeline("mel", Conventional(), BITS, calib, CFG, FS, mel=MEL)
+    plan = build_transform_plan("mel", Conventional(), CFG, FS, mel=MEL)
+    graph = plan.calibrate(calib).realize(BITS)
     report = graph.check_budget()
     assert report.feasible
     kinds = {e.kind for e in report.entries}
@@ -164,7 +164,8 @@ def test_budget_report_structure():
 
 def test_observed_never_exceeds_worst_case():
     calib = clips(3, seed=26)
-    graph = build_pipeline("stft", Conventional(), BITS, calib, CFG, FS)
+    plan = build_transform_plan("stft", Conventional(), CFG, FS)
+    graph = plan.calibrate(calib).realize(BITS)
     res = graph.execute(calib[1])
     report = graph.check_budget(res.observed)
     for e in report.entries:
@@ -182,13 +183,20 @@ def test_budget_violation_raised_and_inspectable():
         plan.realize(wide)
     assert exc.value.violations  # names the offending nodes
     # same config builds with enforcement off, and the report flags it
-    graph = plan.realize(wide, enforce_budget=False, materialize_tables=False)
+    graph = plan.realize(wide, enforce_budget=False)
     assert not graph.check_budget().feasible
+    # over budget no deferred table is built, and the graph still serializes
+    assert graph.node("mel_spec").table is None
+    for n in json.loads(graph.to_json())["nodes"]:
+        if "table_size" in n:
+            lo, hi = graph.node(n["name"]).in_spec.bounds
+            assert n["table_size"] == hi - lo + 1
 
 
 def test_overflow_check_fires_on_tampered_range():
     calib = clips(3, seed=28)
-    graph = build_pipeline("stft", Conventional(), BITS, calib, CFG, FS)
+    plan = build_transform_plan("stft", Conventional(), CFG, FS)
+    graph = plan.calibrate(calib).realize(BITS)
     conv = graph.node("stft_conv")
     conv.out_spec = RawSpec(scale=conv.out_spec.scale, v_lo=0, v_hi=1)
     with pytest.raises(CircuitOverflow):
@@ -201,13 +209,12 @@ def test_generous_bits_give_small_distance_on_tone():
     t = np.arange(CLIP_LEN) / FS
     tone = AudioBuffer(0.8 * np.sin(2.0 * np.pi * 1000.0 * t), FS)
     calib = clips(4, seed=29) + [tone]
-    fine = build_pipeline("stft", Conventional(), BitWidthConfig(6, 8, 4, 8),
-                          calib, CFG, FS)
+    plan = build_transform_plan("stft", Conventional(), CFG, FS)
+    fine = plan.calibrate(calib).realize(BitWidthConfig(6, 8, 4, 8))
     clear = np.asarray(fine.run_clear(tone)["stft_power"])
     d_fine = normalized_euclidean(clear, fine.execute(tone).dequantized)
     assert d_fine < 0.1
-    coarse = build_pipeline("stft", Conventional(), BitWidthConfig(3, 3, 2, 3),
-                            calib, CFG, FS)
+    coarse = plan.realize(BitWidthConfig(3, 3, 2, 3))
     clear_c = np.asarray(coarse.run_clear(tone)["stft_power"])
     d_coarse = normalized_euclidean(clear_c, coarse.execute(tone).dequantized)
     assert d_coarse > d_fine
@@ -215,9 +222,9 @@ def test_generous_bits_give_small_distance_on_tone():
 
 def test_simulate_fhe_transform_shape():
     calib = clips(3, seed=30)
-    sg = simulate_fhe_transform(calib[0], "mel", Conventional(), BITS,
-                                calib, CFG, mel=MEL)
-    assert sg.values.shape == (30, 8)
+    plan = build_transform_plan("mel", Conventional(), CFG, FS, mel=MEL)
+    graph = plan.calibrate(calib).realize(BITS)
+    assert graph.execute(calib[0]).dequantized.shape == (30, 8)
 
 
 # Plan reuse and serialization -------------------------------------------------
@@ -246,8 +253,8 @@ def test_realize_is_deterministic():
 
 def test_graph_json_contents():
     calib = clips(3, seed=33)
-    graph = build_pipeline("mfcc", Poorman(roots=4), BITS, calib, CFG, FS,
-                           mel=MEL, n_mfcc=8)
+    plan = build_transform_plan("mfcc", Poorman(roots=4), CFG, FS, mel=MEL, n_mfcc=8)
+    graph = plan.calibrate(calib).realize(BITS)
     doc = json.loads(graph.to_json())
     assert doc["format_version"] == 1
     assert doc["kind"] == "mfcc"
@@ -256,6 +263,9 @@ def test_graph_json_contents():
     assert {"stft_conv", "mel_matmul", "dct_matmul", "mfcc_out"} <= names
     conv = next(n for n in doc["nodes"] if n["name"] == "stft_conv")
     assert conv["weights"]["shape"] == [2 * CFG.bins, CFG.window_length]
+    for n in doc["nodes"]:
+        if "table_size" in n:
+            assert n["table_size"] == graph.node(n["name"]).table.size
     assert len(conv["weights"]["sha256"]) == 64
 
 
@@ -322,7 +332,7 @@ def test_realize_properties_over_random_configs(kind, approx, a, b):
             assert np.array_equal(graph.execute(buf).output.data,
                                   fake_quant_reference(graph, buf))
     # the clear forward pass does not depend on the bit widths
-    loose = [plan.realize(bits, enforce_budget=False, materialize_tables=False)
+    loose = [plan.realize(bits, enforce_budget=False)
              for bits in (a, b)]
     for buf in evalu:
         clear_a, clear_b = (g.run_clear(buf) for g in loose)

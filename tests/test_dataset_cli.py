@@ -1,6 +1,9 @@
 """Dataset ingestion, splits, synthetic corpora, and CLI end-to-end runs."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +96,7 @@ def test_ingest_layout_and_skips(tmp_path):
     assert len(manifest) == 9
     deep = next(e for e in manifest.entries if e.file_id == "deep")
     assert (deep.label, deep.sublabel) == ("alpha", "sub")
+    assert np.allclose(deep.buffer.samples, 0.1)  # decoded once, kept
     reasons = {s.path.name: s.reason for s in manifest.skipped}
     assert "44100" in reasons["cd_rate.wav"]
     assert "outside" in reasons["stray.wav"]
@@ -106,13 +110,16 @@ def test_stratified_split_deterministic_and_proportional(tmp_path):
     manifest = ingest(root, FS)
     cal1, ev1, warnings = split_clips(manifest.entries, 0.2, seed=7)
     cal2, ev2, _ = split_clips(manifest.entries, 0.2, seed=7)
-    assert [e.path for e in cal1] == [e.path for e in cal2]
-    assert [e.path for e in ev1] == [e.path for e in ev2]
+    def keys(clips):
+        return [(c.label, c.file_id) for c in clips]
+
+    assert keys(cal1) == keys(cal2)
+    assert keys(ev1) == keys(ev2)
     for label in ("alpha", "beta"):
         assert sum(e.label == label for e in cal1) == 2
         assert sum(e.label == label for e in ev1) == 8
     assert len(cal1) + len(ev1) == len(manifest)
-    assert not set(e.path for e in cal1) & set(e.path for e in ev1)
+    assert not set(keys(cal1)) & set(keys(ev1))
     assert warnings == []
     with pytest.raises(DatasetError):
         split_clips(manifest.entries, 1.5, seed=0)
@@ -311,3 +318,43 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     bad.write_text("[run]\nmystery = 1\n")
     assert main(["budget", "--config", str(bad),
                  "--out", str(out)]) == EXIT_FAILED
+
+
+@pytest.mark.parametrize("command", ["spectrogram", "descriptors", "stattest",
+                                     "budget"])
+def test_cli_defaults_realize(tmp_path, command, capsys):
+    code = main([command, "--synthetic", "tones", "--clips", "6",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK, capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list:
+    """The `fhespec` lines of the README's command-line block, as argv lists."""
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("fhespec ")]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    rng = np.random.default_rng(2)
+    for label in ("alpha", "beta"):
+        (corpus / label).mkdir(parents=True)
+        for i in range(3):
+            write_wav(corpus / label / f"{label}_{i}.wav",
+                      AudioBuffer(rng.standard_normal(FS) * 0.3, FS))
+    commands = readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        args = dict(zip(argv[1::2], argv[2::2]))
+        if "--synthetic" in args:
+            args["--clips"] = "6"
+        if "--dataset" in args:
+            args["--dataset"] = str(corpus)
+        args["--out"] = str(tmp_path / args["--out"])
+        run = [argv[0], *(x for kv in args.items() for x in kv)]
+        assert main(run) == EXIT_OK, (argv, capsys.readouterr().err)

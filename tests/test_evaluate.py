@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from fhespec.approx import Conventional
+from fhespec.circuit import build_descriptor_plan, build_transform_plan
 from fhespec.evaluate import (
     DiscoveryErrorReport,
     EvalError,
@@ -195,6 +196,12 @@ def eval_clips(count, seed):
             for _ in range(count)]
 
 
+def descriptor_plan(calib):
+    plan = build_descriptor_plan(Conventional(), CFG, FS, n_frames=30,
+                                 mel=MEL, gamma=GAMMA)
+    return plan.calibrate(calib)
+
+
 def test_default_grid_size():
     grid = default_grid()
     assert len(grid) == 7**4
@@ -211,8 +218,7 @@ def test_grid_search_ranking_and_infeasible():
     calib, evalu = eval_clips(6, 20), eval_clips(24, 21)
     space = [BitWidthConfig(6, 7, 4, 5), BitWidthConfig(3, 3, 2, 3),
              BitWidthConfig(5, 6, 4, 8)]  # last one blows the std budget
-    results = grid_search(space, Conventional(), calib, evalu, CFG, FS,
-                          n_frames=30, mel=MEL, gamma=GAMMA)
+    results = grid_search(space, descriptor_plan(calib), evalu)
     assert len(results) == 3
     feasible = [r for r in results if r.feasible]
     infeasible = [r for r in results if not r.feasible]
@@ -232,9 +238,8 @@ def test_grid_search_ranking_and_infeasible():
 def test_grid_search_deterministic():
     calib, evalu = eval_clips(4, 22), eval_clips(10, 23)
     space = [BitWidthConfig(5, 6, 3, 4), BitWidthConfig(4, 5, 3, 4)]
-    kw = dict(cfg=CFG, sample_rate_hz=FS, n_frames=30, mel=MEL, gamma=GAMMA)
-    r1 = grid_search(space, Conventional(), calib, evalu, **kw)
-    r2 = grid_search(list(reversed(space)), Conventional(), calib, evalu, **kw)
+    r1 = grid_search(space, descriptor_plan(calib), evalu)
+    r2 = grid_search(list(reversed(space)), descriptor_plan(calib), evalu)
     assert r1 == r2
 
 
@@ -242,23 +247,24 @@ def test_grid_search_all_infeasible_reported():
     calib, evalu = eval_clips(3, 24), eval_clips(4, 25)
     space = [BitWidthConfig(8, 6, 8, 6)]
     # 63-tap convolution at 8/8 bits exceeds the accumulator budget
-    results = grid_search(space, Conventional(), calib, evalu, CFG, FS,
-                          n_frames=30, mel=MEL, gamma=GAMMA)
+    results = grid_search(space, descriptor_plan(calib), evalu)
     assert results == [GridSearchResult(BitWidthConfig(8, 6, 8, 6), False,
                                         reason="accumulator bound")]
 
 
 def test_grid_search_validates_inputs():
+    plan = descriptor_plan(eval_clips(2, 0))
     with pytest.raises(EvalError):
-        grid_search([], Conventional(), eval_clips(2, 0), eval_clips(2, 1),
-                    CFG, FS, n_frames=30)
+        grid_search([], plan, eval_clips(2, 1))
+    with pytest.raises(EvalError):
+        grid_search([BitWidthConfig(5, 6, 3, 4)], plan, [])
 
 
 def test_transform_distance_search_orders_by_fidelity():
     calib, evalu = eval_clips(4, 26), eval_clips(6, 27)
     space = [BitWidthConfig(3, 3, 2, 3), BitWidthConfig(6, 8, 4, 8)]
-    scored = transform_distance_search(space, "stft", Conventional(),
-                                       calib, evalu, CFG, FS)
+    plan = build_transform_plan("stft", Conventional(), CFG, FS)
+    scored = transform_distance_search(space, plan.calibrate(calib), evalu)
     assert len(scored) == 2
     assert scored[0][0] == BitWidthConfig(6, 8, 4, 8)  # best first
     assert scored[0][1] < scored[1][1]
