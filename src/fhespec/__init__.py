@@ -22,6 +22,7 @@ from .circuit import (
     CircuitError,
     CircuitGraph,
     CircuitOverflow,
+    QuantizedTensor,
     build_descriptor_plan,
     build_transform_plan,
 )
@@ -35,18 +36,7 @@ from .evaluate import (
     normalized_euclidean,
     pearson,
 )
-from .quant import (
-    BitWidthConfig,
-    QuantError,
-    QuantParams,
-    QuantizedTensor,
-    accumulator_bits,
-    calibrate,
-    dequantize,
-    quantize,
-    requantize,
-    width_of,
-)
+from .quant import BitWidthConfig, QuantError, accumulator_bits, width_of
 from .transforms import (
     AudioBuffer,
     GammatoneSpec,

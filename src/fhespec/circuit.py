@@ -7,28 +7,25 @@ Every accumulator gets a worst-case bit width; anything above the 16-bit
 budget refuses to build, and execution asserts observed values against the
 declared ranges instead of ever wrapping silently.
 
-Internally each quantized edge works in a zero-aligned integer domain: the
-represented value is exactly scale * v, with v an integer whose range covers
-the calibrated float range.  Exported tensors use the affine convention of
-the quant module (v = q + lift).
+This module holds the package's only quantizers.  A quantized edge
+(`EdgeSpec`) is zero-aligned: it represents scale * v, with v an integer in
+a B-bit range [v_min, v_max] that contains 0 and covers the calibrated
+range; floats round half away from zero and clamp to it.  Weights quantize
+symmetrically (`quantize_weights`).  Outputs export the codes q = v - lift,
+in [0, 2^B - 1], or [-2^(B-1), 2^(B-1) - 1] on a signed edge.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .approx import ApproxSpec, L1Energy, approx_kernels
-from .quant import (
-    BitWidthConfig,
-    QuantParams,
-    QuantizedTensor,
-    _round_half_away,
-    width_of,
-)
+from .quant import BitWidthConfig, width_of
 from .transforms import (
     AudioBuffer,
     GammatoneSpec,
@@ -57,7 +54,7 @@ class BudgetViolation(CircuitError):
     def __init__(self, violations):
         self.violations = list(violations)
         names = ", ".join(f"{n}({b} bits)" for n, b in self.violations)
-        super().__init__(f"16-bit accumulator budget exceeded at: {names}")
+        super().__init__(f"{BUDGET_BITS}-bit accumulator budget exceeded at: {names}")
 
 
 class CircuitOverflow(CircuitError):
@@ -65,6 +62,11 @@ class CircuitOverflow(CircuitError):
 
 
 # Edges -----------------------------------------------------------------------
+
+def _round_half_away(t: np.ndarray) -> np.ndarray:
+    """Round to nearest integer, halves away from zero (np.round is half-even)."""
+    return np.sign(t) * np.floor(np.abs(t) + 0.5)
+
 
 @dataclass(frozen=True)
 class EdgeSpec:
@@ -78,6 +80,8 @@ class EdgeSpec:
 
     @classmethod
     def from_range(cls, lo: float, hi: float, bits: int, signed: bool) -> "EdgeSpec":
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise CircuitError(f"edge range [{lo}, {hi}] is not finite")
         lo, hi = min(lo, 0.0), max(hi, 0.0)
         if hi == lo:
             hi = lo + 1.0
@@ -88,7 +92,7 @@ class EdgeSpec:
 
     @property
     def lift(self) -> int:
-        # v = q + lift, with q in the affine range of self.params
+        # v = q + lift, with q the exported B-bit code
         offset = (1 << (self.bits - 1)) if self.signed else 0
         return self.v_min + offset
 
@@ -100,15 +104,6 @@ class EdgeSpec:
     def max_abs(self) -> int:
         return max(abs(self.v_min), abs(self.v_max))
 
-    @property
-    def params(self) -> QuantParams:
-        return QuantParams(
-            alpha=self.scale * self.v_min,
-            beta=self.scale * self.v_max,
-            bits=self.bits,
-            signed=self.signed,
-        )
-
     def to_v(self, x) -> np.ndarray:
         v = _round_half_away(np.asarray(x, dtype=np.float64) / self.scale)
         return np.clip(v, self.v_min, self.v_max).astype(np.int64)
@@ -117,9 +112,9 @@ class EdgeSpec:
         return np.asarray(v, dtype=np.float64) * self.scale
 
     def describe(self) -> dict:
-        p = self.params
-        return {"raw": False, "alpha": p.alpha, "beta": p.beta,
-                "bits": p.bits, "signed": p.signed}
+        return {"raw": False, "alpha": self.scale * self.v_min,
+                "beta": self.scale * self.v_max, "bits": self.bits,
+                "signed": self.signed}
 
 
 @dataclass(frozen=True)
@@ -358,6 +353,9 @@ class LutNode(Node):
             self.build_table()
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
+        if self.table is None:
+            raise CircuitError(f"node {self.name}: the graph is over budget, so its "
+                               f"lookup tables were not built; it cannot execute")
         return self.table[v - self.in_spec.bounds[0]]
 
     def budget_entry(self, observed_bits=None):
@@ -550,6 +548,19 @@ class AccumulatorReport:
         }
 
 
+@dataclass(frozen=True)
+class QuantizedTensor:
+    """Exported codes q = v - lift of the output edge `params`."""
+
+    data: np.ndarray
+    params: EdgeSpec
+
+    def __post_init__(self):
+        lo, hi = (b - self.params.lift for b in self.params.bounds)
+        if self.data.min(initial=0) < lo or self.data.max(initial=0) > hi:
+            raise CircuitError("quantized data outside the range of its edge")
+
+
 @dataclass
 class ExecutionResult:
     output: QuantizedTensor
@@ -585,7 +596,7 @@ class CircuitGraph:
         spec = self.node(self.output_node).out_spec
         q = v - spec.lift
         return ExecutionResult(
-            output=QuantizedTensor(data=q, params=spec.params),
+            output=QuantizedTensor(data=q, params=spec),
             dequantized=spec.to_float(v),
             observed=observed,
         )

@@ -195,11 +195,15 @@ def resolve_settings(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    for key in ("seed", "sample_rate", "window", "hop", "n_mels", "n_mfcc",
-                "n_gammatone", "clips"):
-        settings[key] = int(settings[key])
-    for key in ("calib_fraction", "duration", "alpha"):
-        settings[key] = float(settings[key])
+    for convert, keys in ((int, ("seed", "sample_rate", "window", "hop", "n_mels",
+                                 "n_mfcc", "n_gammatone", "clips")),
+                          (float, ("calib_fraction", "duration", "alpha"))):
+        for key in keys:
+            try:
+                settings[key] = convert(settings[key])
+            except ValueError:
+                raise CliError(f"bad {key} value {settings[key]!r}: "
+                               f"want {convert.__name__}") from None
     settings["out"] = Path(settings["out"])
     settings["approx_spec"] = parse_approx(str(settings["approx"]))
     settings["bits_config"] = parse_bits(str(settings["bits"]))

@@ -3,9 +3,11 @@
 Every source yields the same `Clip` (file id, class label, decoded buffer).
 Datasets follow a directory-per-class layout (root/classA/*.wav, optionally
 one more level of sub-class directories); `ingest` decodes each file once
-and keeps the buffer.  Files that cannot be decoded or whose sample rate
-differs from the configured rate are collected in a skip report instead of
-aborting the run; there is no resampling or down-mixing.
+and keeps the buffer.  A clip's file id is its file name without the
+extension, so it must be unique across classes.  Files that cannot be
+decoded, whose sample rate differs from the configured rate or whose id an
+earlier file took are collected in a skip report instead of aborting the
+run; there is no resampling or down-mixing.
 """
 
 from __future__ import annotations
@@ -82,10 +84,15 @@ def ingest(root, sample_rate_hz: int) -> DatasetManifest:
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
     manifest = DatasetManifest(root=root, sample_rate_hz=sample_rate_hz)
+    used: dict = {}  # file id -> the accepted file's path relative to root
     for wav_path in sorted(root.rglob("*.wav")):
         rel = wav_path.relative_to(root)
         if len(rel.parts) < 2:
             manifest.skipped.append(SkipRecord(wav_path, "file outside any class directory"))
+            continue
+        if wav_path.stem in used:
+            reason = f"file id {wav_path.stem!r} already used by {used[wav_path.stem]}"
+            manifest.skipped.append(SkipRecord(wav_path, reason))
             continue
         label = rel.parts[0]
         sublabel = rel.parts[1] if len(rel.parts) > 2 else None
@@ -94,6 +101,7 @@ def ingest(root, sample_rate_hz: int) -> DatasetManifest:
         except (DatasetError, SignalError, ValueError) as exc:
             manifest.skipped.append(SkipRecord(wav_path, str(exc)))
             continue
+        used[wav_path.stem] = rel.as_posix()
         manifest.entries.append(Clip(file_id=wav_path.stem, label=label,
                                      buffer=buf, sublabel=sublabel))
     if not manifest.entries and not manifest.skipped:

@@ -72,23 +72,18 @@ def _u_statistic(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
 def _exact_u_counts(n: int, m: int) -> list:
     """Frequency of each U value over all C(n+m, n) rank assignments.
 
-    Recurrence on the largest pooled element: if it belongs to the first
-    sample it beats all j second-sample elements (f(i-1, j, u-j)), otherwise
-    it contributes nothing (f(i, j-1, u)).  Counts are exact Python ints.
+    These are the coefficients of the Gaussian binomial [n+m choose n]_q,
+    the product over i = 1..n of (1 - q^(m+i)) / (1 - q^i).  Each factor is
+    applied in place to a power series cut at degree n*m, which is the
+    degree of the result, so the counts are exact Python ints.
     """
-    max_u = n * m
-    prev = [[0] * (max_u + 1) for _ in range(m + 1)]
-    for j in range(m + 1):
-        prev[j][0] = 1  # no first-sample elements: U is always 0
+    counts = [1] + [0] * (n * m)
     for i in range(1, n + 1):
-        cur = [[0] * (max_u + 1) for _ in range(m + 1)]
-        cur[0][0] = 1
-        for j in range(1, m + 1):
-            for u in range(i * j + 1):
-                a_term = prev[j][u - j] if u >= j else 0
-                cur[j][u] = a_term + cur[j - 1][u]
-        prev = cur
-    return prev[m]
+        for u in range(n * m, m + i - 1, -1):  # times (1 - q^(m+i))
+            counts[u] -= counts[u - m - i]
+        for u in range(i, n * m + 1):  # divided by (1 - q^i)
+            counts[u] += counts[u - i]
+    return counts
 
 
 def _exact_p(a: np.ndarray, b: np.ndarray) -> float:

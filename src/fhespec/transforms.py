@@ -234,22 +234,31 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_triangles(n_mels: int, f_low: float, f_high: float,
+                   bin_freqs: np.ndarray) -> np.ndarray:
+    """(n_mels, K) un-normalized triangular filters on the HTK mel scale."""
+    edges = mel_to_hz(np.linspace(hz_to_mel(f_low), hz_to_mel(f_high), n_mels + 2))
+    lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    up = (bin_freqs[None, :] - lower) / np.maximum(center - lower, 1e-12)
+    down = (upper - bin_freqs[None, :]) / np.maximum(upper - center, 1e-12)
+    return np.maximum(0.0, np.minimum(up, down))
+
+
 def mel_filterbank_matrix(spec: MelSpec, cfg: StftConfig, sample_rate_hz: int) -> np.ndarray:
     """(n_mels, K) triangular filters on the HTK mel scale, each row peaking at 1."""
     f_high = spec.f_high if spec.f_high is not None else sample_rate_hz / 2.0
     if not spec.f_low < f_high <= sample_rate_hz / 2.0:
         raise SignalError("need 0 <= f_low < f_high <= Nyquist")
-    edges = mel_to_hz(np.linspace(hz_to_mel(spec.f_low), hz_to_mel(f_high), spec.n_mels + 2))
-    bin_freqs = cfg.bin_upper_freqs(sample_rate_hz)
-    lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
-    up = (bin_freqs[None, :] - lower) / np.maximum(center - lower, 1e-12)
-    down = (upper - bin_freqs[None, :]) / np.maximum(upper - center, 1e-12)
-    weights = np.maximum(0.0, np.minimum(up, down))
+    band = (spec.f_low, f_high, cfg.bin_upper_freqs(sample_rate_hz))
+    weights = _mel_triangles(spec.n_mels, *band)
     row_max = weights.max(axis=1)
     if np.any(row_max <= 0.0):
-        raise SignalError(
-            f"n_mels={spec.n_mels} leaves empty filter rows for K={cfg.bins} bins"
-        )
+        fits = next((n for n in range(spec.n_mels - 1, 0, -1)
+                     if _mel_triangles(n, *band).any(axis=1).all()), None)
+        hint = (f"the largest n_mels that fits is {fits}" if fits
+                else "no n_mels fits this band")
+        raise SignalError(f"n_mels={spec.n_mels} leaves empty filter rows for "
+                          f"K={cfg.bins} bins; {hint}")
     return weights / row_max[:, None]
 
 

@@ -7,7 +7,7 @@ verbose run reads as a checklist:
  2. uniform-dilation aliasing identity on the two-sided DFT
  3. worst-case accumulator width is achieved exactly by adversarial input
  4. integer circuits are bit-exact against the fake-quant reference
- 5. quantizer round-trip error and monotonicity contract
+ 5. edge quantizer round-trip error, monotone codes and exported code range
  6. grid-searched configs reach small spectrogram distances (MFCC worst)
  7. clear-vs-clear replication is perfect; a constructed effect survives FHE
  8. Mann-Whitney exact p-values (enumeration oracle, asymptotic agreement)
@@ -49,14 +49,7 @@ from fhespec.evaluate import (
     pair_tests,
     transform_distance_search,
 )
-from fhespec.quant import (
-    BitWidthConfig,
-    QuantParams,
-    accumulator_bits,
-    dequantize,
-    quantize,
-    width_of,
-)
+from fhespec.quant import BitWidthConfig, accumulator_bits, width_of
 from fhespec.transforms import (
     AudioBuffer,
     GammatoneSpec,
@@ -173,24 +166,29 @@ def test_integer_circuits_bit_exact_against_reference():
 
 
 def test_quantizer_round_trip_and_monotonicity():
-    """Quantize-dequantize stays within half a step and preserves order.
+    """The circuit's edge quantizer stays within half a step, preserves order
+    and exports B-bit codes.
 
-    10^5 random values per (B in 1..16, signed in {False, True}); error
-    bound scale/2 with 1e-12 float slack; codes non-decreasing on sorted
-    inputs.
+    `EdgeSpec.from_range(-4, 6, B, signed)` with 10^5 random values per
+    (B in 1..16, signed in {False, True}); error bound scale/2 with 1e-12
+    float slack; codes non-decreasing on sorted inputs; exported codes
+    v - lift inside [0, 2^B - 1], or [-2^(B-1), 2^(B-1) - 1] when signed.
     """
     rng = np.random.default_rng(105)
     for bits in range(1, 17):
         for signed in (False, True):
-            p = QuantParams(alpha=-4.0, beta=6.0, bits=bits, signed=signed)
+            e = EdgeSpec.from_range(-4.0, 6.0, bits=bits, signed=signed)
             x = rng.uniform(-4.0, 6.0, size=100_000)
-            q = quantize(x, p)
-            back = dequantize(q, p)
-            assert np.max(np.abs(back - x)) <= p.scale / 2 + 1e-12
+            v = e.to_v(x)
+            back = e.to_float(v)
+            assert np.max(np.abs(back - x)) <= e.scale / 2 + 1e-12
             order = np.argsort(x)
-            assert np.all(np.diff(q[order]) >= 0)
-    print("PASS: round-trip error <= scale/2 and monotone codes for "
-          "B in 1..16, both signednesses, 10^5 values each")
+            assert np.all(np.diff(v[order]) >= 0)
+            q = v - e.lift
+            lo = -(1 << (bits - 1)) if signed else 0
+            assert lo <= q.min() and q.max() <= lo + (1 << bits) - 1
+    print("PASS: round-trip error <= scale/2, monotone codes and B-bit "
+          "exported codes for B in 1..16, both signednesses, 10^5 values each")
 
 
 def test_best_grid_config_reaches_small_transform_distance():

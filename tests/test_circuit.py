@@ -54,9 +54,9 @@ def test_edge_spec_zero_aligned():
     assert e.to_v(0.0) == 0  # zero is exactly representable
     assert e.scale == pytest.approx(4.0 / 15.0)
     assert e.v_min == -4 and e.v_max == 11  # round(1 / scale) = 4
-    # affine view agrees: v = q + lift
-    assert e.params.alpha == pytest.approx(e.scale * e.v_min)
-    assert e.params.beta == pytest.approx(e.scale * e.v_max)
+    # the serialized range is the represented one; v = q + lift
+    assert e.describe()["alpha"] == pytest.approx(e.scale * e.v_min)
+    assert e.describe()["beta"] == pytest.approx(e.scale * e.v_max)
     assert e.lift == e.v_min + 8
 
 
@@ -68,6 +68,10 @@ def test_edge_spec_clamps_and_degenerates():
     # degenerate range widens instead of dividing by zero
     e = EdgeSpec.from_range(1.5, 1.5, bits=3, signed=False)
     assert e.scale > 0.0
+    # a non-finite range is refused
+    for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(CircuitError, match="not finite"):
+            EdgeSpec.from_range(lo, hi, bits=4, signed=False)
 
 
 def test_edge_spec_round_trip():
@@ -142,9 +146,8 @@ def test_dequantized_consistent_with_output_params():
     graph = plan.calibrate(calib).realize(BITS)
     res = graph.execute(calib[0])
     p = res.output.params
-    assert np.allclose(res.dequantized,
-                       res.output.data.astype(np.float64) * p.scale
-                       + (p.alpha - p.scale * p.q_min))
+    assert p == graph.node(graph.output_node).out_spec
+    assert np.array_equal(res.dequantized, p.to_float(res.output.data + p.lift))
 
 
 # Budget accounting ------------------------------------------------------------
@@ -185,8 +188,11 @@ def test_budget_violation_raised_and_inspectable():
     # same config builds with enforcement off, and the report flags it
     graph = plan.realize(wide, enforce_budget=False)
     assert not graph.check_budget().feasible
-    # over budget no deferred table is built, and the graph still serializes
+    # over budget no deferred table is built, so the graph refuses to
+    # execute, but it still serializes
     assert graph.node("mel_spec").table is None
+    with pytest.raises(CircuitError, match="over budget.*tables were not built"):
+        graph.execute(calib[0])
     for n in json.loads(graph.to_json())["nodes"]:
         if "table_size" in n:
             lo, hi = graph.node(n["name"]).in_spec.bounds

@@ -84,13 +84,15 @@ def make_dataset(root, per_class=4, n=992):
 def test_ingest_layout_and_skips(tmp_path):
     root = tmp_path / "data"
     make_dataset(root)
-    # sub-class level, a stray root-level file and a wrong-rate file
+    # sub-class level, a stray root-level file, a wrong-rate file and a
+    # file id that another class already uses
     sub = root / "alpha" / "sub"
     sub.mkdir()
     write_wav(sub / "deep.wav", AudioBuffer(np.ones(500) * 0.1, FS))
     write_wav(root / "stray.wav", AudioBuffer(np.ones(500) * 0.1, FS))
     wavfile.write(root / "beta" / "cd_rate.wav", 44100,
                   np.zeros(500, dtype=np.int16))
+    write_wav(root / "beta" / "alpha_0.wav", AudioBuffer(np.ones(500) * 0.1, FS))
     manifest = ingest(root, FS)
     assert manifest.labels() == ["alpha", "beta"]
     assert len(manifest) == 9
@@ -100,6 +102,8 @@ def test_ingest_layout_and_skips(tmp_path):
     reasons = {s.path.name: s.reason for s in manifest.skipped}
     assert "44100" in reasons["cd_rate.wav"]
     assert "outside" in reasons["stray.wav"]
+    assert reasons["alpha_0.wav"] == "file id 'alpha_0' already used by alpha/alpha_0.wav"
+    assert [e.label for e in manifest.entries if e.file_id == "alpha_0"] == ["alpha"]
     with pytest.raises(DatasetError):
         ingest(tmp_path / "missing", FS)
 
@@ -291,14 +295,18 @@ def test_cli_dataset_skips_exit_code(tmp_path, capsys):
     make_dataset(root, per_class=4)
     wavfile.write(root / "alpha" / "bad.wav", 44100,
                   np.zeros(500, dtype=np.int16))
+    write_wav(root / "beta" / "alpha_1.wav", AudioBuffer(np.ones(992) * 0.1, FS))
     out = tmp_path / "out"
     code = main(["descriptors", "--dataset", str(root), "--window", "64",
                  "--hop", "32", "--n-mels", "8", "--n-gammatone", "8",
                  "--bits", "5,6,4,5", "--calib-fraction", "0.25",
                  "--out", str(out)])
     assert code == EXIT_SKIPS
-    assert (out / "descriptors.csv").exists()
-    assert "bad.wav" in capsys.readouterr().err
+    rows = (out / "descriptors.csv").read_text().splitlines()[1:]
+    keys = [(r.split(",")[0], r.split(",")[-1]) for r in rows]
+    assert len(keys) == len(set(keys))  # one row per file id and path
+    err = capsys.readouterr().err
+    assert "bad.wav" in err and "already used by alpha/alpha_1.wav" in err
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
@@ -318,6 +326,11 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     bad.write_text("[run]\nmystery = 1\n")
     assert main(["budget", "--config", str(bad),
                  "--out", str(out)]) == EXIT_FAILED
+    capsys.readouterr()
+    bad.write_text("[run]\nsynthetic = tones\nwindow = abc\n")
+    assert main(["budget", "--config", str(bad),
+                 "--out", str(out)]) == EXIT_FAILED
+    assert "error: bad window value 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["spectrogram", "descriptors", "stattest",

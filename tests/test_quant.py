@@ -1,108 +1,74 @@
-"""Quantizer and bit-accounting unit tests."""
+"""Quantizer and bit-accounting unit tests.
+
+The quantizer is the circuit's zero-aligned edge (`EdgeSpec`) and the
+exported output codes (`QuantizedTensor`); the bit accounting is
+`fhespec.quant`.
+"""
 
 import numpy as np
 import pytest
 
-from fhespec.quant import (
-    BitWidthConfig,
-    QuantError,
-    QuantParams,
-    QuantizedTensor,
-    accumulator_bits,
-    calibrate,
-    dequantize,
-    quantize,
-    requantize,
-    width_of,
-)
-
-
-def test_params_validation():
-    with pytest.raises(QuantError):
-        QuantParams(alpha=0.0, beta=1.0, bits=0)
-    with pytest.raises(QuantError):
-        QuantParams(alpha=0.0, beta=1.0, bits=17)
-    with pytest.raises(QuantError):
-        QuantParams(alpha=1.0, beta=1.0, bits=4)
-    with pytest.raises(QuantError):
-        QuantParams(alpha=0.0, beta=float("inf"), bits=4)
+from fhespec.circuit import CircuitError, EdgeSpec, QuantizedTensor
+from fhespec.quant import BitWidthConfig, QuantError, accumulator_bits, width_of
 
 
 def test_unsigned_range():
-    p = QuantParams(alpha=0.0, beta=1.0, bits=4)
-    assert (p.q_min, p.q_max, p.levels) == (0, 15, 15)
-    assert quantize(0.0, p) == 0
-    assert quantize(1.0, p) == 15
-    assert quantize(-5.0, p) == 0  # clamp
-    assert quantize(5.0, p) == 15  # clamp
+    e = EdgeSpec.from_range(0.0, 1.0, bits=4, signed=False)
+    assert (e.v_min, e.v_max, e.lift) == (0, 15, 0)
+    assert e.to_v(0.0) == 0
+    assert e.to_v(1.0) == 15
+    assert e.to_v(-5.0) == 0  # clamp
+    assert e.to_v(5.0) == 15  # clamp
 
 
 def test_signed_range():
-    p = QuantParams(alpha=-1.0, beta=1.0, bits=4, signed=True)
-    assert (p.q_min, p.q_max) == (-8, 7)
-    assert quantize(-1.0, p) == -8
-    assert quantize(1.0, p) == 7
+    e = EdgeSpec.from_range(-1.0, 1.0, bits=4, signed=True)
+    assert (e.v_min, e.v_max, e.lift) == (-8, 7, 0)
+    assert e.to_v(-1.0) == -8
+    assert e.to_v(1.0) == 7  # 7.5 rounds to 8 and clamps
+    # an off-centre range keeps zero exact and shifts the exported codes
+    e = EdgeSpec.from_range(-1.0, 3.0, bits=4, signed=True)
+    assert (e.v_min, e.v_max, e.lift) == (-4, 11, 4)
+    assert (e.v_min - e.lift, e.v_max - e.lift) == (-8, 7)
 
 
 def test_round_half_away_from_zero():
-    p = QuantParams(alpha=0.0, beta=15.0, bits=4, signed=False)
     # scale is exactly 1, so half-integers are exact midpoints
-    assert quantize(0.5, p) == 1
-    assert quantize(1.5, p) == 2
-    # rounding acts on the affine code: -0.5 maps to code 7.5, which rounds
-    # away from zero to 8, i.e. signed value 0
-    ps = QuantParams(alpha=-8.0, beta=7.0, bits=4, signed=True)
-    assert quantize(-0.5, ps) == 0
-    assert quantize(-1.5, ps) == -1  # code 6.5 rounds to 7
+    e = EdgeSpec.from_range(-8.0, 7.0, bits=4, signed=True)
+    assert e.scale == 1.0
+    assert e.to_v(0.5) == 1 and e.to_v(-0.5) == -1
+    assert e.to_v(1.5) == 2 and e.to_v(-1.5) == -2
+    assert e.to_v(2.5) == 3  # half-even would give 2
 
 
 def test_round_trip_error_half_step():
     rng = np.random.default_rng(42)
     for bits in range(1, 17):
         for signed in (False, True):
-            p = QuantParams(alpha=-3.0, beta=5.0, bits=bits, signed=signed)
+            e = EdgeSpec.from_range(-3.0, 5.0, bits=bits, signed=signed)
             x = rng.uniform(-3.0, 5.0, size=2000)
-            back = dequantize(quantize(x, p), p)
-            assert np.max(np.abs(back - x)) <= p.scale / 2 + 1e-12
+            back = e.to_float(e.to_v(x))
+            assert np.max(np.abs(back - x)) <= e.scale / 2 + 1e-12
 
 
 def test_quantize_monotone():
     rng = np.random.default_rng(7)
-    p = QuantParams(alpha=-1.0, beta=1.0, bits=6, signed=True)
+    e = EdgeSpec.from_range(-1.0, 1.0, bits=6, signed=True)
     x = np.sort(rng.uniform(-1.5, 1.5, size=5000))
-    q = quantize(x, p)
-    assert np.all(np.diff(q) >= 0)
-
-
-def test_calibrate_minmax_and_degenerate():
-    p = calibrate(np.array([-2.0, 0.5, 3.0]), bits=8)
-    assert (p.alpha, p.beta) == (-2.0, 3.0)
-    p = calibrate([np.array([1.0]), np.array([4.0, -1.0])], bits=8)
-    assert (p.alpha, p.beta) == (-1.0, 4.0)
-    p = calibrate(np.full(10, 2.5), bits=8)
-    assert (p.alpha, p.beta) == (2.5, 3.5)  # widened degenerate range
-    with pytest.raises(QuantError):
-        calibrate(np.array([]), bits=8)
-    with pytest.raises(QuantError):
-        calibrate(np.array([1.0, np.nan]), bits=8)
-
-
-def test_requantize_round_trip_exact():
-    # every 4-bit code is exactly representable on the 8-bit grid:
-    # levels 255 = 17 * 15, so the 4-bit lattice embeds in the 8-bit one
-    p4 = QuantParams(alpha=-1.0, beta=1.0, bits=4, signed=True)
-    t4 = QuantizedTensor(data=np.arange(p4.q_min, p4.q_max + 1), params=p4)
-    back = requantize(requantize(t4, 8), 4)
-    assert np.array_equal(back.data, t4.data)
-    assert back.params == t4.params
+    assert np.all(np.diff(e.to_v(x)) >= 0)
 
 
 def test_quantized_tensor_range_check():
-    p = QuantParams(alpha=0.0, beta=1.0, bits=3)
-    with pytest.raises(QuantError):
-        QuantizedTensor(data=np.array([8]), params=p)
-    with pytest.raises(QuantError):
-        dequantize(np.array([-1]), p)
+    e = EdgeSpec.from_range(0.0, 1.0, bits=3, signed=False)
+    QuantizedTensor(data=np.array([0, 7]), params=e)
+    for bad in (8, -1):
+        with pytest.raises(CircuitError):
+            QuantizedTensor(data=np.array([bad]), params=e)
+    e = EdgeSpec.from_range(-1.0, 3.0, bits=4, signed=True)
+    QuantizedTensor(data=np.array([-8, 7]), params=e)
+    for bad in (8, -9):
+        with pytest.raises(CircuitError):
+            QuantizedTensor(data=np.array([bad]), params=e)
 
 
 def test_width_of_convention():

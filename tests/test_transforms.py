@@ -135,8 +135,12 @@ def test_mel_filterbank_shape_and_peaks():
     assert m.shape == (16, 129)
     assert np.allclose(m.max(axis=1), 1.0)
     assert np.all(m >= 0.0)
-    with pytest.raises(SignalError):
-        mel_filterbank_matrix(MelSpec(n_mels=500), cfg, FS)  # empty rows
+    # empty rows; the error names the largest n_mels that fits K=129 bins
+    with pytest.raises(SignalError, match="largest n_mels that fits is 57"):
+        mel_filterbank_matrix(MelSpec(n_mels=500), cfg, FS)
+    mel_filterbank_matrix(MelSpec(n_mels=57), cfg, FS)
+    with pytest.raises(SignalError, match="fits is 57"):
+        mel_filterbank_matrix(MelSpec(n_mels=58), cfg, FS)
     with pytest.raises(SignalError):
         mel_filterbank_matrix(MelSpec(n_mels=4, f_low=9000.0), cfg, FS)
 
