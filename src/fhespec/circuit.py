@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,10 @@ from .transforms import (
 )
 
 BUDGET_BITS = 16
+
+# Integers below this are exact in float64, so is any sum of them that
+# stays below it: the integer dot products run in float64 BLAS.
+EXACT_FLOAT_BOUND = 1 << 53
 
 TRANSFORMS = ("stft", "mel", "mfcc", "gammatone")
 
@@ -153,7 +157,8 @@ class Node:
     A node is built with structure and float weights only.
     `bind(specs, bits, edge, normalization)` returns a copy bound to one
     bit-width configuration, sharing the float weights, so the plan's own
-    nodes are never modified: `specs` maps every name bound so far to its
+    nodes are never modified (beyond the weight banks a conv or matmul node
+    caches per width): `specs` maps every name bound so far to its
     output edge, `edge(name)` is the plan's quantized edge for a node and
     `normalization` the plan's z-score constants.  `clear()` never touches
     quantization and is what calibration runs.  On a bound node, `step()`
@@ -203,18 +208,54 @@ def _describe_weights(w: np.ndarray) -> dict:
             "sha256": hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()}
 
 
+class WeightBank:
+    """A kernel bank quantized at one weight width.
+
+    Holds the int64 codes `q`, their float64 copy `f` that the BLAS kernel
+    multiplies with, the positive and negative row sums `acc_range` reads
+    and the largest row sum of |q|.  Everything but `q` is derived once, here.
+    """
+
+    def __init__(self, q: np.ndarray):
+        self.q = q
+        self.f = q.astype(np.float64)
+        self.pos = np.maximum(q, 0).sum(axis=1)
+        self.neg = np.minimum(q, 0).sum(axis=1)
+        self.max_row_l1 = int((self.pos - self.neg).max(initial=0))
+
+
 @dataclass
 class ConvNode(Node):
-    """Strided 1-D convolution of the signal with a fixed kernel bank."""
+    """Strided 1-D convolution of the signal with a fixed kernel bank.
+
+    The integer dot products run in float64 BLAS and are cast back to
+    int64.  That is exact: inputs and weights are integers, and every
+    partial sum is bounded by max_row(sum |w_q|) * max |v|, which `bind`
+    refuses at 2^53 or above, so no summation order can round.
+
+    `banks` maps a weight width to its `(WeightBank, w_scale)`; it is
+    filled lazily by `bind` and shared with every bound copy, so each
+    width quantizes the float kernel once.  Setting `weights_q` by hand
+    builds a fresh bank for it.
+    """
 
     name: str
     src: str
     weights_f: np.ndarray  # (C, N)
     stride: int
-    weights_q: np.ndarray | None = None
+    bank: WeightBank | None = None
     w_scale: float | None = None
     in_spec: EdgeSpec | None = None
     out_spec: RawSpec | None = None
+    banks: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def weights_q(self) -> np.ndarray | None:
+        return None if self.bank is None else self.bank.q
+
+    @weights_q.setter
+    def weights_q(self, q: np.ndarray) -> None:
+        self.bank = WeightBank(q)
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         return frame_signal(x, self.weights_f.shape[1], self.stride) @ self.weights_f.T
@@ -224,24 +265,31 @@ class ConvNode(Node):
         return int(np.max(np.count_nonzero(w, axis=1)))
 
     def acc_range(self) -> tuple[int, int]:
-        pos = np.maximum(self.weights_q, 0).sum(axis=1)
-        neg = np.minimum(self.weights_q, 0).sum(axis=1)
+        pos, neg = self.bank.pos, self.bank.neg
         a, b = self.in_spec.v_min, self.in_spec.v_max
         hi = int((pos * b + neg * a).max())
         lo = int((pos * a + neg * b).min())
         return lo, hi
 
     def bind(self, specs, bits, edge, normalization):
-        weights_q, w_scale = quantize_weights(self.weights_f, bits.weight_bits)
-        node = replace(self, weights_q=weights_q, w_scale=w_scale,
-                       in_spec=specs[self.src])
+        entry = self.banks.get(bits.weight_bits)
+        if entry is None:
+            weights_q, w_scale = quantize_weights(self.weights_f, bits.weight_bits)
+            entry = self.banks[bits.weight_bits] = (WeightBank(weights_q), w_scale)
+        bank, w_scale = entry
+        in_spec = specs[self.src]
+        bound = bank.max_row_l1 * in_spec.max_abs
+        if bound >= EXACT_FLOAT_BOUND:
+            raise CircuitError(f"node {self.name}: partial sums may reach {bound}, "
+                               f"which float64 does not hold exactly (limit 2^53)")
+        node = replace(self, bank=bank, w_scale=w_scale, in_spec=in_spec)
         lo, hi = node.acc_range()
-        node.out_spec = RawSpec(scale=node.in_spec.scale * w_scale, v_lo=lo, v_hi=hi)
+        node.out_spec = RawSpec(scale=in_spec.scale * w_scale, v_lo=lo, v_hi=hi)
         return node
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        frames = frame_signal(v, self.weights_q.shape[1], self.stride)
-        return frames @ self.weights_q.T  # (T, C)
+        frames = frame_signal(v.astype(np.float64), self.bank.f.shape[1], self.stride)
+        return (frames @ self.bank.f.T).astype(np.int64)  # (T, C)
 
     step = _accumulate
 
@@ -256,15 +304,21 @@ class ConvNode(Node):
 
 @dataclass
 class MatmulNode(Node):
-    """Channel-mixing matrix applied per frame (mel filterbank, DCT)."""
+    """Channel-mixing matrix applied per frame (mel filterbank, DCT).
+
+    Runs in float64 BLAS and caches one bank per weight width, as `ConvNode`.
+    """
 
     name: str
     src: str
     weights_f: np.ndarray  # (C_out, C_in)
-    weights_q: np.ndarray | None = None
+    bank: WeightBank | None = None
     w_scale: float | None = None
     in_spec: EdgeSpec | None = None
     out_spec: RawSpec | None = None
+    banks: dict = field(default_factory=dict, repr=False)
+
+    weights_q = ConvNode.weights_q
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weights_f.T
@@ -274,7 +328,7 @@ class MatmulNode(Node):
     bind = ConvNode.bind
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        return v @ self.weights_q.T
+        return (v.astype(np.float64) @ self.bank.f.T).astype(np.int64)
 
     step = _accumulate
     budget_entry = ConvNode.budget_entry

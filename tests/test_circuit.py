@@ -1,6 +1,12 @@
 """Integer-circuit tests: edges, weights, budget, bit-exact equivalence."""
 
+import hashlib
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from fhespec.circuit import (
     BudgetViolation,
     CircuitError,
     CircuitOverflow,
+    ConvNode,
     EdgeSpec,
     RawSpec,
     approx_label,
@@ -29,7 +36,7 @@ from fhespec.circuit import (
     quantize_weights,
 )
 from fhespec.evaluate import normalized_euclidean
-from fhespec.quant import BitWidthConfig
+from fhespec.quant import MAX_BITS, BitWidthConfig, width_of
 from fhespec.transforms import AudioBuffer, GammatoneSpec, MelSpec, StftConfig
 
 FS = 16000
@@ -108,6 +115,92 @@ def test_quantize_weights_preserves_sparsity():
     w[:, ::2] = 0.0
     q, _ = quantize_weights(w, bits=3)
     assert np.all(q[:, ::2] == 0)
+
+
+# Float64 integer kernels ------------------------------------------------------
+
+def bound_conv(weights_f, in_spec, bits):
+    """A hand-built conv node bound to `in_spec`, one frame per kernel length."""
+    node = ConvNode(name="conv", src="input", weights_f=weights_f,
+                    stride=weights_f.shape[1])
+    return node.bind({"input": in_spec}, bits, None, None)
+
+
+def test_conv_kernel_exact_at_max_bits():
+    n, c = 1024, 4
+    rng = np.random.default_rng(50)
+    w = rng.uniform(0.5, 1.0, (c, n)) * rng.choice([-1.0, 1.0], (c, n))
+    in_spec = EdgeSpec.from_range(-1.0, 1.0, bits=MAX_BITS, signed=True)
+    node = bound_conv(w, in_spec, BitWidthConfig(*[MAX_BITS] * 4))
+    q = node.weights_q
+    # each channel's worst-case sign pattern at +-max_abs: every product has
+    # the same sign, so the partial sums climb monotonically to the extreme
+    hi = np.where(q >= 0, in_spec.v_max, in_spec.v_min)
+    lo = np.where(q >= 0, in_spec.v_min, in_spec.v_max)
+    frames = np.concatenate([hi, lo])
+    got = node.run_int(frames.ravel())
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.einsum("tn,cn->tc", frames, q))
+    assert (got.min(), got.max()) == node.acc_range()
+    assert node.out_spec.max_abs > 1 << 39  # far beyond float32's 2^24
+
+
+def test_bind_refuses_partial_sums_beyond_float64():
+    q_max = (1 << (MAX_BITS - 1)) - 1
+    w = np.array([[1.0, 1.0 / q_max]])  # quantizes to [q_max, 1]: sum 2^15
+    bits = BitWidthConfig(*[MAX_BITS] * 4)
+
+    def edge(max_abs):
+        return EdgeSpec(scale=1.0, v_min=-max_abs, v_max=max_abs, bits=MAX_BITS,
+                        signed=True)
+
+    # max_row(sum |w_q|) * max |v| just below 2^53 binds, and reaching it refuses
+    node = bound_conv(w, edge((1 << 38) - 1), bits)
+    assert node.weights_q.tolist() == [[q_max, 1]]
+    assert node.out_spec.max_abs == (1 << 53) - (1 << 15)
+    with pytest.raises(CircuitError, match="2\\^53"):
+        bound_conv(w, edge(1 << 38), bits)
+
+
+THREAD_PROBE = """
+import hashlib, pickle, sys
+with open(sys.argv[1], "rb") as fh:
+    graphs, bufs = pickle.load(fh)
+h = hashlib.sha256()
+for graph in graphs:
+    for buf in bufs:
+        h.update(graph.execute(buf).output.data.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_integer_path_independent_of_blas_threads(tmp_path):
+    cfg = StftConfig(256, 64)
+    mel, gamma = MelSpec(n_mels=16), GammatoneSpec(n_filters=16)
+    n = cfg.window_length + 29 * cfg.hop  # 30 frames
+    calib, evalu = clips(4, seed=45, n=n), clips(3, seed=46, n=n)
+    bits = BitWidthConfig(5, 8, 4, 5)
+    graphs = [
+        build_transform_plan("stft", Conventional(), cfg, FS).calibrate(calib).realize(bits),
+        build_descriptor_plan(Conventional(), cfg, FS, n_frames=30, mel=mel,
+                              gamma=gamma).calibrate(calib).realize(bits),
+    ]
+    # calibration runs the float clear path, whose last bits may depend on
+    # the thread count, so the graphs are realized once, here, and only their
+    # integer execution runs at each thread count
+    path = tmp_path / "graphs.pkl"
+    path.write_bytes(pickle.dumps((graphs, evalu)))
+    want = hashlib.sha256()
+    for graph in graphs:
+        for buf in evalu:
+            want.update(graph.execute(buf).output.data.tobytes())
+    src = str(Path(sys.modules["fhespec"].__file__).parents[1])
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(path)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == want.hexdigest(), threads
 
 
 # Bit-exact equivalence with the independent reference -------------------------
@@ -197,6 +290,28 @@ def test_budget_violation_raised_and_inspectable():
         if "table_size" in n:
             lo, hi = graph.node(n["name"]).in_spec.bounds
             assert n["table_size"] == hi - lo + 1
+
+
+def test_long_clips_std_limit():
+    """A std head's sum of squares is T * m^2: at mid width 6 (m = 63) a
+    descriptor plan leaves the 16-bit budget from 17 frames on."""
+    bits = BitWidthConfig(5, 6, 4, 6)
+    m = (1 << bits.mid_bits) - 1
+    for n_frames in range(2, 40):
+        n = CFG.window_length + (n_frames - 1) * CFG.hop
+        plan = build_descriptor_plan(Conventional(), CFG, FS, n_frames=n_frames,
+                                     mel=MEL, gamma=GAMMA)
+        plan.calibrate(clips(3, seed=34, n=n))
+        try:
+            plan.realize(bits)
+        except BudgetViolation as exc:
+            violated = {name for name, _ in exc.violations}
+            break
+    else:
+        pytest.fail("no frame count below 40 leaves the budget")
+    assert n_frames == 17
+    assert violated == {"std_rms_val", "mel_stds", "gamma_stds"}
+    assert width_of(16 * m * m) <= BUDGET_BITS < width_of(17 * m * m)
 
 
 def test_overflow_check_fires_on_tampered_range():
@@ -333,10 +448,14 @@ def test_realize_properties_over_random_configs(kind, approx, a, b):
         assert graph_b.to_json() == fresh_b.to_json()
     # every config that realizes is bit-exact with the oracle
     evalu = clips(2, seed=41)
+    # and no accumulator it executes exceeds its declared worst case
     for graph in (graph_a, graph_b):
         for buf in evalu if graph is not None else []:
-            assert np.array_equal(graph.execute(buf).output.data,
-                                  fake_quant_reference(graph, buf))
+            res = graph.execute(buf)
+            assert np.array_equal(res.output.data, fake_quant_reference(graph, buf))
+            for e in graph.check_budget(res.observed).entries:
+                if e.observed_max_bits is not None:
+                    assert e.observed_max_bits <= e.worst_case_bits
     # the clear forward pass does not depend on the bit widths
     loose = [plan.realize(bits, enforce_budget=False)
              for bits in (a, b)]

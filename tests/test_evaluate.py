@@ -1,11 +1,20 @@
 """Evaluation tests: distance, rank test vs scipy, discovery, grid search."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
 from fhespec.approx import Conventional
-from fhespec.circuit import build_descriptor_plan, build_transform_plan
+from fhespec import circuit
+from fhespec.circuit import (
+    ConvNode,
+    MatmulNode,
+    build_descriptor_plan,
+    build_transform_plan,
+)
 from fhespec.evaluate import (
     DiscoveryErrorReport,
     EvalError,
@@ -241,6 +250,33 @@ def test_grid_search_deterministic():
     r1 = grid_search(space, descriptor_plan(calib), evalu)
     r2 = grid_search(list(reversed(space)), descriptor_plan(calib), evalu)
     assert r1 == r2
+
+
+def test_grid_search_quantizes_each_weight_width_once(monkeypatch):
+    calib, evalu = eval_clips(4, 26), eval_clips(6, 27)
+    space = [BitWidthConfig(*t)
+             for t in itertools.product((4, 6), (5, 7), range(2, 9), (4, 5))]
+    calls = Counter()
+    quantize = circuit.quantize_weights
+
+    def counting(w, bits):
+        calls[id(w), bits] += 1
+        return quantize(w, bits)
+
+    monkeypatch.setattr(circuit, "quantize_weights", counting)
+    plan = descriptor_plan(calib)
+    results = grid_search(space, plan, evalu)
+    banks = sum(isinstance(n, (ConvNode, MatmulNode)) for n in plan.nodes)
+    widths = {b.weight_bits for b in space}
+    assert len(space) >= 50 and banks == 3
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) <= banks * len(widths)
+    # the cached banks change nothing: a fresh plan per config ranks the same
+    fresh = [grid_search([bits], descriptor_plan(calib), evalu)[0] for bits in space]
+    ranked = sorted((r for r in fresh if r.feasible),
+                    key=lambda r: (-r.mean_r, r.config.as_tuple()))
+    assert results == ranked + [r for r in fresh if not r.feasible]
+    assert ranked  # some configs realize
 
 
 def test_grid_search_all_infeasible_reported():
