@@ -42,11 +42,8 @@ from .transforms import (
     GammatoneSpec,
     MelSpec,
     SignalError,
-    Spectrogram,
     StftConfig,
     hann_window,
-    mfcc,
-    stft,
 )
 
 __version__ = "1.0.0"

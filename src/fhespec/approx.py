@@ -4,8 +4,9 @@ Five rewrites of the conventional kernel bank: tap dilation (with a per-bin
 Nyquist cap), frequency-adaptive window widths, unit-root phase projection
 ("poorman" DFT), l1 energy, and frequency-band cropping.  Each one only
 zeroes taps or bins, reshapes windows, or projects coefficients, so the bank
-shape is unchanged.  The closed-form error expressions and upper bounds are
-implemented alongside so they can be checked against direct subtraction.
+shape is unchanged.  The poorman error bound and the dilation aliasing
+identity are implemented alongside, so `validate-bounds` can check them on
+audio.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import numpy as np
 
 from .transforms import (
     AudioBuffer,
-    ComplexSpectrogram,
     KernelBank,
-    Spectrogram,
     StftConfig,
     frame_signal,
     stft_kernels,
+    stft_two_sided,
 )
 
 
@@ -119,26 +119,6 @@ def dilation_kernels(bank: KernelBank, rate: int | None, per_bin_cap: bool = Tru
     return dc_replace(bank, real=bank.real * mask, imag=bank.imag * mask)
 
 
-def dilation_error(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
-                   rate: int, per_bin_cap: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """|X - X^(d)| computed two ways: masked complement sum, direct subtraction.
-
-    Returns (masked_form, direct_form), both (T, K).
-    """
-    base = stft_kernels(cfg, window)
-    dilated = dilation_kernels(base, rate, per_bin_cap)
-    frames = frame_signal(buf.samples, cfg.window_length, cfg.hop)
-
-    comp_re = base.real - dilated.real
-    comp_im = base.imag - dilated.imag
-    masked = np.hypot(frames @ comp_re.T, frames @ comp_im.T)
-
-    full = base.apply(buf)
-    part = dilated.apply(buf)
-    direct = np.hypot(full.real - part.real, full.imag - part.imag)
-    return masked, direct
-
-
 def dilation_aliasing_residual(buf: AudioBuffer, cfg: StftConfig,
                                window: np.ndarray, rate: int) -> float:
     """Max deviation from the aliasing identity for a uniform dilation rate.
@@ -148,8 +128,6 @@ def dilation_aliasing_residual(buf: AudioBuffer, cfg: StftConfig,
     shifted by N/rate bins: X_d[m, k] = (1/d) * sum_j X[m, k - j*N/d].
     Returns the maximum absolute difference between the two sides.
     """
-    from .transforms import stft_two_sided
-
     n = cfg.window_length
     if rate < 1 or n % rate != 0:
         raise ApproxError("aliasing identity needs a rate dividing N")
@@ -187,29 +165,6 @@ def fd_window(k: int, n: int, n_min: int) -> np.ndarray:
     j = np.arange(width)
     w[start:start + width] = 0.5 * (1.0 - np.cos(2.0 * np.pi * j / width))
     return w
-
-
-def fd_window_error_terms(k: int, n: int, n_min: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-case decomposition of (w - w_k): (narrowing_inside, padding_outside).
-
-    narrowing is nonzero only inside the narrow window's support, padding only
-    outside (where w_k is zero and the difference is the full window itself).
-    Their sum equals hann(N) - fd_window(k).
-    """
-    from .transforms import hann_window
-
-    width = fd_width(k, n, n_min)
-    start = (n - width) // 2
-    j = np.arange(n)
-    inside = (j >= start) & (j < start + width)
-    full = hann_window(n)
-    narrow = fd_window(k, n, n_min)
-    narrowing = np.where(inside, 0.5 * (np.cos(2.0 * np.pi * (j - start) / width)
-                                        - np.cos(2.0 * np.pi * j / n)), 0.0)
-    padding = np.where(inside, 0.0, full)
-    # sanity of the closed form: narrowing+padding must reproduce w - w_k
-    assert np.allclose(narrowing + padding, full - narrow, atol=1e-12)
-    return narrowing, padding
 
 
 def fd_kernels(bank: KernelBank, n_min: int) -> KernelBank:
@@ -271,21 +226,6 @@ def poorman_kernels(bank: KernelBank, roots: int) -> KernelBank:
     return dc_replace(bank, real=bank.window * root.real, imag=bank.window * root.imag)
 
 
-# l1 energy -------------------------------------------------------------------
-
-def l1_energy(spec: ComplexSpectrogram) -> Spectrogram:
-    return Spectrogram(
-        values=np.abs(spec.real) + np.abs(spec.imag),
-        channel_freqs=spec.bin_upper_freqs,
-    )
-
-
-def l1_energy_error(spec: ComplexSpectrogram) -> np.ndarray:
-    """| |X|^2 - (|Re X| + |Im X|) | per entry."""
-    sq = spec.real**2 + spec.imag**2
-    return np.abs(sq - (np.abs(spec.real) + np.abs(spec.imag)))
-
-
 # Cropping --------------------------------------------------------------------
 
 def crop_mask(cfg: StftConfig, sample_rate_hz: int, f_min: float, f_max: float) -> np.ndarray:
@@ -300,14 +240,6 @@ def crop_kernels(bank: KernelBank, sample_rate_hz: int,
         raise ApproxError("need 0 <= f_min < f_max")
     keep = crop_mask(bank.cfg, sample_rate_hz, f_min, f_max)[:, None].astype(np.float64)
     return dc_replace(bank, real=bank.real * keep, imag=bank.imag * keep)
-
-
-def cropping_error(spec: ComplexSpectrogram, cfg: StftConfig, sample_rate_hz: int,
-                   f_min: float, f_max: float) -> np.ndarray:
-    """|X| on the dropped bins, zero elsewhere (exact, not a bound)."""
-    keep = crop_mask(cfg, sample_rate_hz, f_min, f_max)
-    mag = np.hypot(spec.real, spec.imag)
-    return mag * (~keep)[None, :]
 
 
 # Kernel bank dispatch --------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .transforms import AudioBuffer, SignalError
 
@@ -58,6 +57,8 @@ class DatasetManifest:
 
 def read_wav(path, expected_rate_hz: int | None = None) -> AudioBuffer:
     """Load a mono WAV file: 16-bit PCM (scaled by 2^15) or 32/64-bit float."""
+    from scipy.io import wavfile  # on first use: most commands read no WAV
+
     rate, data = wavfile.read(path)
     if data.ndim != 1:
         raise DatasetError(f"{path}: only mono files are supported")
@@ -74,6 +75,8 @@ def read_wav(path, expected_rate_hz: int | None = None) -> AudioBuffer:
 
 
 def write_wav(path, buf: AudioBuffer) -> None:
+    from scipy.io import wavfile
+
     wavfile.write(path, buf.sample_rate_hz,
                   buf.samples.astype(np.float32))
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .circuit import (
     BUDGET_BITS,
@@ -61,12 +60,20 @@ def normalized_euclidean(s1: np.ndarray, s2: np.ndarray) -> float:
 
 # Mann-Whitney U ---------------------------------------------------------------
 
-def _u_statistic(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    pooled = np.concatenate([a, b])
-    ranks = rankdata(pooled)
-    r1 = ranks[: a.size].sum()
-    u1 = r1 - a.size * (a.size + 1) / 2.0
-    return u1, pooled
+def _midranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of `x`, tied values sharing the mean of their ranks,
+    and the size of each tie group in ascending value order.
+
+    A group at sorted positions [start, start + size) gets the rank
+    (2 * start + size + 1) / 2, a half-integer, so the float64 ranks are
+    exact and the sizes are the counts `np.unique` would return."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    sizes = np.diff(starts, append=s.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((2 * starts + sizes + 1) / 2.0, sizes)
+    return ranks, sizes
 
 
 def _exact_u_counts(n: int, m: int) -> list:
@@ -86,12 +93,7 @@ def _exact_u_counts(n: int, m: int) -> list:
     return counts
 
 
-def _exact_p(a: np.ndarray, b: np.ndarray) -> float:
-    pooled = np.concatenate([a, b])
-    if np.unique(pooled).size != pooled.size:
-        raise EvalError("exact Mann-Whitney path requires tie-free samples")
-    u1, _ = _u_statistic(a, b)
-    n, m = a.size, b.size
+def _exact_p(u1: float, n: int, m: int) -> float:
     u_big = int(round(max(u1, n * m - u1)))
     counts = _exact_u_counts(n, m)
     tail = int(sum(counts[u_big:]))
@@ -99,13 +101,10 @@ def _exact_p(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, 2.0 * tail / total)
 
 
-def _asymptotic_p(a: np.ndarray, b: np.ndarray) -> float:
-    n, m = a.size, b.size
-    u1, pooled = _u_statistic(a, b)
+def _asymptotic_p(u1: float, n: int, m: int, tie_sizes: np.ndarray) -> float:
     big_n = n + m
     mu = n * m / 2.0
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts))
+    tie_term = float(np.sum(tie_sizes.astype(np.float64) ** 3 - tie_sizes))
     var = n * m / 12.0 * ((big_n + 1) - tie_term / (big_n * (big_n - 1)))
     if var <= 0.0:
         return 1.0  # all observations tied: no evidence either way
@@ -113,35 +112,44 @@ def _asymptotic_p(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, math.erfc(z / math.sqrt(2.0)))
 
 
+def _finite(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64).ravel()
+    bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+    if bad:
+        raise EvalError(f"{what} contains non-finite values ({bad} of {x.size})")
+    return x
+
+
 def mann_whitney_u(a, b, method: str = "auto") -> float:
     """Two-sided Mann-Whitney U p-value.
 
     'auto' uses the exact U distribution when the pooled sample has at most
     20 tie-free observations, and the normal approximation (tie-corrected,
-    continuity-corrected) otherwise.
+    continuity-corrected) otherwise.  Non-finite samples raise EvalError.
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
+    a = _finite(a, "mann_whitney_u sample a")
+    b = _finite(b, "mann_whitney_u sample b")
     if a.size < 1 or b.size < 1:
         raise EvalError("both samples must be nonempty")
-    if method == "exact":
-        return _exact_p(a, b)
-    if method == "asymptotic":
-        return _asymptotic_p(a, b)
-    if method != "auto":
+    if method not in ("auto", "exact", "asymptotic"):
         raise EvalError(f"unknown method {method!r}")
-    pooled = a.size + b.size
-    has_ties = np.unique(np.concatenate([a, b])).size != pooled
-    if pooled <= EXACT_MW_POOLED_MAX and not has_ties:
-        return _exact_p(a, b)
-    return _asymptotic_p(a, b)
+    n, m = a.size, b.size
+    ranks, tie_sizes = _midranks(np.concatenate([a, b]))
+    u1 = ranks[:n].sum() - n * (n + 1) / 2.0
+    tie_free = tie_sizes.size == n + m
+    if method == "exact" and not tie_free:
+        raise EvalError("exact Mann-Whitney path requires tie-free samples")
+    if method == "exact" or (method == "auto" and tie_free
+                             and n + m <= EXACT_MW_POOLED_MAX):
+        return _exact_p(u1, n, m)
+    return _asymptotic_p(u1, n, m, tie_sizes)
 
 
 # Pearson ----------------------------------------------------------------------
 
 def pearson(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
+    a = _finite(a, "pearson input a")
+    b = _finite(b, "pearson input b")
     if a.size != b.size or a.size < 2:
         raise EvalError("pearson needs two equal-length vectors of size >= 2")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:

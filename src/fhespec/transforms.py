@@ -1,16 +1,17 @@
-"""Floating-point reference transforms: STFT, Mel, MFCC, gammatone.
+"""Transform building blocks: STFT, Mel, MFCC and gammatone kernels.
 
-Every transform is expressed twice: once as a direct frame-wise computation
-and once as a bank of fixed convolution kernels applied with stride equal to
-the hop length.  The kernel-bank view is the one the quantized integer
-circuit consumes, so the two paths act as mutual oracles.
+Every transform is a bank of fixed convolution kernels applied with stride
+equal to the hop length, followed by fixed matrices (Mel filterbank, DCT);
+this is the form the quantized integer circuit consumes.  The direct
+frame-wise float transforms the circuits are checked against live with the
+test oracles.
 
 Frames lie fully inside the signal (no padding): T = floor((M - N) / h) + 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,27 +77,6 @@ class StftConfig:
 
 
 @dataclass(frozen=True)
-class ComplexSpectrogram:
-    real: np.ndarray  # (T, K)
-    imag: np.ndarray  # (T, K)
-    bin_upper_freqs: np.ndarray
-
-    @property
-    def frame_count(self) -> int:
-        return self.real.shape[0]
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    values: np.ndarray  # (T, C)
-    channel_freqs: np.ndarray | None = None
-
-    @property
-    def frame_count(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class MelSpec:
     n_mels: int = 64
     f_low: float = 0.0
@@ -140,26 +120,9 @@ def frame_signal(x: np.ndarray, n: int, hop: int) -> np.ndarray:
     )
 
 
-def stft(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray) -> ComplexSpectrogram:
-    """Frame-wise windowed DFT, one-sided (bins 0 .. N/2).
-
-    Phases are frame-local, matching the strided-convolution formulation;
-    magnitudes are identical to the sliding-DFT definition.
-    """
-    if window.size != cfg.window_length:
-        raise SignalError("window length does not match the STFT config")
-    frames = frame_signal(buf.samples, cfg.window_length, cfg.hop)
-    spec = np.fft.rfft(frames * window, axis=1)
-    return ComplexSpectrogram(
-        real=np.ascontiguousarray(spec.real),
-        imag=np.ascontiguousarray(spec.imag),
-        bin_upper_freqs=cfg.bin_upper_freqs(buf.sample_rate_hz),
-    )
-
-
 def stft_two_sided(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
                    tap_mask: np.ndarray | None = None) -> np.ndarray:
-    """Full N-bin DFT per frame (debug path for Parseval and aliasing checks).
+    """Full N-bin DFT per frame, for the dilation aliasing identity check.
 
     `tap_mask` optionally zeroes frame samples before the transform, which is
     how the dilated formulation reads on the frame index.
@@ -168,13 +131,6 @@ def stft_two_sided(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
     if tap_mask is not None:
         frames = frames * tap_mask
     return np.fft.fft(frames, axis=1)
-
-
-def power_spectrogram(spec: ComplexSpectrogram) -> Spectrogram:
-    return Spectrogram(
-        values=spec.real**2 + spec.imag**2,
-        channel_freqs=spec.bin_upper_freqs,
-    )
 
 
 @dataclass(frozen=True)
@@ -198,13 +154,14 @@ class KernelBank:
         """(2K, N) array: real rows then imaginary rows."""
         return np.vstack([self.real, self.imag])
 
-    def apply(self, buf: AudioBuffer) -> ComplexSpectrogram:
+    def apply(self, buf: AudioBuffer) -> np.ndarray:
+        """(T, K) complex spectrogram; its real and imaginary parts are
+        exactly the two real kernel products."""
         frames = frame_signal(buf.samples, self.cfg.window_length, self.cfg.hop)
-        return ComplexSpectrogram(
-            real=frames @ self.real.T,
-            imag=frames @ self.imag.T,
-            bin_upper_freqs=self.cfg.bin_upper_freqs(buf.sample_rate_hz),
-        )
+        spec = np.empty((frames.shape[0], self.bins), dtype=np.complex128)
+        spec.real = frames @ self.real.T
+        spec.imag = frames @ self.imag.T
+        return spec
 
 
 def stft_kernels(cfg: StftConfig, window: np.ndarray) -> KernelBank:
@@ -262,10 +219,6 @@ def mel_filterbank_matrix(spec: MelSpec, cfg: StftConfig, sample_rate_hz: int) -
     return weights / row_max[:, None]
 
 
-def apply_filterbank(power: Spectrogram, matrix: np.ndarray) -> Spectrogram:
-    return Spectrogram(values=power.values @ matrix.T)
-
-
 # MFCC ------------------------------------------------------------------------
 
 MFCC_LOG_EPS = 1e-6
@@ -278,15 +231,6 @@ def dct_matrix(n: int) -> np.ndarray:
     m = np.cos(np.pi * i * (2 * j + 1) / (2 * n)) * np.sqrt(2.0 / n)
     m[0, :] /= np.sqrt(2.0)
     return m
-
-
-def mfcc(mel_values: np.ndarray, n_mfcc: int) -> np.ndarray:
-    """First n_mfcc orthonormal DCT-II coefficients of log(mel + eps), per frame."""
-    n_mels = mel_values.shape[1]
-    if n_mfcc > n_mels:
-        raise SignalError("n_mfcc must not exceed n_mels")
-    d = dct_matrix(n_mels)[:n_mfcc]
-    return np.log(mel_values + MFCC_LOG_EPS) @ d.T
 
 
 # Gammatone -------------------------------------------------------------------
@@ -323,10 +267,3 @@ def gammatone_kernels(spec: GammatoneSpec, cfg: StftConfig, sample_rate_hz: int)
     g = t ** (spec.order - 1) * np.exp(-2.0 * np.pi * b * t) * np.cos(2.0 * np.pi * fc * t)
     peak = np.abs(g).max(axis=1, keepdims=True)
     return g / peak
-
-
-def gammatone_spectrogram(buf: AudioBuffer, kernels: np.ndarray, cfg: StftConfig,
-                          center_freqs: np.ndarray | None = None) -> Spectrogram:
-    """Strided squared-convolution output, shape (T, n_filters)."""
-    frames = frame_signal(buf.samples, cfg.window_length, cfg.hop)
-    return Spectrogram(values=(frames @ kernels.T) ** 2, channel_freqs=center_freqs)

@@ -4,12 +4,22 @@
 with quantizers inserted at every edge, using its own rounding, framing,
 integer matmul and lookup evaluation (no table reads).  Bit-exact agreement
 with the integer execution path is the circuit-equivalence contract.
+
+The float transforms (`stft`, `power_spectrogram`, `apply_filterbank`,
+`mfcc`, `gammatone_spectrogram`) compute each spectrogram directly, frame by
+frame, without the kernel-bank and node machinery of `fhespec.circuit`; they
+are what `run_clear` is checked against.  The approximation error terms
+(`dilation_error`, `fd_window_error_terms`, `l1_energy_error`,
+`cropping_error`) are the closed forms the approximation tests compare with
+direct subtraction.  Spectrograms are (T, C) arrays, complex before the
+energy step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from fhespec.approx import crop_mask, dilation_kernels, fd_width
 from fhespec.circuit import (
     ConcatNode,
     ConvNode,
@@ -17,6 +27,15 @@ from fhespec.circuit import (
     MatmulNode,
     ReduceNode,
     StdNode,
+)
+from fhespec.transforms import (
+    AudioBuffer,
+    SignalError,
+    StftConfig,
+    dct_matrix,
+    frame_signal,
+    hann_window,
+    stft_kernels,
 )
 
 MFCC_LOG_EPS = 1e-6  # pinned independently of the library constant
@@ -89,3 +108,97 @@ def fake_quant_reference(graph, buf):
             raise AssertionError(type(node).__name__)
     out = graph.node(graph.output_node)
     return np.asarray(values[graph.output_node]) - out.out_spec.lift
+
+
+# Float transforms -------------------------------------------------------------
+
+def stft(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray) -> np.ndarray:
+    """Frame-wise windowed DFT, one-sided (bins 0 .. N/2), shape (T, K).
+
+    Phases are frame-local, matching the strided-convolution formulation;
+    magnitudes are identical to the sliding-DFT definition.
+    """
+    if window.size != cfg.window_length:
+        raise SignalError("window length does not match the STFT config")
+    frames = frame_signal(buf.samples, cfg.window_length, cfg.hop)
+    return np.fft.rfft(frames * window, axis=1)
+
+
+def power_spectrogram(spec: np.ndarray) -> np.ndarray:
+    return spec.real**2 + spec.imag**2
+
+
+def apply_filterbank(power: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    return power @ matrix.T
+
+
+def mfcc(mel_values: np.ndarray, n_mfcc: int) -> np.ndarray:
+    """First n_mfcc orthonormal DCT-II coefficients of log(mel + eps), per frame."""
+    n_mels = mel_values.shape[1]
+    if n_mfcc > n_mels:
+        raise SignalError("n_mfcc must not exceed n_mels")
+    d = dct_matrix(n_mels)[:n_mfcc]
+    return np.log(mel_values + MFCC_LOG_EPS) @ d.T
+
+
+def gammatone_spectrogram(buf: AudioBuffer, kernels: np.ndarray,
+                          cfg: StftConfig) -> np.ndarray:
+    """Strided squared-convolution output, shape (T, n_filters)."""
+    frames = frame_signal(buf.samples, cfg.window_length, cfg.hop)
+    return (frames @ kernels.T) ** 2
+
+
+# Approximation error terms ----------------------------------------------------
+
+def dilation_error(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
+                   rate: int, per_bin_cap: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """|X - X^(d)| computed two ways: masked complement sum, direct subtraction.
+
+    Returns (masked_form, direct_form), both (T, K).
+    """
+    base = stft_kernels(cfg, window)
+    dilated = dilation_kernels(base, rate, per_bin_cap)
+    frames = frame_signal(buf.samples, cfg.window_length, cfg.hop)
+
+    comp_re = base.real - dilated.real
+    comp_im = base.imag - dilated.imag
+    masked = np.hypot(frames @ comp_re.T, frames @ comp_im.T)
+
+    full = base.apply(buf)
+    part = dilated.apply(buf)
+    direct = np.hypot(full.real - part.real, full.imag - part.imag)
+    return masked, direct
+
+
+def fd_window_error_terms(k: int, n: int, n_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-case decomposition of (w - w_k): (narrowing_inside, padding_outside).
+
+    narrowing is nonzero only inside the narrow window's support, padding only
+    outside (where w_k is zero and the difference is the full window itself).
+    Their sum equals hann(N) - fd_window(k).
+    """
+    width = fd_width(k, n, n_min)
+    start = (n - width) // 2
+    j = np.arange(n)
+    inside = (j >= start) & (j < start + width)
+    narrowing = np.where(inside, 0.5 * (np.cos(2.0 * np.pi * (j - start) / width)
+                                        - np.cos(2.0 * np.pi * j / n)), 0.0)
+    padding = np.where(inside, 0.0, hann_window(n))
+    return narrowing, padding
+
+
+def l1_energy(spec: np.ndarray) -> np.ndarray:
+    return np.abs(spec.real) + np.abs(spec.imag)
+
+
+def l1_energy_error(spec: np.ndarray) -> np.ndarray:
+    """| |X|^2 - (|Re X| + |Im X|) | per entry."""
+    return np.abs(power_spectrogram(spec) - l1_energy(spec))
+
+
+def cropping_error(spec: np.ndarray, cfg: StftConfig, sample_rate_hz: int,
+                   f_min: float, f_max: float) -> np.ndarray:
+    """|X| on the dropped bins, zero elsewhere (exact, not a bound)."""
+    keep = crop_mask(cfg, sample_rate_hz, f_min, f_max)
+    mag = np.hypot(spec.real, spec.imag)
+    return mag * (~keep)[None, :]

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fake_quant_reference
+from oracles import (
+    apply_filterbank,
+    fake_quant_reference,
+    gammatone_spectrogram,
+    mfcc,
+    power_spectrogram,
+    stft,
+)
 from fhespec.approx import (
     Conventional,
     Cropping,
@@ -37,7 +44,15 @@ from fhespec.circuit import (
 )
 from fhespec.evaluate import normalized_euclidean
 from fhespec.quant import MAX_BITS, BitWidthConfig, width_of
-from fhespec.transforms import AudioBuffer, GammatoneSpec, MelSpec, StftConfig
+from fhespec.transforms import (
+    AudioBuffer,
+    GammatoneSpec,
+    MelSpec,
+    StftConfig,
+    gammatone_kernels,
+    hann_window,
+    mel_filterbank_matrix,
+)
 
 FS = 16000
 CFG = StftConfig(64, 32)
@@ -219,6 +234,32 @@ def test_integer_execution_matches_reference(kind, approx):
         got = graph.execute(buf).output.data
         want = fake_quant_reference(graph, buf)
         assert np.array_equal(got, want)
+
+
+def float_transform(kind, buf):
+    """The direct float oracle of `kind` at CFG, MEL, GAMMA and 8 MFCCs."""
+    if kind == "gammatone":
+        return gammatone_spectrogram(buf, gammatone_kernels(GAMMA, CFG, FS), CFG)
+    out = power_spectrogram(stft(buf, CFG, hann_window(CFG.window_length)))
+    if kind in ("mel", "mfcc"):
+        out = apply_filterbank(out, mel_filterbank_matrix(MEL, CFG, FS))
+    if kind == "mfcc":
+        out = mfcc(out, 8)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["stft", "mel", "mfcc", "gammatone"])
+def test_clear_path_matches_float_oracle(kind):
+    """run_clear (kernel bank and nodes) equals the direct float transform."""
+    plan = build_transform_plan(kind, Conventional(), CFG, FS, mel=MEL, gamma=GAMMA,
+                                n_mfcc=8)
+    graph = plan.calibrate(clips(4, seed=20)).realize(BITS)
+    for buf in clips(3, seed=24):
+        got = np.asarray(graph.run_clear(buf)[graph.output_node])
+        want = float_transform(kind, buf)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def test_descriptor_circuit_matches_reference():

@@ -1,8 +1,11 @@
 """Dataset ingestion, splits, synthetic corpora, and CLI end-to-end runs."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -371,3 +374,39 @@ def test_readme_commands_run(tmp_path, capsys):
         args["--out"] = str(tmp_path / args["--out"])
         run = [argv[0], *(x for kv in args.items() for x in kv)]
         assert main(run) == EXIT_OK, (argv, capsys.readouterr().err)
+
+
+def test_readme_library_example_runs(capsys):
+    block = re.search(r"## Library example.*?```python\n(.*?)```",
+                      README.read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})
+    distance, feasible = capsys.readouterr().out.split()
+    assert 0.0 <= float(distance) <= 2.0
+    assert feasible == "True"
+
+
+IMPORT_PROBE = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import fhespec.cli
+assert not scipy_modules(), ("import", scipy_modules())
+code = fhespec.cli.main(["budget", "--synthetic", "tones", "--clips", "4",
+                         "--out", sys.argv[1]])
+assert code == 0, code
+assert not scipy_modules(), ("budget", scipy_modules())
+"""
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    """Importing the CLI and running a synthetic command never loads SciPy:
+    it is imported on first use, by WAV I/O only."""
+    src = str(Path(sys.modules["fhespec"].__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "budget.json").is_file()

@@ -5,7 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import mannwhitneyu
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import mannwhitneyu, rankdata
 
 from fhespec.approx import Conventional
 from fhespec import circuit
@@ -16,6 +18,7 @@ from fhespec.circuit import (
     build_transform_plan,
 )
 from fhespec.evaluate import (
+    _midranks,
     DiscoveryErrorReport,
     EvalError,
     GridSearchResult,
@@ -125,6 +128,48 @@ def test_mw_edge_cases():
         mann_whitney_u([1.0], [1.0], method="exact")  # tie blocks exact path
     with pytest.raises(EvalError):
         mann_whitney_u([1.0], [2.0], method="nope")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.lists(
+    st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 7.25]),
+    min_size=n, max_size=n)))
+def test_midranks_equal_scipy_rankdata(values):
+    """Tie-heavy samples: exact float64 midranks and the np.unique counts."""
+    x = np.array(values)
+    ranks, sizes = _midranks(x)
+    assert np.array_equal(ranks, rankdata(x))
+    assert np.array_equal(sizes, np.unique(x, return_counts=True)[1])
+
+
+def test_mw_nonfinite_small_sample_raises():
+    # the exact path used to fail with a bare "cannot convert float NaN"
+    with pytest.raises(EvalError, match="sample a contains non-finite"):
+        mann_whitney_u([1.0, np.nan, 3.0], [2.0, 5.0])
+    with pytest.raises(EvalError, match="sample b contains non-finite"):
+        mann_whitney_u([1.0, 3.0], [2.0, np.inf], method="exact")
+
+
+def test_mw_nonfinite_large_sample_raises():
+    # above 20 pooled samples a NaN used to give p = 1.0 silently
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal(15), rng.standard_normal(15) + 3.0
+    assert mann_whitney_u(a, b) < 1e-4
+    b[4] = np.nan
+    for method in ("auto", "asymptotic"):
+        with pytest.raises(EvalError, match="sample b contains non-finite"):
+            mann_whitney_u(a, b, method=method)
+
+
+def test_pearson_nonfinite_raises():
+    a = np.arange(6, dtype=np.float64)
+    for bad in (np.nan, np.inf, -np.inf):
+        b = a * 2.0
+        b[2] = bad
+        with pytest.raises(EvalError, match="pearson input b contains non-finite"):
+            pearson(a, b)
+        with pytest.raises(EvalError, match="pearson input a contains non-finite"):
+            pearson(b, a)
 
 
 def test_mw_auto_switchover():
