@@ -53,11 +53,13 @@ class CircuitError(RuntimeError):
 
 
 class BudgetViolation(CircuitError):
-    """Raised at build time when a node's worst-case width exceeds the budget."""
+    """Raised by `realize` when a node's worst-case width exceeds the budget;
+    `report` is the `AccumulatorReport` of the refused graph."""
 
-    def __init__(self, violations):
-        self.violations = list(violations)
-        names = ", ".join(f"{n}({b} bits)" for n, b in self.violations)
+    def __init__(self, report):
+        self.report = report
+        names = ", ".join(f"{e.node}({e.worst_case_bits} bits)"
+                          for e in report.violations)
         super().__init__(f"{BUDGET_BITS}-bit accumulator budget exceeded at: {names}")
 
 
@@ -407,9 +409,6 @@ class LutNode(Node):
             self.build_table()
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        if self.table is None:
-            raise CircuitError(f"node {self.name}: the graph is over budget, so its "
-                               f"lookup tables were not built; it cannot execute")
         return self.table[v - self.in_spec.bounds[0]]
 
     def budget_entry(self, observed_bits=None):
@@ -742,14 +741,9 @@ class PipelinePlan:
         self.ranges = ranges
         return self
 
-    def realize(self, bits: BitWidthConfig, enforce_budget: bool = True) -> CircuitGraph:
-        """Bind one bit-width configuration.
-
-        An over-budget configuration raises `BudgetViolation`, or with
-        `enforce_budget=False` returns a graph for its budget report and
-        JSON only: its deferred lookup tables are not built, so it cannot
-        execute.
-        """
+    def realize(self, bits: BitWidthConfig) -> CircuitGraph:
+        """Bind one bit-width configuration: the returned graph executes, and
+        an over-budget configuration raises `BudgetViolation` instead."""
         if self.ranges is None:
             raise CircuitError("plan must be calibrated before realization")
         input_spec = EdgeSpec.from_range(*self.ranges["input"], bits=bits.input_bits,
@@ -790,10 +784,7 @@ class PipelinePlan:
         )
         report = graph.check_budget()
         if not report.feasible:
-            if enforce_budget:
-                raise BudgetViolation([(e.node, e.worst_case_bits)
-                                       for e in report.violations])
-            return graph
+            raise BudgetViolation(report)
         # remaining tables are only materialized once the budget holds: an
         # over-budget input edge can make a lookup table huge
         for n in nodes:

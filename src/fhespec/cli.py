@@ -4,7 +4,8 @@ Subcommands: spectrogram (clear + simulated-encrypted spectrograms and their
 distances), descriptors (per-clip descriptor CSV for both paths), stattest
 (class-pair Mann-Whitney replication report), gridsearch (bit-width ranking),
 validate-bounds (approximation bound/identity checks on audio), budget
-(worst-case accumulator report without executing).
+(worst-case accumulator report of the circuit the other commands realize,
+without executing it).
 
 Outputs carry no timestamps, so repeated runs with identical inputs and seed
 produce byte-identical files.  Exit codes: 0 success, 3 completed with
@@ -50,6 +51,7 @@ from .dataset import (
 )
 from .descriptors import CSV_FIELDS, DescriptorVector, write_descriptor_csv
 from .evaluate import (
+    SIGNIFICANCE_LEVEL,
     EvalError,
     default_grid,
     discovery_errors,
@@ -76,23 +78,32 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_SKIPS = 3
 
-DEFAULTS = {
-    "transform": "stft",
-    "approx": "conventional",
-    "bits": "5,8,4,5",
-    "calib_fraction": 0.10,
-    "seed": 0,
-    "out": "out",
-    "sample_rate": 16000,
-    "window": 1024,
-    "hop": 256,
-    "n_mels": 64,
-    "n_mfcc": 13,
-    "n_gammatone": 64,
-    "clips": 30,
-    "duration": 1.0,
-    "alpha": 0.05,
+# Every setting: name -> (type, default, help).  A flag, then the config
+# file's [run] section, then the default decides each one.
+SETTINGS = {
+    "transform": (str, "stft", None),
+    "approx": (str, "conventional", "conventional | dilation:d | dilation:max | "
+                                    "fdwindow:Nmin | poorman:L | l1 | crop:fmin:fmax"),
+    "bits": (str, "5,8,4,5", "Bi,Bo,Bw,Bm"),
+    "calib_fraction": (float, 0.10, None),
+    "seed": (int, 0, None),
+    "out": (Path, "out", "output directory"),
+    "dataset": (Path, None, "directory-per-class WAV root"),
+    "synthetic": (str, None, "|".join(SYNTHETIC_KINDS) + " (comma-combinable)"),
+    "clips": (int, 30, "synthetic clips per kind"),
+    "duration": (float, 1.0, "synthetic clip seconds"),
+    "sample_rate": (int, 16000, None),
+    "window": (int, 1024, "STFT window length N"),
+    "hop": (int, 256, "STFT hop length"),
+    "n_mels": (int, MelSpec.n_mels, None),
+    "n_mfcc": (int, 13, None),
+    "n_gammatone": (int, GammatoneSpec.n_filters, None),
+    "alpha": (float, SIGNIFICANCE_LEVEL, "significance level"),
+    "grid": (str, "full", "semicolon-separated Bi,Bo,Bw,Bm configs, or 'full'"),
 }
+
+# The commands that score clips of the evaluation split.
+EVALUATING = ("spectrogram", "descriptors", "stattest", "gridsearch")
 
 
 class CliError(ValueError):
@@ -141,72 +152,52 @@ def parse_grid(text: str) -> list:
     return [parse_bits(chunk) for chunk in text.split(";") if chunk]
 
 
+def _add_settings(parser, names) -> None:
+    for name in names:
+        convert, _, help_text = SETTINGS[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=convert, help=help_text,
+                            choices=TRANSFORMS if name == "transform" else None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="INI config file ([run] section)")
-    common.add_argument("--transform", choices=TRANSFORMS)
-    common.add_argument("--approx", help="conventional | dilation:d | dilation:max | "
-                                         "fdwindow:Nmin | poorman:L | l1 | crop:fmin:fmax")
-    common.add_argument("--bits", help="Bi,Bo,Bw,Bm")
-    common.add_argument("--calib-fraction", type=float, dest="calib_fraction")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", type=Path, help="output directory")
-    common.add_argument("--dataset", type=Path, help="directory-per-class WAV root")
-    common.add_argument("--synthetic", help="|".join(SYNTHETIC_KINDS) + " (comma-combinable)")
-    common.add_argument("--clips", type=int, help="synthetic clips per kind")
-    common.add_argument("--duration", type=float, help="synthetic clip seconds")
-    common.add_argument("--sample-rate", type=int, dest="sample_rate")
-    common.add_argument("--window", type=int, help="STFT window length N")
-    common.add_argument("--hop", type=int, help="STFT hop length")
-    common.add_argument("--n-mels", type=int, dest="n_mels")
-    common.add_argument("--n-mfcc", type=int, dest="n_mfcc")
-    common.add_argument("--n-gammatone", type=int, dest="n_gammatone")
-    common.add_argument("--alpha", type=float, help="significance level")
+    _add_settings(common, [n for n in SETTINGS if n != "grid"])  # --grid: gridsearch only
 
     parser = argparse.ArgumentParser(
         prog="fhespec",
         description="Quantized approximate time-frequency transforms under "
                     "simulated encrypted-inference constraints.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrogram", parents=[common])
-    sub.add_parser("descriptors", parents=[common])
-    sub.add_parser("stattest", parents=[common])
-    p_grid = sub.add_parser("gridsearch", parents=[common])
-    p_grid.add_argument("--grid", default="full",
-                        help="semicolon-separated Bi,Bo,Bw,Bm configs, or 'full'")
-    sub.add_parser("validate-bounds", parents=[common])
-    sub.add_parser("budget", parents=[common])
+    for command in COMMANDS:
+        p = sub.add_parser(command, parents=[common])
+        if command == "gridsearch":
+            _add_settings(p, ["grid"])
     return parser
 
 
 def resolve_settings(args) -> dict:
     """Merge built-in defaults, the optional config file, and flags (flags win)."""
-    settings = dict(DEFAULTS)
+    settings = {name: default for name, (_, default, _) in SETTINGS.items()}
     if args.config is not None:
         cp = configparser.ConfigParser()
         if not cp.read(args.config):
             raise CliError(f"cannot read config file {args.config}")
         for key, value in cp.items("run") if cp.has_section("run") else []:
             key = key.replace("-", "_")
-            if key not in DEFAULTS and key not in ("dataset", "synthetic", "grid"):
+            if key not in SETTINGS:
                 raise CliError(f"unknown config key {key!r}")
             settings[key] = value
-    for key in list(DEFAULTS) + ["dataset", "synthetic", "grid"]:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    for convert, keys in ((int, ("seed", "sample_rate", "window", "hop", "n_mels",
-                                 "n_mfcc", "n_gammatone", "clips")),
-                          (float, ("calib_fraction", "duration", "alpha"))):
-        for key in keys:
-            try:
-                settings[key] = convert(settings[key])
-            except ValueError:
-                raise CliError(f"bad {key} value {settings[key]!r}: "
-                               f"want {convert.__name__}") from None
-    settings["out"] = Path(settings["out"])
-    settings["approx_spec"] = parse_approx(str(settings["approx"]))
-    settings["bits_config"] = parse_bits(str(settings["bits"]))
+    for name, (convert, _, _) in SETTINGS.items():
+        value = getattr(args, name, None)
+        value = settings[name] if value is None else value
+        try:
+            settings[name] = None if value is None else convert(value)
+        except ValueError:
+            raise CliError(f"bad {name} value {value!r}: "
+                           f"want {convert.__name__}") from None
+    settings["approx_spec"] = parse_approx(settings["approx"])
+    settings["bits_config"] = parse_bits(settings["bits"])
     settings["stft_config"] = StftConfig(window_length=settings["window"],
                                          hop=settings["hop"])
     settings["mel_spec"] = MelSpec(n_mels=settings["n_mels"])
@@ -280,11 +271,13 @@ def _descriptor_vectors(settings, calib, evalu):
     return vectors
 
 
-def _transform_plan(settings):
-    return build_transform_plan(settings["transform"], settings["approx_spec"],
+def _transform_plan(settings, calib):
+    """Transform plan calibrated on the calibration clips."""
+    plan = build_transform_plan(settings["transform"], settings["approx_spec"],
                                 settings["stft_config"], settings["sample_rate"],
                                 mel=settings["mel_spec"], gamma=settings["gamma_spec"],
                                 n_mfcc=settings["n_mfcc"])
+    return plan.calibrate([c.buffer for c in calib])
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -296,9 +289,7 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_spectrogram(settings, calib, evalu, out: Path) -> None:
     cfg = settings["stft_config"]
     kind = settings["transform"]
-    plan = _transform_plan(settings)
-    plan.calibrate([c.buffer for c in calib])
-    graph = plan.realize(settings["bits_config"])
+    graph = _transform_plan(settings, calib).realize(settings["bits_config"])
     distances = []
     for clip in evalu:
         clear = np.asarray(graph.run_clear(clip.buffer)[graph.output_node])
@@ -357,7 +348,7 @@ def cmd_stattest(settings, calib, evalu, out: Path) -> None:
 
 
 def cmd_gridsearch(settings, calib, evalu, out: Path) -> None:
-    space = parse_grid(str(settings.get("grid", "full")))
+    space = parse_grid(settings["grid"])
     plan, evalu = _descriptor_plan(settings, calib, evalu)
     results = grid_search(space, plan, [c.buffer for c in evalu])
     write_grid_json(out / "gridsearch.json", results)
@@ -402,10 +393,11 @@ def cmd_validate_bounds(settings, calib, evalu, out: Path) -> None:
 
 
 def cmd_budget(settings, calib, evalu, out: Path) -> None:
-    plan = _transform_plan(settings)
-    plan.calibrate([c.buffer for c in calib + evalu])
-    graph = plan.realize(settings["bits_config"], enforce_budget=False)
-    report = graph.check_budget()
+    plan = _transform_plan(settings, calib)
+    try:
+        report = plan.realize(settings["bits_config"]).check_budget()
+    except BudgetViolation as exc:
+        report = exc.report
     doc = {"format_version": 1, "transform": settings["transform"],
            "bits": settings["bits_config"].as_dict()}
     doc.update(report.as_dict())
@@ -428,6 +420,9 @@ def main(argv=None) -> int:
     try:
         settings = resolve_settings(args)
         calib, evalu, skips = gather_clips(settings)
+        if args.command in EVALUATING and not evalu:
+            raise CliError("no evaluation clips: every class has a single file, "
+                           "which goes to calibration")
         out = settings["out"]
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](settings, calib, evalu, out)
@@ -435,7 +430,7 @@ def main(argv=None) -> int:
             print(f"skipped: {msg}", file=sys.stderr)
         return EXIT_SKIPS if skips else EXIT_OK
     except (CliError, DatasetError, SignalError, QuantError, CircuitError,
-            ApproxError, EvalError, BudgetViolation, OSError) as exc:
+            ApproxError, EvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .circuit import DESCRIPTOR_NAMES
 
-CSV_FIELDS = ("file_id", "class", "m_gstds", "m_mstds", "mean_rms", "std_rms", "path")
+CSV_FIELDS = ("file_id", "class", *DESCRIPTOR_NAMES, "path")
 
 
 @dataclass(frozen=True)

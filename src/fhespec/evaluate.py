@@ -277,13 +277,13 @@ def _plan_max_taps(plan) -> int:
 
 
 def _search(plan, space: list, score) -> list:
-    """Prune, realize and score each config of `space`, in sorted order.
+    """Prune, realize and score each distinct config of `space`, in sorted order.
 
     Returns (config, score(graph), None) for a realized config and
     (config, None, reason) for one the prune or the budget rejects."""
     max_taps = _plan_max_taps(plan)
     out = []
-    for bits in sorted(space, key=lambda c: c.as_tuple()):
+    for bits in sorted(set(space)):
         if not conv_feasible(bits, max_taps):
             out.append((bits, None, "accumulator bound"))
             continue

@@ -12,15 +12,20 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from fhespec.circuit import PipelinePlan
 from fhespec.cli import (
+    COMMANDS,
+    EVALUATING,
     EXIT_FAILED,
     EXIT_OK,
     EXIT_SKIPS,
     CliError,
+    build_parser,
     main,
     parse_approx,
     parse_bits,
     parse_grid,
+    resolve_settings,
     truncate_to_common_length,
 )
 from fhespec.approx import Cropping, Dilation, Poorman
@@ -33,7 +38,8 @@ from fhespec.dataset import (
     write_wav,
 )
 from fhespec.quant import BitWidthConfig
-from fhespec.transforms import AudioBuffer
+from fhespec.evaluate import SIGNIFICANCE_LEVEL
+from fhespec.transforms import AudioBuffer, GammatoneSpec, MelSpec
 
 FS = 16000
 
@@ -283,6 +289,76 @@ def test_cli_budget(tmp_path, capsys):
     assert doc["budget_bits"] == 16
     printed = capsys.readouterr().out
     assert json.loads(printed)["feasible"] is True
+
+
+def test_cli_gridsearch_repeated_config_scored_once(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "gridsearch",
+                        "--grid", "8,6,8,6;5,6,4,5;8,6,8,6;5,6,4,5")
+    assert code == EXIT_OK
+    doc = json.loads((out / "gridsearch.json").read_text())
+    assert [r["config"] for r in doc["results"]] == [
+        BitWidthConfig(5, 6, 4, 5).as_dict(), BitWidthConfig(8, 6, 8, 6).as_dict()]
+
+
+def test_budget_reports_the_graph_spectrogram_realizes(tmp_path, monkeypatch,
+                                                       capsys):
+    """On these noise clips, calibrating on the evaluation clips as well
+    would widen `stft_conv_requant` and the energy accumulators after it:
+    `budget` must report the graph `spectrogram` runs, calibrated on the
+    calibration split alone."""
+    realized = []
+    realize = PipelinePlan.realize
+
+    def recording(plan, *args, **kwargs):
+        realized.append(realize(plan, *args, **kwargs))
+        return realized[-1]
+
+    monkeypatch.setattr(PipelinePlan, "realize", recording)
+    flags = ["--synthetic", "noise", "--clips", "6", "--duration", "0.062",
+             "--window", "64", "--hop", "32", "--n-mels", "8",
+             "--transform", "mfcc", "--bits", "6,6,4,6", "--seed", "1"]
+    assert main(["spectrogram", *flags, "--out", str(tmp_path / "spec")]) == EXIT_OK
+    assert main(["budget", *flags, "--out", str(tmp_path / "budget")]) == EXIT_OK
+    graph = realized[0]
+    doc = json.loads((tmp_path / "budget" / "budget.json").read_text())
+    assert doc == {"format_version": 1, "transform": "mfcc",
+                   "bits": graph.bits.as_dict(), **graph.check_budget().as_dict()}
+
+
+def test_cli_budget_over_budget_reports_and_exits_ok(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "budget", "--bits", "8,8,8,8")
+    assert code == EXIT_OK
+    doc = json.loads((out / "budget.json").read_text())
+    assert doc["feasible"] is False
+    assert any(n["violation"] for n in doc["nodes"])
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_cli_empty_evaluation_set(tmp_path, command, capsys):
+    """With one clip per class every clip goes to calibration: a command
+    that scores evaluation clips exits 1 and writes nothing."""
+    out = tmp_path / "out"
+    code = main([command, *BASE, "--clips", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    if command in EVALUATING:
+        assert code == EXIT_FAILED
+        assert "error: no evaluation clips" in err
+        assert not out.exists()
+    else:
+        assert code == EXIT_OK, err
+
+
+def test_cli_settings_defaults(tmp_path):
+    settings = resolve_settings(build_parser().parse_args(["gridsearch"]))
+    assert settings["n_mels"] == MelSpec().n_mels
+    assert settings["n_gammatone"] == GammatoneSpec().n_filters
+    assert settings["alpha"] == SIGNIFICANCE_LEVEL
+    assert settings["grid"] == "full"
+    # a config file's grid reaches gridsearch
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\ngrid = 5,6,4,5\n")
+    args = build_parser().parse_args(["gridsearch", "--config", str(cfg)])
+    assert resolve_settings(args)["grid"] == "5,6,4,5"
 
 
 def test_cli_failure_exit_codes(tmp_path, capsys):
