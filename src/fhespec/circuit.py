@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -162,7 +163,9 @@ class Node:
     nodes are never modified (beyond the weight banks a conv or matmul node
     caches per width): `specs` maps every name bound so far to its
     output edge, `edge(name)` is the plan's quantized edge for a node and
-    `normalization` the plan's z-score constants.  `clear()` never touches
+    `normalization` the plan's z-score constants.  A bind reads widths
+    from `bits` and `edge` alone; that is how a `Sweep` learns which
+    fields a node depends on.  `clear()` never touches
     quantization and is what calibration runs.  On a bound node, `step()`
     runs `run_int`, checks any accumulator against its declared range and
     returns the value with its observed magnitude (None when nothing
@@ -205,6 +208,10 @@ def _accumulate(node, v):
     return acc, _max_abs(acc)
 
 
+def _max_row_nonzero(w: np.ndarray) -> int:
+    return int(np.max(np.count_nonzero(w, axis=1)))
+
+
 def _describe_weights(w: np.ndarray) -> dict:
     return {"shape": list(w.shape), "nonzero": int(np.count_nonzero(w)),
             "sha256": hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()}
@@ -214,8 +221,9 @@ class WeightBank:
     """A kernel bank quantized at one weight width.
 
     Holds the int64 codes `q`, their float64 copy `f` that the BLAS kernel
-    multiplies with, the positive and negative row sums `acc_range` reads
-    and the largest row sum of |q|.  Everything but `q` is derived once, here.
+    multiplies with, the positive and negative row sums `acc_range` reads,
+    the largest row sum of |q| and the largest nonzero count of a row.
+    Everything but `q` is derived once, here.
     """
 
     def __init__(self, q: np.ndarray):
@@ -224,6 +232,7 @@ class WeightBank:
         self.pos = np.maximum(q, 0).sum(axis=1)
         self.neg = np.minimum(q, 0).sum(axis=1)
         self.max_row_l1 = int((self.pos - self.neg).max(initial=0))
+        self.nonzero_taps = _max_row_nonzero(q)
 
 
 @dataclass
@@ -263,8 +272,9 @@ class ConvNode(Node):
         return frame_signal(x, self.weights_f.shape[1], self.stride) @ self.weights_f.T
 
     def nonzero_taps(self) -> int:
-        w = self.weights_f if self.weights_q is None else self.weights_q
-        return int(np.max(np.count_nonzero(w, axis=1)))
+        if self.bank is None:
+            return _max_row_nonzero(self.weights_f)
+        return self.bank.nonzero_taps
 
     def acc_range(self) -> tuple[int, int]:
         pos, neg = self.bank.pos, self.bank.neg
@@ -639,10 +649,16 @@ class CircuitGraph:
         raise KeyError(name)
 
     def execute(self, buf: AudioBuffer) -> ExecutionResult:
-        values = {"input": self.input_spec.to_v(buf.samples)}
+        return self._forward(self.input_spec.to_v(buf.samples),
+                             lambda n, *vs: n.step(*vs))
+
+    def _forward(self, v_in: np.ndarray, step) -> ExecutionResult:
+        """Integer forward from the input codes `v_in`; `step(node, *values)`
+        returns a node's (value, observed)."""
+        values = {"input": v_in}
         observed: dict = {}
         for n in self.nodes:
-            values[n.name], obs = n.step(*(values[s] for s in n.inputs))
+            values[n.name], obs = step(n, *(values[s] for s in n.inputs))
             if obs is not None:
                 observed[n.name] = obs
         v = values[self.output_node]
@@ -743,53 +759,192 @@ class PipelinePlan:
 
     def realize(self, bits: BitWidthConfig) -> CircuitGraph:
         """Bind one bit-width configuration: the returned graph executes, and
-        an over-budget configuration raises `BudgetViolation` instead."""
-        if self.ranges is None:
-            raise CircuitError("plan must be calibrated before realization")
-        input_spec = EdgeSpec.from_range(*self.ranges["input"], bits=bits.input_bits,
-                                         signed=False)
-        specs: dict = {"input": input_spec}
+        an over-budget configuration raises `BudgetViolation` instead.  Each
+        call binds every node afresh, so graphs share no node."""
+        return Sweep(self).realize(bits)
 
+
+_BIT_FIELDS = tuple(BitWidthConfig.__dataclass_fields__)
+
+
+class _ReadLog:
+    """Stands in for a `BitWidthConfig` and records the fields read from it.
+
+    `reads` collects the fields read since it was last cleared, and `order`
+    lists every field in the order of its first read."""
+
+    def __init__(self, bits: BitWidthConfig, order: list):
+        self._bits = bits
+        self.order = order
+        self.reads: set = set()
+
+    def __getattr__(self, name: str):
+        if name in _BIT_FIELDS:
+            self.reads.add(name)
+            if name not in self.order:
+                self.order.append(name)
+        return getattr(self._bits, name)
+
+
+@dataclass
+class _Slot:
+    """What a sweep keeps of one node: its latest key and what it bound."""
+
+    fields: tuple  # the config fields the node depends on
+    key: tuple  # their values
+    node: object  # the bound node; for 'input', the input edge
+    entry: BudgetEntry | None
+    values: dict = field(default_factory=dict)  # clip index -> (value, observed)
+
+
+class Sweep:
+    """Realizes and executes one calibrated plan at many configurations,
+    rebinding and rerunning only the nodes whose widths changed.
+
+    A node depends on the config fields its own `bind` reads, through
+    `bits` or the plan's `edge(name)`, plus the fields of its inputs; the
+    input edge reads `input_bits`.  The reads are recorded during the
+    binds themselves.  For each node the sweep keeps one slot: its latest
+    key (the values of those fields), the bound node with its tables and
+    budget entry, and its (value, observed) on each clip index executed
+    since (see `execute` for the values it drops).  A config with another
+    key rebinds the node and drops its values.  A reused value was
+    range-checked by the same bound node on the same input when it was
+    computed.
+
+    `visit` realizes configs in the order of the fields' first reads along
+    the plan (input, weight, mid, output for the descriptor plan), so
+    consecutive configs share the longest prefix.  `PipelinePlan.realize`
+    is the case of a fresh sweep and one config.
+    """
+
+    def __init__(self, plan: PipelinePlan, clips=()):
+        self.plan = plan
+        self.clips = list(clips)
+        self.slots: dict = {}
+        self.order: list = []  # config fields in the order of first read
+        self.graph: CircuitGraph | None = None  # the graph realized last
         # Heads feeding a multi-input node (the descriptor concat) must land
-        # on one shared quantized edge, so their ranges are pooled before any
-        # of them is realized.
-        pooled = {s for n in self.nodes if len(n.inputs) > 1 for s in n.inputs}
-        shared_edge = None
-        if pooled:
-            lo = min(self.ranges[s][0] for s in pooled)
-            hi = max(self.ranges[s][1] for s in pooled)
-            shared_edge = EdgeSpec.from_range(lo, hi, bits=bits.output_bits,
-                                              signed=lo < 0.0)
+        # on one shared quantized edge, so their ranges are pooled.
+        self.pooled = {s for n in plan.nodes if len(n.inputs) > 1 for s in n.inputs}
+        self.readers: dict = {}  # name -> the nodes that read its value
+        for n in plan.nodes:
+            for s in n.inputs:
+                self.readers.setdefault(s, []).append(n.name)
+
+    def _slot(self, name: str, inputs: list, bits: BitWidthConfig, log: _ReadLog,
+              bind) -> _Slot:
+        """The slot of `name` at `bits`, rebound by `bind()` -> (node,
+        budget entry) when its key changed."""
+        slot = self.slots.get(name)
+        if slot is not None and slot.key == tuple(getattr(bits, f) for f in slot.fields):
+            return slot
+        log.reads.clear()
+        node, entry = bind()
+        deps = log.reads.union(*(self.slots[s].fields for s in inputs))
+        fields = tuple(f for f in _BIT_FIELDS if f in deps)
+        slot = self.slots[name] = _Slot(fields, tuple(getattr(bits, f) for f in fields),
+                                        node, entry)
+        return slot
+
+    def realize(self, bits: BitWidthConfig) -> CircuitGraph:
+        """Bind `bits`, reusing every node whose key is unchanged; raises
+        `BudgetViolation` for an over-budget configuration."""
+        plan = self.plan
+        if plan.ranges is None:
+            raise CircuitError("plan must be calibrated before realization")
+        self.graph = None
+        log = _ReadLog(bits, self.order)
 
         def edge(name: str) -> EdgeSpec:
-            if name in pooled:
-                return shared_edge
-            lo, hi = self.ranges[name]
-            b = bits.output_bits if name == self.output_node else bits.mid_bits
+            group = self.pooled if name in self.pooled else (name,)
+            lo = min(plan.ranges[s][0] for s in group)
+            hi = max(plan.ranges[s][1] for s in group)
+            wide = name in self.pooled or name == plan.output_node
+            b = log.output_bits if wide else log.mid_bits
             return EdgeSpec.from_range(lo, hi, bits=b, signed=lo < 0.0)
 
-        nodes = []
-        for n in self.nodes:
-            bound = n.bind(specs, bits, edge, self.normalization)
-            specs[n.name] = bound.out_spec
-            nodes.append(bound)
+        def bind_input():
+            return EdgeSpec.from_range(*plan.ranges["input"], bits=log.input_bits,
+                                       signed=False), None
 
-        graph = CircuitGraph(
-            kind=self.kind,
-            approx_label=approx_label(self.approx),
-            bits=bits,
-            input_spec=input_spec,
-            nodes=nodes,
-            output_node=self.output_node,
-        )
-        report = graph.check_budget()
+        def bind(n):
+            bound = n.bind(specs, log, edge, plan.normalization)
+            return bound, bound.budget_entry()
+
+        input_spec = self._slot("input", [], bits, log, bind_input).node
+        specs: dict = {"input": input_spec}
+        slots = []
+        for n in plan.nodes:
+            slot = self._slot(n.name, n.inputs, bits, log, partial(bind, n))
+            specs[n.name] = slot.node.out_spec
+            slots.append(slot)
+
+        report = AccumulatorReport(entries=[s.entry for s in slots if s.entry is not None])
         if not report.feasible:
             raise BudgetViolation(report)
         # remaining tables are only materialized once the budget holds: an
         # over-budget input edge can make a lookup table huge
-        for n in nodes:
-            n.materialize()
-        return graph
+        for s in slots:
+            s.node.materialize()
+        self.graph = CircuitGraph(
+            kind=plan.kind,
+            approx_label=approx_label(plan.approx),
+            bits=bits,
+            input_spec=input_spec,
+            nodes=[s.node for s in slots],
+            output_node=plan.output_node,
+        )
+        return self.graph
+
+    def execute(self, i: int) -> ExecutionResult:
+        """Run the graph realized last on clip `i` of `clips`, reusing what
+        its bound nodes already computed on that clip.
+
+        A slot keeps the value itself only for the output and for a node
+        with a reader that depends on more fields, since only such a reader
+        can run again while the node is reused; any other slot keeps the
+        observed magnitude alone.  What a run computes is stored once the
+        whole run succeeded, so a node and a reader with its fields always
+        hold the same clips."""
+        graph = self.graph
+        if graph is None:
+            raise CircuitError("the sweep has no realized graph to execute")
+        computed: dict = {}
+
+        def step(n, *vs):
+            hit = self.slots[n.name].values.get(i)
+            if hit is None:
+                hit = computed[n.name] = n.step(*vs)
+            return hit
+
+        v_in = self.slots["input"].values.get(i)
+        if v_in is None:
+            v_in = computed["input"] = graph.input_spec.to_v(self.clips[i].samples), None
+        result = graph._forward(v_in[0], step)
+        for name, (value, observed) in computed.items():
+            width = len(self.slots[name].fields)
+            read_later = name == graph.output_node or any(
+                len(self.slots[r].fields) > width for r in self.readers.get(name, ()))
+            self.slots[name].values[i] = (value if read_later else None), observed
+        return result
+
+    def visit(self, configs: list):
+        """Realize every config of `configs` in traversal order, yielding
+        (bits, graph, None), or (bits, None, violation) for one over budget.
+
+        The first config in sorted order is realized first; its binds
+        record the order of the fields, which sorts the rest."""
+        todo = sorted(set(configs))
+        for k in range(len(todo)):
+            if k == 1:
+                rank = self.order + [f for f in _BIT_FIELDS if f not in self.order]
+                todo[1:] = sorted(todo[1:], key=lambda b: tuple(getattr(b, f) for f in rank))
+            try:
+                graph, violation = self.realize(todo[k]), None
+            except BudgetViolation as exc:
+                graph, violation = None, exc
+            yield todo[k], graph, violation
 
 
 def _energy_head(nodes: list, src: str, approx: ApproxSpec, prefix: str,

@@ -146,6 +146,10 @@ def split_clips(items: list, fraction: float, seed: int) -> tuple[list, list, li
 
 SYNTHETIC_KINDS = ("tones", "noise", "chirps")
 
+# Lowest sample rate of each kind: a tone's frequency is drawn from
+# [100 Hz, 0.4 * rate] and a chirp's end frequency from [1000 Hz, 0.4 * rate].
+MIN_SAMPLE_RATE_HZ = {"tones": 250, "noise": 1, "chirps": 2500}
+
 
 def _tone(rng, n, rate, amplitude):
     freq = rng.uniform(100.0, rate / 2.0 * 0.8)
@@ -170,6 +174,10 @@ def synthetic_clips(kind: str, count: int, seed: int,
         raise DatasetError(f"unknown synthetic kind(s): {', '.join(unknown)}")
     if count < 1:
         raise DatasetError("synthetic clip count must be >= 1")
+    for k in kinds:
+        if sample_rate_hz < MIN_SAMPLE_RATE_HZ[k]:
+            raise DatasetError(f"synthetic {k!r} needs a sample rate of at least "
+                               f"{MIN_SAMPLE_RATE_HZ[k]} Hz, got {sample_rate_hz}")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz

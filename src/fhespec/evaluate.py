@@ -21,9 +21,9 @@ import numpy as np
 from .circuit import (
     BUDGET_BITS,
     DESCRIPTOR_NAMES,
-    BudgetViolation,
     ConvNode,
     PipelinePlan,
+    Sweep,
 )
 from .quant import BitWidthConfig, accumulator_bits
 
@@ -276,24 +276,31 @@ def _plan_max_taps(plan) -> int:
     return max(n.nonzero_taps() for n in plan.nodes if isinstance(n, ConvNode))
 
 
-def _search(plan, space: list, score) -> list:
-    """Prune, realize and score each distinct config of `space`, in sorted order.
+def _search(plan, space: list, evaluation: list, score) -> list:
+    """Prune, realize and score each distinct config of `space`.
 
-    Returns (config, score(graph), None) for a realized config and
-    (config, None, reason) for one the prune or the budget rejects."""
+    One `Sweep` realizes and executes the configs the prune keeps, in its
+    traversal order.  The clear arm does not depend on the bit widths, so
+    it runs once per evaluation clip, on the first graph that realizes.
+    `score(clear, fhe)` gets the clear and the dequantized output of each
+    clip.  Returns, in sorted config order, (config, score, None) for a
+    realized config and (config, None, reason) for one the prune or the
+    budget rejects."""
     max_taps = _plan_max_taps(plan)
-    out = []
-    for bits in sorted(set(space)):
-        if not conv_feasible(bits, max_taps):
-            out.append((bits, None, "accumulator bound"))
+    configs = sorted(set(space))
+    found = {bits: (None, "accumulator bound") for bits in configs
+             if not conv_feasible(bits, max_taps)}
+    sweep = Sweep(plan, evaluation)
+    clear = None
+    for bits, graph, violation in sweep.visit([b for b in configs if b not in found]):
+        if graph is None:
+            found[bits] = (None, str(violation))
             continue
-        try:
-            graph = plan.realize(bits)
-        except BudgetViolation as exc:
-            out.append((bits, None, str(exc)))
-            continue
-        out.append((bits, score(graph), None))
-    return out
+        if clear is None:
+            clear = [graph.run_clear(buf)[graph.output_node] for buf in evaluation]
+        fhe = [sweep.execute(i).dequantized for i in range(len(evaluation))]
+        found[bits] = (score(clear, fhe), None)
+    return [(bits, *found[bits]) for bits in configs]
 
 
 def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:
@@ -301,22 +308,17 @@ def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:
 
     `plan` is a calibrated descriptor plan; the descriptor pipeline spans all
     three filter banks, so the search is joint over the full descriptor
-    vector.  Each configuration only re-realizes the quantized graph.
-    Infeasible configs are reported with feasible=False and excluded from
-    the ranking.
+    vector.  Configurations share the nodes and values whose widths they
+    share (see `Sweep`).  Infeasible configs are reported with
+    feasible=False and excluded from the ranking.
     """
     if not space or not evaluation:
         raise EvalError("grid search needs a nonempty space and datasets")
-    clear_cache: list = []  # the clear arm does not depend on the bit widths
 
-    def correlations(graph) -> dict:
-        if not clear_cache:
-            clear_cache.extend(graph.run_clear(buf)["descriptor_vector"]
-                               for buf in evaluation)
-        fhe = [graph.execute(buf).dequantized for buf in evaluation]
+    def correlations(clear: list, fhe: list) -> dict:
         rs = {}
         for i, name in enumerate(DESCRIPTOR_NAMES):
-            c = [vec[i] for vec in clear_cache]
+            c = [vec[i] for vec in clear]
             f = [vec[i] for vec in fhe]
             try:
                 rs[name] = pearson(c, f)
@@ -325,7 +327,7 @@ def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:
         return rs
 
     results = [GridSearchResult(bits, rs is not None, per_descriptor_r=rs, reason=reason)
-               for bits, rs, reason in _search(plan, space, correlations)]
+               for bits, rs, reason in _search(plan, space, evaluation, correlations)]
     ranked = sorted([r for r in results if r.feasible],
                     key=lambda r: (-r.mean_r, r.config.as_tuple()))
     return ranked + [r for r in results if not r.feasible]
@@ -340,12 +342,10 @@ def transform_distance_search(space: list, plan: PipelinePlan,
     clip's dequantized circuit output with the float forward pass of the
     same graph.
     """
-    def mean_distance(graph) -> float:
-        return float(np.mean([normalized_euclidean(graph.run_clear(buf)[graph.output_node],
-                                                   graph.execute(buf).dequantized)
-                              for buf in evaluation]))
+    def mean_distance(clear: list, fhe: list) -> float:
+        return float(np.mean([normalized_euclidean(c, f) for c, f in zip(clear, fhe)]))
 
-    scored = [(bits, d) for bits, d, _ in _search(plan, space, mean_distance)
+    scored = [(bits, d) for bits, d, _ in _search(plan, space, evaluation, mean_distance)
               if d is not None]
     return sorted(scored, key=lambda t: (t[1], t[0].as_tuple()))
 

@@ -37,6 +37,7 @@ from fhespec.circuit import (
     ConvNode,
     EdgeSpec,
     RawSpec,
+    Sweep,
     approx_label,
     build_descriptor_plan,
     build_transform_plan,
@@ -359,6 +360,66 @@ def test_overflow_check_fires_on_tampered_range():
     conv.out_spec = RawSpec(scale=conv.out_spec.scale, v_lo=0, v_hi=1)
     with pytest.raises(CircuitOverflow):
         graph.execute(calib[0])
+
+
+def test_realized_graphs_are_isolated():
+    calib = clips(3, seed=35)
+    plan = build_descriptor_plan(Conventional(), CFG, FS, n_frames=30,
+                                 mel=MEL, gamma=GAMMA).calibrate(calib)
+    graph = plan.realize(DBITS)
+    attrs = [{k: id(v) for k, v in vars(n).items()} for n in graph.nodes]
+    doc = graph.to_json()
+    results = [graph.execute(buf) for buf in calib]
+    # executing leaves no output on any node
+    assert [{k: id(v) for k, v in vars(n).items()} for n in graph.nodes] == attrs
+    assert graph.to_json() == doc
+    # a later realize and a search on the same plan bind nodes of their own
+    later = plan.realize(DBITS)
+    sweep = Sweep(plan, calib)
+    searched = [g for _, g, _ in sweep.visit([DBITS, BitWidthConfig(4, 6, 4, 5)])]
+    for g in [later, *searched]:
+        assert not {id(n) for n in g.nodes} & {id(n) for n in graph.nodes}
+    # so tampering with one graph leaves the other unchanged
+    conv = later.node("stft_conv")
+    conv.out_spec = RawSpec(scale=conv.out_spec.scale, v_lo=0, v_hi=1)
+    with pytest.raises(CircuitOverflow):
+        later.execute(calib[0])
+    for buf, before in zip(calib, results):
+        after = graph.execute(buf)
+        assert np.array_equal(after.output.data, before.output.data)
+        assert after.observed == before.observed
+    assert graph.to_json() == doc
+
+
+def test_sweep_stores_nothing_from_a_failed_run():
+    calib = clips(3, seed=37)
+    plan = build_transform_plan("stft", Conventional(), CFG, FS).calibrate(calib)
+    sweep = Sweep(plan, calib)
+    reduce = sweep.realize(BITS).node("stft_energy_sum")
+    reduce.out_spec = RawSpec(scale=reduce.out_spec.scale, v_lo=0, v_hi=1)
+    with pytest.raises(CircuitOverflow):
+        sweep.execute(0)
+    assert all(not slot.values for slot in sweep.slots.values())
+
+
+def test_budget_entries_read_nonzero_taps_from_the_bank(monkeypatch):
+    calib = clips(3, seed=36)
+    plan = build_transform_plan("mel", Dilation(rate=4), CFG, FS, mel=MEL)
+    plan.calibrate(calib).realize(BITS)  # quantizes the banks at this weight width
+    count_nonzero = np.count_nonzero
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return count_nonzero(*args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", counting)
+    graph = plan.realize(BitWidthConfig(4, 5, BITS.weight_bits, 5))
+    assert not calls
+    for name in ("stft_conv", "mel_matmul"):
+        node = graph.node(name)
+        taps = int(np.max(count_nonzero(node.weights_q, axis=1)))
+        assert node.nonzero_taps() == node.budget_entry().l_taps == taps
 
 
 # Fidelity sanity --------------------------------------------------------------

@@ -369,6 +369,20 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "y")]) == EXIT_FAILED
 
 
+@pytest.mark.parametrize("kind,rate,minimum", [
+    ("tones", 100, 250), ("tones", 0, 250), ("tones", -5, 250),
+    ("chirps", 1000, 2500), ("noise", 0, 1)])
+def test_cli_low_sample_rate_is_an_error(tmp_path, capsys, kind, rate, minimum):
+    out = tmp_path / "out"
+    assert main(["descriptors", "--synthetic", kind, "--clips", "6",
+                 "--sample-rate", str(rate), "--out", str(out)]) == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"at least {minimum} Hz" in err
+    assert "Traceback" not in err and not out.exists()
+    # the lowest rate of each kind draws its clips
+    assert synthetic_clips(kind, 2, seed=0, sample_rate_hz=minimum)
+
+
 def test_cli_dataset_skips_exit_code(tmp_path, capsys):
     root = tmp_path / "data"
     make_dataset(root, per_class=4)

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu, rankdata
 
-from fhespec.approx import Conventional
+from fhespec.approx import Conventional, Dilation, L1Energy, Poorman
 from fhespec import circuit
 from fhespec.circuit import (
+    BudgetViolation,
     ConvNode,
     MatmulNode,
+    Sweep,
     build_descriptor_plan,
     build_transform_plan,
 )
@@ -250,9 +252,8 @@ def eval_clips(count, seed):
             for _ in range(count)]
 
 
-def descriptor_plan(calib):
-    plan = build_descriptor_plan(Conventional(), CFG, FS, n_frames=30,
-                                 mel=MEL, gamma=GAMMA)
+def descriptor_plan(calib, approx=Conventional()):
+    plan = build_descriptor_plan(approx, CFG, FS, n_frames=30, mel=MEL, gamma=GAMMA)
     return plan.calibrate(calib)
 
 
@@ -322,6 +323,95 @@ def test_grid_search_quantizes_each_weight_width_once(monkeypatch):
                     key=lambda r: (-r.mean_r, r.config.as_tuple()))
     assert results == ranked + [r for r in fresh if not r.feasible]
     assert ranked  # some configs realize
+
+
+def subspace(widths):
+    return sorted(BitWidthConfig(*t) for t in itertools.product(*widths))
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(approx=st.sampled_from([Conventional(), Dilation(rate=4), Poorman(roots=4),
+                               L1Energy()]),
+       widths=st.lists(st.sets(st.integers(2, 8), min_size=1, max_size=2),
+                       min_size=4, max_size=4),
+       data=st.data())
+def test_sweep_equals_fresh_realizes(approx, widths, data):
+    configs = subspace(widths)
+    space = data.draw(st.permutations(configs + configs[:3]))  # repeats, shuffled
+    calib, evalu = eval_clips(3, 28), eval_clips(3, 29)
+    sweep = Sweep(descriptor_plan(calib, approx), evalu)
+    fresh_results = []
+    visited = []
+    for bits, graph, violation in sweep.visit(space):
+        visited.append(bits)
+        # the cache holds one key per node: the one of the config just bound
+        assert set(sweep.slots) == {"input", *(n.name for n in sweep.plan.nodes)}
+        for slot in sweep.slots.values():
+            assert slot.key == tuple(getattr(bits, f) for f in slot.fields)
+            assert set(slot.values) <= set(range(len(evalu)))
+        fresh_plan = descriptor_plan(calib, approx)
+        fresh_results += grid_search([bits], fresh_plan, evalu)
+        try:
+            want = fresh_plan.realize(bits)
+        except BudgetViolation as exc:
+            assert graph is None and str(violation) == str(exc)
+            continue
+        assert violation is None
+        assert graph.to_json() == want.to_json()
+        for i, buf in enumerate(evalu):
+            got, ref = sweep.execute(i), want.execute(buf)
+            assert np.array_equal(got.output.data, ref.output.data)
+            assert np.array_equal(got.dequantized, ref.dequantized)
+            assert got.observed == ref.observed
+    assert sorted(visited) == configs
+    # the search over the whole space ranks like a fresh plan per config
+    fresh_results.sort(key=lambda r: r.config)
+    ranked = sorted((r for r in fresh_results if r.feasible),
+                    key=lambda r: (-r.mean_r, r.config.as_tuple()))
+    assert grid_search(space, descriptor_plan(calib, approx), evalu) == \
+        ranked + [r for r in fresh_results if not r.feasible]
+
+
+def test_sweep_visits_configs_in_field_order_of_first_read():
+    calib, evalu = eval_clips(3, 30), eval_clips(2, 31)
+    sweep = Sweep(descriptor_plan(calib), evalu)
+    configs = subspace([(3, 4), (3, 5), (2, 3), (3, 4)])
+    visited = [bits for bits, _, _ in sweep.visit(configs)]
+    assert sweep.order == ["input_bits", "weight_bits", "mid_bits", "output_bits"]
+    assert visited == sorted(configs, key=lambda b: (b.input_bits, b.weight_bits,
+                                                     b.mid_bits, b.output_bits))
+    # an output width is read by the normalize tables and the concat alone
+    fields = {name: slot.fields for name, slot in sweep.slots.items()}
+    assert fields["input"] == ("input_bits",)
+    assert fields["stft_conv"] == ("input_bits", "weight_bits")
+    assert fields["mel_stds"] == ("input_bits", "weight_bits", "mid_bits")
+    assert {name for name, f in fields.items() if "output_bits" in f} == {
+        "mean_rms", "std_rms", "m_mstds", "m_gstds", "descriptor_vector"}
+
+
+def test_transform_distance_search_runs_the_clear_arm_once_per_clip(monkeypatch):
+    calib, evalu = eval_clips(4, 26), eval_clips(5, 27)
+    space = [BitWidthConfig(3, 3, 2, 3), BitWidthConfig(4, 5, 3, 4),
+             BitWidthConfig(4, 6, 3, 4), BitWidthConfig(6, 8, 4, 8)]
+    plan = build_transform_plan("mel", Conventional(), CFG, FS, mel=MEL).calibrate(calib)
+    run_clear = circuit.CircuitGraph.run_clear
+    calls = Counter()
+
+    def counting(graph, buf):
+        calls[id(buf)] += 1
+        return run_clear(graph, buf)
+
+    monkeypatch.setattr(circuit.CircuitGraph, "run_clear", counting)
+    scored = transform_distance_search(space, plan, evalu)
+    assert calls == Counter({id(buf): 1 for buf in evalu})
+    # each score is the distance of that config's own clear and integer arms
+    want = []
+    for bits in space:
+        graph = plan.realize(bits)
+        want.append((bits, float(np.mean([
+            normalized_euclidean(run_clear(graph, buf)[graph.output_node],
+                                 graph.execute(buf).dequantized) for buf in evalu]))))
+    assert scored == sorted(want, key=lambda t: (t[1], t[0].as_tuple()))
 
 
 def test_grid_search_all_infeasible_reported():
