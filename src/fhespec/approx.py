@@ -234,11 +234,14 @@ def crop_mask(cfg: StftConfig, sample_rate_hz: int, f_min: float, f_max: float) 
     return (freqs >= f_min) & (freqs <= f_max)
 
 
-def crop_kernels(bank: KernelBank, sample_rate_hz: int,
-                 f_min: float = 0.0, f_max: float = 1000.0) -> KernelBank:
-    if not 0 <= f_min < f_max:
-        raise ApproxError("need 0 <= f_min < f_max")
-    keep = crop_mask(bank.cfg, sample_rate_hz, f_min, f_max)[:, None].astype(np.float64)
+def crop_kernels(bank: KernelBank, sample_rate_hz: int, f_min: float,
+                 f_max: float) -> KernelBank:
+    mask = crop_mask(bank.cfg, sample_rate_hz, f_min, f_max)
+    if not mask.any():
+        raise ApproxError(f"crop band {f_min}-{f_max} Hz keeps no bin: bins are "
+                          f"{sample_rate_hz / bank.cfg.window_length} Hz apart, up to "
+                          f"the Nyquist frequency {sample_rate_hz / 2.0} Hz")
+    keep = mask[:, None].astype(np.float64)
     return dc_replace(bank, real=bank.real * keep, imag=bank.imag * keep)
 
 

@@ -236,24 +236,23 @@ class WeightBank:
 
 
 @dataclass
-class ConvNode(Node):
-    """Strided 1-D convolution of the signal with a fixed kernel bank.
+class _DotNode(Node):
+    """Integer dot products of the input with a fixed weight matrix.
 
-    The integer dot products run in float64 BLAS and are cast back to
-    int64.  That is exact: inputs and weights are integers, and every
-    partial sum is bounded by max_row(sum |w_q|) * max |v|, which `bind`
-    refuses at 2^53 or above, so no summation order can round.
+    The products run in float64 BLAS and are cast back to int64.  That is
+    exact: inputs and weights are integers, and every partial sum is
+    bounded by max_row(sum |w_q|) * max |v|, which `bind` refuses at 2^53
+    or above, so no summation order can round.
 
     `banks` maps a weight width to its `(WeightBank, w_scale)`; it is
     filled lazily by `bind` and shared with every bound copy, so each
-    width quantizes the float kernel once.  Setting `weights_q` by hand
-    builds a fresh bank for it.
+    width quantizes the float weights once.  Setting `weights_q` by hand
+    builds a fresh bank for it.  `kind` names the node in the budget report.
     """
 
     name: str
     src: str
-    weights_f: np.ndarray  # (C, N)
-    stride: int
+    weights_f: np.ndarray  # (C_out, C_in)
     bank: WeightBank | None = None
     w_scale: float | None = None
     in_spec: EdgeSpec | None = None
@@ -267,9 +266,6 @@ class ConvNode(Node):
     @weights_q.setter
     def weights_q(self, q: np.ndarray) -> None:
         self.bank = WeightBank(q)
-
-    def clear(self, x: np.ndarray) -> np.ndarray:
-        return frame_signal(x, self.weights_f.shape[1], self.stride) @ self.weights_f.T
 
     def nonzero_taps(self) -> int:
         if self.bank is None:
@@ -299,55 +295,47 @@ class ConvNode(Node):
         node.out_spec = RawSpec(scale=in_spec.scale * w_scale, v_lo=lo, v_hi=hi)
         return node
 
-    def run_int(self, v: np.ndarray) -> np.ndarray:
-        frames = frame_signal(v.astype(np.float64), self.bank.f.shape[1], self.stride)
-        return (frames @ self.bank.f.T).astype(np.int64)  # (T, C)
-
     step = _accumulate
 
     def budget_entry(self, observed_bits=None):
-        return BudgetEntry(self.name, "conv", self.out_spec.width,
+        return BudgetEntry(self.name, self.kind, self.out_spec.width,
                            self.nonzero_taps(), observed_bits)
 
     def describe(self) -> dict:
         return {**super().describe(), "weights": _describe_weights(self.weights_q),
-                "weight_scale": self.w_scale, "stride": self.stride}
+                "weight_scale": self.w_scale}
 
 
 @dataclass
-class MatmulNode(Node):
-    """Channel-mixing matrix applied per frame (mel filterbank, DCT).
+class ConvNode(_DotNode):
+    """Strided 1-D convolution of the signal with a fixed kernel bank
+    (weights (C, N), one row per kernel)."""
 
-    Runs in float64 BLAS and caches one bank per weight width, as `ConvNode`.
-    """
+    stride: int = field(kw_only=True)
+    kind = "conv"
 
-    name: str
-    src: str
-    weights_f: np.ndarray  # (C_out, C_in)
-    bank: WeightBank | None = None
-    w_scale: float | None = None
-    in_spec: EdgeSpec | None = None
-    out_spec: RawSpec | None = None
-    banks: dict = field(default_factory=dict, repr=False)
+    def clear(self, x: np.ndarray) -> np.ndarray:
+        return frame_signal(x, self.weights_f.shape[1], self.stride) @ self.weights_f.T
 
-    weights_q = ConvNode.weights_q
+    def run_int(self, v: np.ndarray) -> np.ndarray:
+        frames = frame_signal(v.astype(np.float64), self.bank.f.shape[1], self.stride)
+        return (frames @ self.bank.f.T).astype(np.int64)  # (T, C)
+
+    def describe(self) -> dict:
+        return {**super().describe(), "stride": self.stride}
+
+
+@dataclass
+class MatmulNode(_DotNode):
+    """Channel-mixing matrix applied per frame (mel filterbank, DCT)."""
+
+    kind = "matmul"
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weights_f.T
 
-    nonzero_taps = ConvNode.nonzero_taps
-    acc_range = ConvNode.acc_range
-    bind = ConvNode.bind
-
     def run_int(self, v: np.ndarray) -> np.ndarray:
         return (v.astype(np.float64) @ self.bank.f.T).astype(np.int64)
-
-    step = _accumulate
-    budget_entry = ConvNode.budget_entry
-
-    def describe(self) -> dict:
-        return {**super().describe(), "weights": _describe_weights(self.weights_q),
-                "weight_scale": self.w_scale}
 
 
 @dataclass
@@ -712,7 +700,6 @@ class PipelinePlan:
 
     kind: str
     approx: ApproxSpec
-    cfg: StftConfig
     sample_rate_hz: int
     nodes: list
     output_node: str
@@ -1006,15 +993,17 @@ def build_transform_plan(kind: str, approx: ApproxSpec, cfg: StftConfig,
             nodes.append(LutNode(name="mel_spec", src="mel_matmul", semantic="requant"))
             output = "mel_spec"
             if kind == "mfcc":
-                d = dct_matrix(matrix.shape[0])[:n_mfcc]
+                if not 1 <= n_mfcc <= mspec.n_mels:
+                    raise CircuitError(f"n_mfcc={n_mfcc} must lie in 1..n_mels "
+                                       f"(n_mels={mspec.n_mels})")
+                d = dct_matrix(mspec.n_mels)[:n_mfcc]
                 nodes.append(LutNode(name="log_lut", src="mel_spec", semantic="log"))
                 nodes.append(MatmulNode(name="dct_matmul", src="log_lut", weights_f=d))
                 nodes.append(LutNode(name="mfcc_out", src="dct_matmul",
                                      semantic="requant"))
                 output = "mfcc_out"
-    return PipelinePlan(kind=kind, approx=approx, cfg=cfg,
-                        sample_rate_hz=sample_rate_hz, nodes=nodes,
-                        output_node=output)
+    return PipelinePlan(kind=kind, approx=approx, sample_rate_hz=sample_rate_hz,
+                        nodes=nodes, output_node=output)
 
 
 DESCRIPTOR_NAMES = ("m_gstds", "m_mstds", "mean_rms", "std_rms")
@@ -1064,7 +1053,7 @@ def build_descriptor_plan(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: i
 
     nodes.append(ConcatNode(name="descriptor_vector",
                             srcs=list(DESCRIPTOR_NAMES)))
-    return PipelinePlan(kind="descriptors", approx=approx, cfg=cfg,
+    return PipelinePlan(kind="descriptors", approx=approx,
                         sample_rate_hz=sample_rate_hz, nodes=nodes,
                         output_node="descriptor_vector",
                         normalization={name: None for name in DESCRIPTOR_NAMES})

@@ -59,6 +59,7 @@ from .evaluate import (
     normalized_euclidean,
     pair_tests,
     write_grid_json,
+    write_json,
     write_pair_csv,
     write_scatter_csv,
     write_summary_json,
@@ -280,12 +281,6 @@ def _transform_plan(settings, calib):
     return plan.calibrate([c.buffer for c in calib])
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_spectrogram(settings, calib, evalu, out: Path) -> None:
     cfg = settings["stft_config"]
     kind = settings["transform"]
@@ -315,7 +310,7 @@ def cmd_spectrogram(settings, calib, evalu, out: Path) -> None:
             "sample_rate_hz": settings["sample_rate"],
             "transform": kind, "channel_freqs_hz": channels,
             "mean_distance": float(np.mean([d for _, d in distances]))}
-    _write_json(out / "axes.json", axes)
+    write_json(out / "axes.json", axes)
     print(f"spectrogram: {len(evalu)} clips, "
           f"mean distance {axes['mean_distance']:.6f}")
 
@@ -384,7 +379,7 @@ def cmd_validate_bounds(settings, calib, evalu, out: Path) -> None:
                                "satisfied": bool(residual < 1e-9)}
     doc = {"format_version": 1, "clips": len(clips),
            "poorman_bound": poorman_ok, "dilation_aliasing": aliasing}
-    _write_json(out / "bounds.json", doc)
+    write_json(out / "bounds.json", doc)
     ok = (all(v["all_satisfied"] for v in poorman_ok.values())
           and all(v["satisfied"] for v in aliasing.values()))
     print(f"validate-bounds: {'all checks satisfied' if ok else 'VIOLATIONS found'}")
@@ -401,7 +396,7 @@ def cmd_budget(settings, calib, evalu, out: Path) -> None:
     doc = {"format_version": 1, "transform": settings["transform"],
            "bits": settings["bits_config"].as_dict()}
     doc.update(report.as_dict())
-    _write_json(out / "budget.json", doc)
+    write_json(out / "budget.json", doc)
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 

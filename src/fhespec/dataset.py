@@ -43,16 +43,8 @@ class SkipRecord:
 
 @dataclass
 class DatasetManifest:
-    root: Path
-    sample_rate_hz: int
     entries: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
-
-    def labels(self) -> list:
-        return sorted({e.label for e in self.entries})
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def read_wav(path, expected_rate_hz: int | None = None) -> AudioBuffer:
@@ -86,7 +78,7 @@ def ingest(root, sample_rate_hz: int) -> DatasetManifest:
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
-    manifest = DatasetManifest(root=root, sample_rate_hz=sample_rate_hz)
+    manifest = DatasetManifest()
     used: dict = {}  # file id -> the accepted file's path relative to root
     for wav_path in sorted(root.rglob("*.wav")):
         rel = wav_path.relative_to(root)
@@ -112,6 +104,11 @@ def ingest(root, sample_rate_hz: int) -> DatasetManifest:
     return manifest
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DatasetError(f"seed must be nonnegative, got {seed}")
+
+
 def split_clips(items: list, fraction: float, seed: int) -> tuple[list, list, list]:
     """Per-class proportional calibration/evaluation split of labelled items.
 
@@ -123,6 +120,7 @@ def split_clips(items: list, fraction: float, seed: int) -> tuple[list, list, li
     """
     if not 0.0 < fraction < 1.0:
         raise DatasetError("calibration fraction must be in (0, 1)")
+    _check_seed(seed)
     by_label: dict = {}
     for item in items:
         by_label.setdefault(item.label, []).append(item)
@@ -178,8 +176,11 @@ def synthetic_clips(kind: str, count: int, seed: int,
         if sample_rate_hz < MIN_SAMPLE_RATE_HZ[k]:
             raise DatasetError(f"synthetic {k!r} needs a sample rate of at least "
                                f"{MIN_SAMPLE_RATE_HZ[k]} Hz, got {sample_rate_hz}")
+    n = int(round(duration_s * sample_rate_hz)) if math.isfinite(duration_s) else 0
+    if n < 1:
+        raise DatasetError(f"{duration_s} s at {sample_rate_hz} Hz gives no samples")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz
     clips = []
     for k in kinds:

@@ -41,13 +41,3 @@ def write_descriptor_csv(path, vectors: list) -> None:
         for v in vectors:
             writer.writerow(v.as_row())
 
-
-def read_descriptor_csv(path) -> list:
-    vectors = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            vectors.append(DescriptorVector(
-                file_id=row["file_id"], label=row["class"],
-                values={n: float(row[n]) for n in DESCRIPTOR_NAMES},
-                path=row["path"]))
-    return vectors

@@ -221,6 +221,8 @@ def pair_tests(clear_by_class: dict, fhe_by_class: dict,
     Inputs map class label -> list of descriptor dicts.  When `descriptor`
     is None a test is emitted per (pair, descriptor); otherwise one per pair.
     """
+    if not 0.0 < alpha < 1.0:
+        raise EvalError(f"significance level must lie in (0, 1), got {alpha}")
     names = DESCRIPTOR_NAMES if descriptor is None else (descriptor,)
     labels = sorted(clear_by_class)
     results = []
@@ -370,19 +372,16 @@ def write_scatter_csv(path, results: list) -> None:
             writer.writerow([repr(r.p_clear), repr(r.p_fhe)])
 
 
-def write_summary_json(path, report: DiscoveryErrorReport,
-                       extra: dict | None = None) -> None:
-    doc = {"format_version": 1, "discovery": report.as_dict()}
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_summary_json(path, report: DiscoveryErrorReport, extra: dict) -> None:
+    write_json(path, {"format_version": 1, "discovery": report.as_dict(), **extra})
 
 
 def write_grid_json(path, results: list) -> None:
-    doc = {"format_version": 1,
-           "results": [r.as_dict() for r in results]}
+    write_json(path, {"format_version": 1, "results": [r.as_dict() for r in results]})
+
+
+def write_json(path, doc: dict) -> None:
+    """Indented JSON with sorted keys and a final newline (deterministic bytes)."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

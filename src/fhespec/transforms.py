@@ -79,26 +79,24 @@ class StftConfig:
 @dataclass(frozen=True)
 class MelSpec:
     n_mels: int = 64
-    f_low: float = 0.0
-    f_high: float | None = None  # defaults to Nyquist
 
     def __post_init__(self):
         if self.n_mels < 1:
             raise SignalError("n_mels must be positive")
-        if self.f_low < 0:
-            raise SignalError("f_low must be nonnegative")
+
+
+# Gammatone filters are 4th order, with centers from 50 Hz to Nyquist.
+GAMMATONE_ORDER = 4
+GAMMATONE_F_LOW_HZ = 50.0
 
 
 @dataclass(frozen=True)
 class GammatoneSpec:
     n_filters: int = 64
-    order: int = 4
-    f_low: float = 50.0
-    f_high: float | None = None
 
     def __post_init__(self):
-        if self.n_filters < 1 or self.order < 1:
-            raise SignalError("gammatone spec needs n_filters >= 1 and order >= 1")
+        if self.n_filters < 1:
+            raise SignalError("gammatone spec needs n_filters >= 1")
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -191,10 +189,10 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def _mel_triangles(n_mels: int, f_low: float, f_high: float,
-                   bin_freqs: np.ndarray) -> np.ndarray:
-    """(n_mels, K) un-normalized triangular filters on the HTK mel scale."""
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_low), hz_to_mel(f_high), n_mels + 2))
+def _mel_triangles(n_mels: int, f_high: float, bin_freqs: np.ndarray) -> np.ndarray:
+    """(n_mels, K) un-normalized triangular filters on the HTK mel scale,
+    from 0 Hz to `f_high`."""
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(f_high), n_mels + 2))
     lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     up = (bin_freqs[None, :] - lower) / np.maximum(center - lower, 1e-12)
     down = (upper - bin_freqs[None, :]) / np.maximum(upper - center, 1e-12)
@@ -202,11 +200,9 @@ def _mel_triangles(n_mels: int, f_low: float, f_high: float,
 
 
 def mel_filterbank_matrix(spec: MelSpec, cfg: StftConfig, sample_rate_hz: int) -> np.ndarray:
-    """(n_mels, K) triangular filters on the HTK mel scale, each row peaking at 1."""
-    f_high = spec.f_high if spec.f_high is not None else sample_rate_hz / 2.0
-    if not spec.f_low < f_high <= sample_rate_hz / 2.0:
-        raise SignalError("need 0 <= f_low < f_high <= Nyquist")
-    band = (spec.f_low, f_high, cfg.bin_upper_freqs(sample_rate_hz))
+    """(n_mels, K) triangular filters on the HTK mel scale from 0 Hz to
+    Nyquist, each row peaking at 1."""
+    band = (sample_rate_hz / 2.0, cfg.bin_upper_freqs(sample_rate_hz))
     weights = _mel_triangles(spec.n_mels, *band)
     row_max = weights.max(axis=1)
     if np.any(row_max <= 0.0):
@@ -249,21 +245,24 @@ def erb_scale_inv(e):
 
 
 def gammatone_center_freqs(spec: GammatoneSpec, sample_rate_hz: int) -> np.ndarray:
-    f_high = spec.f_high if spec.f_high is not None else sample_rate_hz / 2.0
-    if not 0 < spec.f_low < f_high:
-        raise SignalError("need 0 < f_low < f_high for gammatone centers")
-    return erb_scale_inv(np.linspace(erb_scale(spec.f_low), erb_scale(f_high), spec.n_filters))
+    nyquist = sample_rate_hz / 2.0
+    if not GAMMATONE_F_LOW_HZ < nyquist:
+        raise SignalError(f"gammatone centers start at {GAMMATONE_F_LOW_HZ} Hz, at or "
+                          f"above the Nyquist frequency {nyquist} Hz")
+    return erb_scale_inv(np.linspace(erb_scale(GAMMATONE_F_LOW_HZ), erb_scale(nyquist),
+                                     spec.n_filters))
 
 
 def gammatone_kernels(spec: GammatoneSpec, cfg: StftConfig, sample_rate_hz: int) -> np.ndarray:
     """(n_filters, N) peak-normalized FIR gammatone kernels.
 
-    g(t) = t^(order-1) * exp(-2*pi*b*t) * cos(2*pi*f_c*t), b = 1.019 * ERB(f_c).
+    g(t) = t^(order-1) * exp(-2*pi*b*t) * cos(2*pi*f_c*t), b = 1.019 * ERB(f_c),
+    with order `GAMMATONE_ORDER`.
     """
     centers = gammatone_center_freqs(spec, sample_rate_hz)
     t = np.arange(cfg.window_length)[None, :] / sample_rate_hz
     b = 1.019 * erb_bandwidth(centers)[:, None]
     fc = centers[:, None]
-    g = t ** (spec.order - 1) * np.exp(-2.0 * np.pi * b * t) * np.cos(2.0 * np.pi * fc * t)
+    g = t ** (GAMMATONE_ORDER - 1) * np.exp(-2.0 * np.pi * b * t) * np.cos(2.0 * np.pi * fc * t)
     peak = np.abs(g).max(axis=1, keepdims=True)
     return g / peak

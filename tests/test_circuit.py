@@ -295,6 +295,8 @@ def test_budget_report_structure():
     assert report.feasible
     kinds = {e.kind for e in report.entries}
     assert "conv" in kinds and "reduce" in kinds
+    by_node = {e.node: e.kind for e in report.entries}
+    assert by_node["stft_conv"] == "conv" and by_node["mel_matmul"] == "matmul"
     assert all(e.worst_case_bits <= BUDGET_BITS for e in report.entries)
     d = report.as_dict()
     assert d["feasible"] is True and d["budget_bits"] == BUDGET_BITS

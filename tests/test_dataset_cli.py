@@ -103,8 +103,8 @@ def test_ingest_layout_and_skips(tmp_path):
                   np.zeros(500, dtype=np.int16))
     write_wav(root / "beta" / "alpha_0.wav", AudioBuffer(np.ones(500) * 0.1, FS))
     manifest = ingest(root, FS)
-    assert manifest.labels() == ["alpha", "beta"]
-    assert len(manifest) == 9
+    assert sorted({e.label for e in manifest.entries}) == ["alpha", "beta"]
+    assert len(manifest.entries) == 9
     deep = next(e for e in manifest.entries if e.file_id == "deep")
     assert (deep.label, deep.sublabel) == ("alpha", "sub")
     assert np.allclose(deep.buffer.samples, 0.1)  # decoded once, kept
@@ -131,7 +131,7 @@ def test_stratified_split_deterministic_and_proportional(tmp_path):
     for label in ("alpha", "beta"):
         assert sum(e.label == label for e in cal1) == 2
         assert sum(e.label == label for e in ev1) == 8
-    assert len(cal1) + len(ev1) == len(manifest)
+    assert len(cal1) + len(ev1) == len(manifest.entries)
     assert not set(keys(cal1)) & set(keys(ev1))
     assert warnings == []
     with pytest.raises(DatasetError):
@@ -315,7 +315,7 @@ def test_budget_reports_the_graph_spectrogram_realizes(tmp_path, monkeypatch,
 
     monkeypatch.setattr(PipelinePlan, "realize", recording)
     flags = ["--synthetic", "noise", "--clips", "6", "--duration", "0.062",
-             "--window", "64", "--hop", "32", "--n-mels", "8",
+             "--window", "64", "--hop", "32", "--n-mels", "8", "--n-mfcc", "8",
              "--transform", "mfcc", "--bits", "6,6,4,6", "--seed", "1"]
     assert main(["spectrogram", *flags, "--out", str(tmp_path / "spec")]) == EXIT_OK
     assert main(["budget", *flags, "--out", str(tmp_path / "budget")]) == EXIT_OK
@@ -381,6 +381,45 @@ def test_cli_low_sample_rate_is_an_error(tmp_path, capsys, kind, rate, minimum):
     assert "Traceback" not in err and not out.exists()
     # the lowest rate of each kind draws its clips
     assert synthetic_clips(kind, 2, seed=0, sample_rate_hz=minimum)
+
+
+MFCC = ["--transform", "mfcc", "--window", "256", "--hop", "128", "--n-mels", "16"]
+
+
+@pytest.mark.parametrize("command,extra,names", [
+    ("spectrogram", [*MFCC, "--n-mfcc", "40"], ["n_mfcc=40", "n_mels=16"]),
+    ("spectrogram", [*MFCC, "--n-mfcc", "-3"], ["n_mfcc=-3", "n_mels=16"]),
+    ("spectrogram", [*MFCC, "--n-mfcc", "0"], ["n_mfcc=0", "n_mels=16"]),
+    ("budget", [*MFCC, "--n-mfcc", "17"], ["n_mfcc=17", "n_mels=16"]),
+    ("descriptors", ["--seed", "-1"], ["seed", "-1"]),
+    ("descriptors", ["--synthetic", "noise", "--duration", "-1"], ["-1.0 s", "no samples"]),
+    ("descriptors", ["--duration", "0"], ["no samples"]),
+    ("stattest", ["--alpha", "2"], ["significance level", "2.0"]),
+    ("stattest", ["--alpha", "-1"], ["significance level", "-1.0"]),
+    ("stattest", ["--alpha", "1"], ["significance level", "1.0"]),
+    ("spectrogram", ["--approx", "crop:9000:10000"],
+     ["9000.0-10000.0 Hz", "Nyquist frequency 8000.0 Hz"]),
+])
+def test_cli_out_of_range_value_is_an_error(tmp_path, capsys, command, extra, names):
+    code, _ = run_cli(tmp_path, command, *extra)
+    assert code == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("extra", [
+    [*MFCC, "--n-mfcc", "16"], [*MFCC, "--n-mfcc", "1"], ["--approx", "crop:0:2000"]])
+def test_cli_edge_of_range_values_run(tmp_path, capsys, extra):
+    assert run_cli(tmp_path, "spectrogram", *extra)[0] == EXIT_OK
+
+
+def test_split_refuses_a_negative_seed(tmp_path, capsys):
+    root = tmp_path / "data"
+    make_dataset(root)
+    assert main(["descriptors", "--dataset", str(root), "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == EXIT_FAILED
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
 def test_cli_dataset_skips_exit_code(tmp_path, capsys):

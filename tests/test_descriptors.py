@@ -4,6 +4,8 @@ The clear descriptors are the float forward pass (`run_clear`) of the joint
 descriptor graph, so the formula checks read its intermediate nodes.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from fhespec.circuit import DESCRIPTOR_NAMES, CircuitError, build_descriptor_pla
 from fhespec.descriptors import (
     CSV_FIELDS,
     DescriptorVector,
-    read_descriptor_csv,
     write_descriptor_csv,
 )
 from fhespec.evaluate import pearson
@@ -141,7 +142,11 @@ def test_csv_round_trip(tmp_path):
     write_descriptor_csv(out, vectors)
     header = out.read_text().splitlines()[0]
     assert header == ",".join(CSV_FIELDS)
-    back = read_descriptor_csv(out)
+    with open(out, newline="") as fh:
+        back = [DescriptorVector(file_id=row["file_id"], label=row["class"],
+                                 values={n: float(row[n]) for n in DESCRIPTOR_NAMES},
+                                 path=row["path"])
+                for row in csv.DictReader(fh)]
     assert back == vectors  # repr() serialization is lossless for floats
 
 
