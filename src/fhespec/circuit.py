@@ -340,24 +340,25 @@ class MatmulNode(_DotNode):
 
 @dataclass
 class LutNode(Node):
-    """Elementwise lookup table keyed on the incoming integer value.
+    """Elementwise lookup table keyed on the incoming integer value; the
+    table is `clear` evaluated on every integer of the input edge.
 
-    Semantics: 'square' and 'abs' emit raw (un-requantized) integers so the
-    cost contrast between l1 and squared energy is visible in the budget
-    report; 'requant', 'log', 'sqrt' and 'normalize' emit values on a
-    quantized edge.
+    'square' and 'abs' emit raw (un-requantized) integers so the cost
+    contrast between l1 and squared energy is visible in the budget report;
+    'requant', 'log', 'sqrt' and 'normalize' emit values on a quantized
+    edge.  Unbound, 'normalize' is the identity calibration collects.
     """
 
     name: str
     src: str
     semantic: str
-    norm_center: float | None = None
-    norm_scale: float | None = None
+    norm_center: float = 0.0
+    norm_scale: float = 1.0
     in_spec: EdgeSpec | RawSpec | None = None
     out_spec: EdgeSpec | RawSpec | None = None
     table: np.ndarray | None = None
 
-    def semantic_fn(self, x: np.ndarray) -> np.ndarray:
+    def clear(self, x: np.ndarray) -> np.ndarray:
         if self.semantic == "square":
             return np.square(x)
         if self.semantic == "abs":
@@ -372,11 +373,6 @@ class LutNode(Node):
             return (x - self.norm_center) / self.norm_scale
         raise CircuitError(f"unknown LUT semantic {self.semantic!r}")
 
-    def clear(self, x: np.ndarray) -> np.ndarray:
-        if self.semantic == "normalize" and self.norm_center is None:
-            return x  # calibration pass collects un-normalized values
-        return self.semantic_fn(x)
-
     def bind(self, specs, bits, edge, normalization):
         node = replace(self, in_spec=specs[self.src])
         if self.semantic in ("square", "abs"):
@@ -390,17 +386,13 @@ class LutNode(Node):
     def build_table(self):
         lo, hi = self.in_spec.bounds
         v_in = np.arange(lo, hi + 1, dtype=np.int64)
-        if self.semantic == "square":
-            self.table = v_in * v_in
-            self.out_spec = RawSpec(scale=self.in_spec.scale**2, v_lo=0,
-                                    v_hi=int(self.table.max(initial=0)))
-        elif self.semantic == "abs":
-            self.table = np.abs(v_in)
-            self.out_spec = RawSpec(scale=self.in_spec.scale, v_lo=0,
-                                    v_hi=int(self.table.max(initial=0)))
+        if self.semantic in ("square", "abs"):
+            self.table = self.clear(v_in)
+            scale = self.in_spec.scale
+            self.out_spec = RawSpec(scale=scale**2 if self.semantic == "square" else scale,
+                                    v_lo=0, v_hi=int(self.table.max(initial=0)))
         else:
-            y = self.semantic_fn(self.in_spec.to_float(v_in))
-            self.table = self.out_spec.to_v(y)
+            self.table = self.out_spec.to_v(self.clear(self.in_spec.to_float(v_in)))
 
     def materialize(self) -> None:
         if self.table is None:
@@ -972,6 +964,13 @@ def _gamma_nodes(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: int,
     return nodes
 
 
+def _mel_nodes(power: str, mel: MelSpec, cfg: StftConfig, sample_rate_hz: int) -> list:
+    """Mel filterbank over the power spectrogram `power`, requantized."""
+    matrix = mel_filterbank_matrix(mel, cfg, sample_rate_hz)
+    return [MatmulNode(name="mel_matmul", src=power, weights_f=matrix),
+            LutNode(name="mel_spec", src="mel_matmul", semantic="requant")]
+
+
 def build_transform_plan(kind: str, approx: ApproxSpec, cfg: StftConfig,
                          sample_rate_hz: int,
                          mel: MelSpec | None = None,
@@ -988,9 +987,7 @@ def build_transform_plan(kind: str, approx: ApproxSpec, cfg: StftConfig,
         output = power
         if kind in ("mel", "mfcc"):
             mspec = mel or MelSpec()
-            matrix = mel_filterbank_matrix(mspec, cfg, sample_rate_hz)
-            nodes.append(MatmulNode(name="mel_matmul", src=power, weights_f=matrix))
-            nodes.append(LutNode(name="mel_spec", src="mel_matmul", semantic="requant"))
+            nodes += _mel_nodes(power, mspec, cfg, sample_rate_hz)
             output = "mel_spec"
             if kind == "mfcc":
                 if not 1 <= n_mfcc <= mspec.n_mels:
@@ -1036,9 +1033,7 @@ def build_descriptor_plan(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: i
     nodes.append(LutNode(name="std_rms", src="std_rms_val", semantic="normalize"))
 
     # mean over Mel channels of the per-channel std over time
-    matrix = mel_filterbank_matrix(mspec, cfg, sample_rate_hz)
-    nodes.append(MatmulNode(name="mel_matmul", src=power, weights_f=matrix))
-    nodes.append(LutNode(name="mel_spec", src="mel_matmul", semantic="requant"))
+    nodes += _mel_nodes(power, mspec, cfg, sample_rate_hz)
     nodes.append(StdNode(name="mel_stds", src="mel_spec", fan_in=n_frames))
     nodes.append(ReduceNode(name="m_mstds_sum", src="mel_stds", op="mean",
                             axis="channels", fan_in=mspec.n_mels))

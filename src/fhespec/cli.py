@@ -4,8 +4,8 @@ Subcommands: spectrogram (clear + simulated-encrypted spectrograms and their
 distances), descriptors (per-clip descriptor CSV for both paths), stattest
 (class-pair Mann-Whitney replication report), gridsearch (bit-width ranking),
 validate-bounds (approximation bound/identity checks on audio), budget
-(worst-case accumulator report of the circuit the other commands realize,
-without executing it).
+(worst-case accumulator report of the transform circuit spectrogram
+realizes, without executing it).
 
 Outputs carry no timestamps, so repeated runs with identical inputs and seed
 produce byte-identical files.  Exit codes: 0 success, 3 completed with
@@ -58,6 +58,7 @@ from .evaluate import (
     grid_search,
     normalized_euclidean,
     pair_tests,
+    write_csv,
     write_grid_json,
     write_json,
     write_pair_csv,
@@ -294,12 +295,10 @@ def cmd_spectrogram(settings, calib, evalu, out: Path) -> None:
         np.savetxt(out / f"{clip.file_id}_fhe.csv", fhe,
                    fmt="%.9e", delimiter=",")
         distances.append((clip.file_id, normalized_euclidean(clear, fhe)))
-    with open(out / "distances.csv", "w", newline="") as fh:
-        fh.write("file_id,distance\n")
-        for fid, d in distances:
-            fh.write(f"{fid},{d!r}\n")
+    write_csv(out / "distances.csv", ["file_id", "distance"],
+              ([fid, repr(d)] for fid, d in distances))
     if kind == "stft":
-        channels = cfg.bin_upper_freqs(settings["sample_rate"]).tolist()
+        channels = cfg.bin_freqs(settings["sample_rate"]).tolist()
     elif kind == "gammatone":
         channels = gammatone_center_freqs(settings["gamma_spec"],
                                           settings["sample_rate"]).tolist()

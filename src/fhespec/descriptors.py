@@ -12,10 +12,10 @@ simulated encrypted descriptors normalize identically.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .circuit import DESCRIPTOR_NAMES
+from .evaluate import write_csv
 
 CSV_FIELDS = ("file_id", "class", *DESCRIPTOR_NAMES, "path")
 
@@ -27,17 +27,11 @@ class DescriptorVector:
     values: dict  # descriptor name -> float
     path: str  # 'clear' | 'fhe'
 
-    def as_row(self) -> dict:
-        row = {"file_id": self.file_id, "class": self.label, "path": self.path}
-        row.update({n: repr(self.values[n]) for n in DESCRIPTOR_NAMES})
-        return row
+    def as_row(self) -> list:
+        return [self.file_id, self.label,
+                *(repr(self.values[n]) for n in DESCRIPTOR_NAMES), self.path]
 
 
 def write_descriptor_csv(path, vectors: list) -> None:
     """Write descriptor vectors in a fixed column order (deterministic bytes)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for v in vectors:
-            writer.writerow(v.as_row())
-
+    write_csv(path, CSV_FIELDS, (v.as_row() for v in vectors))

@@ -355,21 +355,15 @@ def transform_distance_search(space: list, plan: PipelinePlan,
 # Report emission --------------------------------------------------------------
 
 def write_pair_csv(path, results: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class_a", "class_b", "p_clear", "p_fhe", "outcome"])
-        for r in results:
-            writer.writerow([r.class_pair[0], r.class_pair[1],
-                             repr(r.p_clear), repr(r.p_fhe), r.outcome])
+    write_csv(path, ["class_a", "class_b", "p_clear", "p_fhe", "outcome"],
+              ([*r.class_pair, repr(r.p_clear), repr(r.p_fhe), r.outcome]
+               for r in results))
 
 
 def write_scatter_csv(path, results: list) -> None:
     """Per-pair (p_clear, p_fhe) points for a log-log scatter plot."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p_clear", "p_fhe"])
-        for r in results:
-            writer.writerow([repr(r.p_clear), repr(r.p_fhe)])
+    write_csv(path, ["p_clear", "p_fhe"],
+              ([repr(r.p_clear), repr(r.p_fhe)] for r in results))
 
 
 def write_summary_json(path, report: DiscoveryErrorReport, extra: dict) -> None:
@@ -385,3 +379,11 @@ def write_json(path, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row, fields quoted where needed."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

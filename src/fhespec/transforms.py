@@ -66,8 +66,8 @@ class StftConfig:
     def bin_upper_freqs(self, sample_rate_hz: int) -> np.ndarray:
         """Upper edge of each retained bin: (k + 1) * f_s / N.
 
-        Used by the frequency-adaptive window width rule, where bin 0 needs
-        a nonzero frequency.
+        The Mel filterbank samples its triangles here, one bin above the
+        bin frequencies `bin_freqs`.
         """
         return (np.arange(self.bins) + 1) * sample_rate_hz / self.window_length
 

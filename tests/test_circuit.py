@@ -516,14 +516,24 @@ def test_calibration_errors():
 
 BITS_ST = st.builds(BitWidthConfig, *[st.integers(2, 8)] * 4)
 PLAN_KINDS = ("stft", "mel", "mfcc", "gammatone", "descriptors")
+PROPERTY_APPROXES = APPROXES + [Dilation(rate=None), FreqAdaptiveWindow(n_min=16)]
+# (N, hop): the smallest N that holds 8 Mel bands is 32
+STFT_CONFIGS = st.sampled_from((32, 64, 128)).flatmap(
+    lambda n: st.builds(StftConfig, st.just(n), st.integers(1, n)))
 
 
-def calibrated_plan(kind, approx):
+def calibrated_plan(kind, approx, cfg=CFG, n_frames=30):
+    """A plan calibrated on clips of exactly `n_frames` frames."""
     if kind == "descriptors":
-        plan = build_descriptor_plan(approx, CFG, FS, n_frames=30, mel=MEL, gamma=GAMMA)
+        plan = build_descriptor_plan(approx, cfg, FS, n_frames=n_frames, mel=MEL,
+                                     gamma=GAMMA)
     else:
-        plan = build_transform_plan(kind, approx, CFG, FS, mel=MEL, gamma=GAMMA, n_mfcc=8)
-    return plan.calibrate(clips(4, seed=40))
+        plan = build_transform_plan(kind, approx, cfg, FS, mel=MEL, gamma=GAMMA, n_mfcc=8)
+    return plan.calibrate(clips(4, seed=40, n=clip_length(cfg, n_frames)))
+
+
+def clip_length(cfg, n_frames):
+    return cfg.window_length + (n_frames - 1) * cfg.hop
 
 
 def realize_or_none(plan, bits):
@@ -533,21 +543,19 @@ def realize_or_none(plan, bits):
         return None
 
 
-@settings(max_examples=30, deadline=None, database=None)
-@given(kind=st.sampled_from(PLAN_KINDS),
-       approx=st.sampled_from(APPROXES + [Dilation(rate=None),
-                                          FreqAdaptiveWindow(n_min=16)]),
-       a=BITS_ST, b=BITS_ST)
-def test_realize_properties_over_random_configs(kind, approx, a, b):
-    plan = calibrated_plan(kind, approx)
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
+       cfg=STFT_CONFIGS, n_frames=st.integers(2, 40), a=BITS_ST, b=BITS_ST)
+def test_realize_properties_over_random_configs(kind, approx, cfg, n_frames, a, b):
+    plan = calibrated_plan(kind, approx, cfg, n_frames)
     graph_a, graph_b = realize_or_none(plan, a), realize_or_none(plan, b)
     # binding never mutates the plan: B after A serializes like a fresh B
-    fresh_b = realize_or_none(calibrated_plan(kind, approx), b)
+    fresh_b = realize_or_none(calibrated_plan(kind, approx, cfg, n_frames), b)
     assert (graph_b is None) == (fresh_b is None)
     if graph_b is not None:
         assert graph_b.to_json() == fresh_b.to_json()
     # every config that realizes is bit-exact with the oracle
-    evalu = clips(2, seed=41)
+    evalu = clips(2, seed=41, n=clip_length(cfg, n_frames))
     # and no accumulator it executes exceeds its declared worst case
     for graph in (graph_a, graph_b):
         for buf in evalu if graph is not None else []:
@@ -567,3 +575,18 @@ def test_realize_properties_over_random_configs(kind, approx, a, b):
             assert clear.keys() == reference.keys()
             for name in clear:
                 assert np.array_equal(clear[name], reference[name])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
+       cfg=STFT_CONFIGS,
+       configs=st.lists(st.tuples(*[st.integers(2, 7)] * 4), min_size=1, max_size=24))
+def test_budget_violations_persist_under_wider_widths(kind, approx, cfg, configs):
+    """If config c is over budget, so is c plus one bit in any field: every
+    worst case is non-decreasing in each of the four widths."""
+    plan = calibrated_plan(kind, approx, cfg)
+    for c in configs:
+        if realize_or_none(plan, BitWidthConfig(*c)) is None:
+            for i in range(4):
+                wider = BitWidthConfig(*(w + (j == i) for j, w in enumerate(c)))
+                assert realize_or_none(plan, wider) is None, (c, wider)

@@ -1,5 +1,6 @@
 """Dataset ingestion, splits, synthetic corpora, and CLI end-to-end runs."""
 
+import csv
 import json
 import os
 import re
@@ -251,6 +252,41 @@ def test_cli_spectrogram(tmp_path, capsys):
     assert 0.0 <= axes["mean_distance"] <= 2.0
     assert (out / "distances.csv").exists()
     assert list(out.glob("*_clear.csv")) and list(out.glob("*_fhe.csv"))
+
+
+def test_cli_stft_axes_are_bin_frequencies(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "spectrogram")
+    assert code == EXIT_OK
+    freqs = json.loads((out / "axes.json").read_text())["channel_freqs_hz"]
+    window = int(BASE[BASE.index("--window") + 1])
+    assert len(freqs) == window // 2 + 1  # K columns, DC to Nyquist
+    assert freqs[0] == 0.0 and freqs[-1] == FS / 2
+    assert freqs[1] == FS / window
+
+
+def test_cli_distances_csv_quotes_file_ids(tmp_path, capsys):
+    root = tmp_path / "data"
+    rng = np.random.default_rng(3)
+    for label, stem in (("alpha", "a,b"), ("beta", "plain")):
+        (root / label).mkdir(parents=True)
+        for name in (stem, f"{label}_0", f"{label}_1"):
+            write_wav(root / label / f"{name}.wav",
+                      AudioBuffer(rng.standard_normal(992) * 0.3, FS))
+    entries = ingest(root, FS).entries
+    seed = next(s for s in range(20) if {"a,b", "plain"} <= {
+        c.file_id for c in split_clips(entries, 0.1, s)[1]})
+    evaluated = {c.file_id for c in split_clips(entries, 0.1, seed)[1]}
+    out = tmp_path / "out"
+    assert main(["spectrogram", "--dataset", str(root), "--window", "64", "--hop", "32",
+                 "--n-mels", "8", "--n-gammatone", "8", "--bits", "5,6,4,5",
+                 "--calib-fraction", "0.1", "--seed", str(seed),
+                 "--out", str(out)]) == EXIT_OK
+    with open(out / "distances.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["file_id", "distance"]
+    assert all(len(row) == 2 for row in rows)
+    assert {fid for fid, _ in rows} == evaluated
+    assert all(0.0 <= float(d) <= 2.0 for _, d in rows)
 
 
 def test_cli_stattest(tmp_path, capsys):

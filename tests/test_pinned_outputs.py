@@ -1,0 +1,49 @@
+"""The benchmark workloads' outputs equal their pinned digests.
+
+Each of the three `perfbench` workloads runs once, at seed 3 with one BLAS
+thread, as its own CLI process; the SHA-256 over its output files must equal
+the digest `perfbench/digests.json` pins for it.  An unintended change to
+any output then fails here rather than only in the benchmark.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 3
+
+
+def load_workloads():
+    """perfbench/workloads.py, imported without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_output_equals_its_pin(tmp_path, name):
+    workload = WORKLOADS.WORKLOADS[name]
+    pinned = WORKLOADS.pinned_digest(name, 1, SEED)
+    assert pinned is not None, f"no digest pinned for {name} at seed {SEED}"
+    out = tmp_path / "out"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fhespec.cli", *WORKLOADS.cli_args(workload, SEED, out)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert WORKLOADS.output_digest(out) == pinned
