@@ -171,6 +171,11 @@ class Node:
     returns the value with its observed magnitude (None when nothing
     accumulates); `budget_entry()` and `describe()` feed the budget report
     and the JSON serialization.
+
+    Every value has a leading clip axis: the input is (B, L), a frame-wise
+    value (B, T, C) or (B, T), a statistic over time (B, C) or (B,), and
+    the descriptor vector (B, 4).  `clear` and `run_int` treat the clips
+    independently, so an observed magnitude is the maximum over the batch.
     """
 
     @property
@@ -191,21 +196,21 @@ class Node:
                 "inputs": self.inputs, "out_edge": self.out_spec.describe()}
 
 
-def _check_range(name, arr, lo, hi):
-    if arr.size and (arr.min() < lo or arr.max() > hi):
+def _check_range(name, arr, lo, hi) -> int:
+    """Raise unless `arr` lies in [lo, hi]; return its largest magnitude."""
+    if not arr.size:
+        return 0
+    a, b = int(arr.min()), int(arr.max())
+    if a < lo or b > hi:
         raise CircuitOverflow(f"node {name}: observed value outside declared range "
                               f"[{lo}, {hi}]")
-
-
-def _max_abs(arr) -> int:
-    return int(np.abs(arr).max(initial=0))
+    return max(-a, b)
 
 
 def _accumulate(node, v):
     """Step of a node whose output is a raw accumulator."""
     acc = node.run_int(v)
-    _check_range(node.name, acc, node.out_spec.v_lo, node.out_spec.v_hi)
-    return acc, _max_abs(acc)
+    return acc, _check_range(node.name, acc, node.out_spec.v_lo, node.out_spec.v_hi)
 
 
 def _max_row_nonzero(w: np.ndarray) -> int:
@@ -242,7 +247,8 @@ class _DotNode(Node):
     The products run in float64 BLAS and are cast back to int64.  That is
     exact: inputs and weights are integers, and every partial sum is
     bounded by max_row(sum |w_q|) * max |v|, which `bind` refuses at 2^53
-    or above, so no summation order can round.
+    or above, so no summation order can round.  The bound is per output
+    element, so it covers a batch of any size unchanged.
 
     `banks` maps a weight width to its `(WeightBank, w_scale)`; it is
     filled lazily by `bind` and shared with every bound copy, so each
@@ -319,7 +325,7 @@ class ConvNode(_DotNode):
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
         frames = frame_signal(v.astype(np.float64), self.bank.f.shape[1], self.stride)
-        return (frames @ self.bank.f.T).astype(np.int64)  # (T, C)
+        return (frames @ self.bank.f.T).astype(np.int64)  # (B, T, C)
 
     def describe(self) -> dict:
         return {**super().describe(), "stride": self.stride}
@@ -425,12 +431,11 @@ class ReduceNode(Node):
 
     def _split(self, x: np.ndarray):
         if self.axis == "pair":
-            t, c2 = x.shape
-            return x.reshape(t, 2, c2 // 2), 1
+            return x.reshape(*x.shape[:-1], 2, x.shape[-1] // 2), -2
         if self.axis == "channels":
-            return x, x.ndim - 1
+            return x, -1
         if self.axis == "time":
-            return x, 0
+            return x, 1
         raise CircuitError(f"unknown reduce axis {self.axis!r}")
 
     def clear(self, x: np.ndarray) -> np.ndarray:
@@ -476,7 +481,7 @@ class StdNode(Node):
     fan_in: int | None = None
 
     def clear(self, x: np.ndarray) -> np.ndarray:
-        return x.std(axis=0)
+        return x.std(axis=1)
 
     def acc_worst(self) -> tuple[int, int]:
         t = self.fan_in
@@ -487,9 +492,9 @@ class StdNode(Node):
         return replace(self, in_spec=specs[self.src], out_spec=edge(self.name))
 
     def run_int(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = v.shape[0]
-        s1 = v.sum(axis=0)
-        s2 = (v * v).sum(axis=0)
+        t = v.shape[1]
+        s1 = v.sum(axis=1)
+        s2 = (v * v).sum(axis=1)
         m2 = t * s2 - s1 * s1  # exact: t^2 * variance in integer units
         std = self.in_spec.scale * np.sqrt(m2.astype(np.float64)) / t
         return self.out_spec.to_v(std), s1, s2
@@ -497,9 +502,8 @@ class StdNode(Node):
     def step(self, v):
         out, s1, s2 = self.run_int(v)
         w1, w2 = self.acc_worst()
-        _check_range(self.name, s1, -w1, w1)
-        _check_range(self.name, s2, 0, w2)
-        return out, max(_max_abs(s1), _max_abs(s2))
+        return out, max(_check_range(self.name, s1, -w1, w1),
+                        _check_range(self.name, s2, 0, w2))
 
     def budget_entry(self, observed_bits=None):
         w1, w2 = self.acc_worst()
@@ -509,7 +513,8 @@ class StdNode(Node):
 
 @dataclass
 class ConcatNode(Node):
-    """Concatenate scalar heads that share one set of output params."""
+    """Stack per-clip scalar heads that share one set of output params
+    along the last axis."""
 
     name: str
     srcs: list
@@ -521,7 +526,7 @@ class ConcatNode(Node):
         return self.srcs
 
     def clear(self, *xs) -> np.ndarray:
-        return np.array([float(np.asarray(x)) for x in xs])
+        return np.stack(xs, axis=-1)
 
     def bind(self, specs, bits, edge, normalization):
         in_spec = specs[self.srcs[0]]
@@ -530,15 +535,16 @@ class ConcatNode(Node):
         return replace(self, in_spec=in_spec, out_spec=in_spec)
 
     def run_int(self, *vs) -> np.ndarray:
-        return np.array([int(np.asarray(v)) for v in vs], dtype=np.int64)
+        return np.stack(vs, axis=-1)
 
 
 def _clear_forward(nodes: list, samples: np.ndarray) -> dict:
-    """Float forward of a node list: every node's value, keyed by name."""
-    values = {"input": samples}
+    """Float forward of a node list on one clip: every node's value, keyed
+    by name, without the clip axis the nodes run with."""
+    values = {"input": samples[None]}
     for n in nodes:
         values[n.name] = n.clear(*(values[s] for s in n.inputs))
-    return values
+    return {name: value[0] for name, value in values.items()}
 
 
 # Weight quantization ---------------------------------------------------------
@@ -629,23 +635,34 @@ class CircuitGraph:
         raise KeyError(name)
 
     def execute(self, buf: AudioBuffer) -> ExecutionResult:
-        return self._forward(self.input_spec.to_v(buf.samples),
-                             lambda n, *vs: n.step(*vs))
+        """Integer forward of one clip: a batch of one, returned without
+        the clip axis."""
+        v, observed = self._forward(self.input_spec.to_v(buf.samples[None]),
+                                    lambda n, *vs: n.step(*vs))
+        return self._result(v[0], observed)
 
-    def _forward(self, v_in: np.ndarray, step) -> ExecutionResult:
-        """Integer forward from the input codes `v_in`; `step(node, *values)`
-        returns a node's (value, observed)."""
+    def _forward(self, v_in: np.ndarray, step) -> tuple[np.ndarray, dict]:
+        """Integer forward from the (B, L) input codes `v_in`; `step(node,
+        *values)` returns a node's (value, observed).  Returns the output
+        node's integers and the observed magnitude of each node.  A value
+        is dropped once its last reader ran, which lowers what a batch of
+        many clips holds at once."""
+        last_read = {s: k for k, n in enumerate(self.nodes) for s in n.inputs}
         values = {"input": v_in}
         observed: dict = {}
-        for n in self.nodes:
+        for k, n in enumerate(self.nodes):
             values[n.name], obs = step(n, *(values[s] for s in n.inputs))
             if obs is not None:
                 observed[n.name] = obs
-        v = values[self.output_node]
+            for s in n.inputs:
+                if last_read[s] == k:
+                    values.pop(s, None)
+        return values[self.output_node], observed
+
+    def _result(self, v: np.ndarray, observed: dict) -> ExecutionResult:
         spec = self.node(self.output_node).out_spec
-        q = v - spec.lift
         return ExecutionResult(
-            output=QuantizedTensor(data=q, params=spec),
+            output=QuantizedTensor(data=v - spec.lift, params=spec),
             dequantized=spec.to_float(v),
             observed=observed,
         )
@@ -773,21 +790,24 @@ class _Slot:
     key: tuple  # their values
     node: object  # the bound node; for 'input', the input edge
     entry: BudgetEntry | None
-    values: dict = field(default_factory=dict)  # clip index -> (value, observed)
+    value: tuple | None = None  # (value, observed) over the sweep's clips
 
 
 class Sweep:
     """Realizes and executes one calibrated plan at many configurations,
     rebinding and rerunning only the nodes whose widths changed.
 
+    The clips must have equal lengths: every execution runs the graph once
+    over all of them, stacked into one (B, L) batch.
+
     A node depends on the config fields its own `bind` reads, through
     `bits` or the plan's `edge(name)`, plus the fields of its inputs; the
     input edge reads `input_bits`.  The reads are recorded during the
     binds themselves.  For each node the sweep keeps one slot: its latest
     key (the values of those fields), the bound node with its tables and
-    budget entry, and its (value, observed) on each clip index executed
-    since (see `execute` for the values it drops).  A config with another
-    key rebinds the node and drops its values.  A reused value was
+    budget entry, and its batched (value, observed) once executed (see
+    `execute` for the values it drops).  A config with another key
+    rebinds the node and drops its value.  A reused value was
     range-checked by the same bound node on the same input when it was
     computed.
 
@@ -798,8 +818,11 @@ class Sweep:
     """
 
     def __init__(self, plan: PipelinePlan, clips=()):
+        lengths = sorted({len(c.samples) for c in clips})
+        if len(lengths) > 1:
+            raise CircuitError(f"sweep clips must have one length, got lengths {lengths}")
         self.plan = plan
-        self.clips = list(clips)
+        self.samples = np.stack([c.samples for c in clips]) if lengths else None  # (B, L)
         self.slots: dict = {}
         self.order: list = []  # config fields in the order of first read
         self.graph: CircuitGraph | None = None  # the graph realized last
@@ -876,37 +899,41 @@ class Sweep:
         )
         return self.graph
 
-    def execute(self, i: int) -> ExecutionResult:
-        """Run the graph realized last on clip `i` of `clips`, reusing what
-        its bound nodes already computed on that clip.
+    def execute(self) -> ExecutionResult:
+        """Run the graph realized last once over all clips, reusing what its
+        bound nodes already computed.  The result's arrays lead with the
+        clip axis, and `observed` holds the maximum over the clips.
 
         A slot keeps the value itself only for the output and for a node
         with a reader that depends on more fields, since only such a reader
         can run again while the node is reused; any other slot keeps the
         observed magnitude alone.  What a run computes is stored once the
-        whole run succeeded, so a node and a reader with its fields always
-        hold the same clips."""
+        whole run succeeded, so a failed run leaves every slot as it was."""
         graph = self.graph
         if graph is None:
             raise CircuitError("the sweep has no realized graph to execute")
-        computed: dict = {}
+        if self.samples is None:
+            raise CircuitError("the sweep has no clips to execute on")
+        computed: dict = {}  # name -> what its slot keeps of this run
 
-        def step(n, *vs):
-            hit = self.slots[n.name].values.get(i)
-            if hit is None:
-                hit = computed[n.name] = n.step(*vs)
-            return hit
-
-        v_in = self.slots["input"].values.get(i)
-        if v_in is None:
-            v_in = computed["input"] = graph.input_spec.to_v(self.clips[i].samples), None
-        result = graph._forward(v_in[0], step)
-        for name, (value, observed) in computed.items():
+        def keep(name, value, obs):
             width = len(self.slots[name].fields)
             read_later = name == graph.output_node or any(
                 len(self.slots[r].fields) > width for r in self.readers.get(name, ()))
-            self.slots[name].values[i] = (value if read_later else None), observed
-        return result
+            computed[name] = (value if read_later else None), obs
+            return value, obs
+
+        def step(n, *vs):
+            hit = self.slots[n.name].value
+            return hit if hit is not None else keep(n.name, *n.step(*vs))
+
+        v_in = self.slots["input"].value
+        if v_in is None:
+            v_in = keep("input", graph.input_spec.to_v(self.samples), None)
+        v, observed = graph._forward(v_in[0], step)
+        for name, kept in computed.items():
+            self.slots[name].value = kept
+        return graph._result(v, observed)
 
     def visit(self, configs: list):
         """Realize every config of `configs` in traversal order, yielding

@@ -147,14 +147,31 @@ def mann_whitney_u(a, b, method: str = "auto") -> float:
 
 # Pearson ----------------------------------------------------------------------
 
-def pearson(a, b) -> float:
-    a = _finite(a, "pearson input a")
-    b = _finite(b, "pearson input b")
-    if a.size != b.size or a.size < 2:
-        raise EvalError("pearson needs two equal-length vectors of size >= 2")
-    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+def pearson(a, b):
+    """Pearson r of two vectors, or of each column pair of two (n, k) arrays.
+
+    The column form makes one `np.corrcoef` call and returns the k
+    correlations, nan for a column that is constant on either side.  The
+    vector form is its k = 1 case and raises `UndefinedCorrelation` there.
+    The rows handed to `np.corrcoef` are C-contiguous, so each row's mean
+    sums in the same order as in the vector form."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    vector = a.ndim == 1
+    if vector:
+        a, b = a[:, None], b[:, None]
+    if a.shape != b.shape or a.ndim != 2 or len(a) < 2:
+        raise EvalError("pearson needs two equal-shape vectors or (n, k) arrays "
+                        "with n >= 2")
+    _finite(a, "pearson input a")
+    _finite(b, "pearson input b")
+    constant = (np.ptp(a, axis=0) == 0.0) | (np.ptp(b, axis=0) == 0.0)
+    if vector and constant[0]:
         raise UndefinedCorrelation("pearson is undefined for constant input")
-    return float(np.corrcoef(a, b)[0, 1])
+    k = a.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.corrcoef(np.ascontiguousarray(np.concatenate([a, b], axis=1).T))
+    r = np.where(constant, np.nan, c[np.arange(k), k + np.arange(k)])
+    return float(r[0]) if vector else r
 
 
 # Discovery errors -------------------------------------------------------------
@@ -282,12 +299,15 @@ def _search(plan, space: list, evaluation: list, score) -> list:
     """Prune, realize and score each distinct config of `space`.
 
     One `Sweep` realizes and executes the configs the prune keeps, in its
-    traversal order.  The clear arm does not depend on the bit widths, so
-    it runs once per evaluation clip, on the first graph that realizes.
-    `score(clear, fhe)` gets the clear and the dequantized output of each
-    clip.  Returns, in sorted config order, (config, score, None) for a
-    realized config and (config, None, reason) for one the prune or the
-    budget rejects."""
+    traversal order, each config once over all evaluation clips (which
+    must have equal lengths).  The clear arm does not depend on the bit
+    widths, so it runs once per evaluation clip, on the first graph that
+    realizes.  `score(clear, fhe)` gets the clear and the dequantized
+    outputs, stacked along a leading clip axis.  Returns, in sorted config
+    order, (config, score, None) for a realized config and (config, None,
+    reason) for one the prune or the budget rejects."""
+    if not evaluation:
+        raise EvalError("a search needs evaluation clips")
     max_taps = _plan_max_taps(plan)
     configs = sorted(set(space))
     found = {bits: (None, "accumulator bound") for bits in configs
@@ -299,9 +319,8 @@ def _search(plan, space: list, evaluation: list, score) -> list:
             found[bits] = (None, str(violation))
             continue
         if clear is None:
-            clear = [graph.run_clear(buf)[graph.output_node] for buf in evaluation]
-        fhe = [sweep.execute(i).dequantized for i in range(len(evaluation))]
-        found[bits] = (score(clear, fhe), None)
+            clear = np.stack([graph.run_clear(buf)[graph.output_node] for buf in evaluation])
+        found[bits] = (score(clear, sweep.execute().dequantized), None)
     return [(bits, *found[bits]) for bits in configs]
 
 
@@ -314,19 +333,14 @@ def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:
     share (see `Sweep`).  Infeasible configs are reported with
     feasible=False and excluded from the ranking.
     """
-    if not space or not evaluation:
-        raise EvalError("grid search needs a nonempty space and datasets")
+    if not space:
+        raise EvalError("grid search needs a nonempty space")
 
-    def correlations(clear: list, fhe: list) -> dict:
-        rs = {}
-        for i, name in enumerate(DESCRIPTOR_NAMES):
-            c = [vec[i] for vec in clear]
-            f = [vec[i] for vec in fhe]
-            try:
-                rs[name] = pearson(c, f)
-            except UndefinedCorrelation:
-                rs[name] = 0.0  # constant arm carries no ranking signal
-        return rs
+    def correlations(clear: np.ndarray, fhe: np.ndarray) -> dict:
+        rs = pearson(clear, fhe)
+        # a constant arm (nan) carries no ranking signal
+        return {name: 0.0 if math.isnan(r) else float(r)
+                for name, r in zip(DESCRIPTOR_NAMES, rs)}
 
     results = [GridSearchResult(bits, rs is not None, per_descriptor_r=rs, reason=reason)
                for bits, rs, reason in _search(plan, space, evaluation, correlations)]
@@ -339,12 +353,14 @@ def transform_distance_search(space: list, plan: PipelinePlan,
                               evaluation: list) -> list:
     """Rank configurations by mean clear-vs-simulated spectrogram distance.
 
-    `plan` is a calibrated transform plan.  Returns (config, mean_distance)
-    pairs for feasible configs, best first; the distance compares each
-    clip's dequantized circuit output with the float forward pass of the
-    same graph.
+    `plan` is a calibrated transform plan, and the evaluation clips must
+    have equal lengths: each config runs once over all of them, and a
+    `CircuitError` names the lengths otherwise.  Returns (config,
+    mean_distance) pairs for feasible configs, best first; the distance
+    compares each clip's dequantized circuit output with the float forward
+    pass of the same graph.
     """
-    def mean_distance(clear: list, fhe: list) -> float:
+    def mean_distance(clear: np.ndarray, fhe: np.ndarray) -> float:
         return float(np.mean([normalized_euclidean(c, f) for c, f in zip(clear, fhe)]))
 
     scored = [(bits, d) for bits, d, _ in _search(plan, space, evaluation, mean_distance)

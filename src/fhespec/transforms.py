@@ -108,13 +108,15 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def frame_signal(x: np.ndarray, n: int, hop: int) -> np.ndarray:
-    """Strided (T, N) view of the frames fully inside the signal."""
-    t = (x.size - n) // hop + 1
+    """Strided (..., T, N) view of the frames fully inside the signal, taken
+    along its last axis."""
+    t = (x.shape[-1] - n) // hop + 1
     if t < 1:
         raise SignalError("signal shorter than one frame")
-    stride = x.strides[0]
+    stride = x.strides[-1]
     return np.lib.stride_tricks.as_strided(
-        x, shape=(t, n), strides=(hop * stride, stride), writeable=False
+        x, shape=(*x.shape[:-1], t, n), strides=(*x.strides[:-1], hop * stride, stride),
+        writeable=False
     )
 
 

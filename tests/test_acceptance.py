@@ -128,7 +128,7 @@ def test_accumulator_width_achieved_by_adversarial_input():
                                 bits=n, signed=False)
         lo, hi = node.acc_range()
         node.out_spec = RawSpec(scale=1.0, v_lo=lo, v_hi=hi)
-        acc = node.run_int(np.full(l, (1 << n) - 1, dtype=np.int64))
+        acc = node.run_int(np.full((1, l), (1 << n) - 1, dtype=np.int64))
         observed = width_of(int(acc.max()))
         assert observed == node.out_spec.width == accumulator_bits(l, n, m)
     print("PASS: worst-case accumulator width achieved exactly "
@@ -329,7 +329,7 @@ def test_l1_saves_accumulator_bits_versus_square():
         assert widths["abs_sum"] == b + 1
         assert widths["square_sum"] == 2 * b + 1
         # the widths are attained by an adversarial full-scale input
-        v = np.full((1, 2), -m, dtype=np.int64)
+        v = np.full((1, 1, 2), -m, dtype=np.int64)  # one clip, one frame
         for sem, want in (("abs", b + 1), ("square", 2 * b + 1)):
             lut = next(n for n in nodes if n.name == f"{sem}_lut")
             red = next(n for n in nodes if n.name == f"{sem}_sum")

@@ -154,9 +154,9 @@ def test_conv_kernel_exact_at_max_bits():
     hi = np.where(q >= 0, in_spec.v_max, in_spec.v_min)
     lo = np.where(q >= 0, in_spec.v_min, in_spec.v_max)
     frames = np.concatenate([hi, lo])
-    got = node.run_int(frames.ravel())
+    got = node.run_int(frames.ravel()[None])  # a batch of one clip
     assert got.dtype == np.int64
-    assert np.array_equal(got, np.einsum("tn,cn->tc", frames, q))
+    assert np.array_equal(got, np.einsum("tn,cn->tc", frames, q)[None])
     assert (got.min(), got.max()) == node.acc_range()
     assert node.out_spec.max_abs > 1 << 39  # far beyond float32's 2^24
 
@@ -400,8 +400,8 @@ def test_sweep_stores_nothing_from_a_failed_run():
     reduce = sweep.realize(BITS).node("stft_energy_sum")
     reduce.out_spec = RawSpec(scale=reduce.out_spec.scale, v_lo=0, v_hi=1)
     with pytest.raises(CircuitOverflow):
-        sweep.execute(0)
-    assert all(not slot.values for slot in sweep.slots.values())
+        sweep.execute()
+    assert all(slot.value is None for slot in sweep.slots.values())
 
 
 def test_budget_entries_read_nonzero_taps_from_the_bank(monkeypatch):
@@ -575,6 +575,37 @@ def test_realize_properties_over_random_configs(kind, approx, cfg, n_frames, a, 
             assert clear.keys() == reference.keys()
             for name in clear:
                 assert np.array_equal(clear[name], reference[name])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
+       cfg=STFT_CONFIGS, n_frames=st.integers(2, 40), n_clips=st.integers(1, 4),
+       configs=st.lists(BITS_ST, min_size=1, max_size=3))
+def test_sweep_batch_equals_per_clip_execution(kind, approx, cfg, n_frames, n_clips,
+                                               configs):
+    """One batched run of a sweep gives, row by row, what each clip gives on
+    its own, and observes the maximum of the per-clip magnitudes."""
+    plan = calibrated_plan(kind, approx, cfg, n_frames)
+    evalu = clips(n_clips, seed=42, n=clip_length(cfg, n_frames))
+    sweep = Sweep(plan, evalu)
+    for _, graph, _ in sweep.visit(configs):
+        if graph is None:
+            continue
+        got = sweep.execute()
+        refs = [graph.execute(buf) for buf in evalu]
+        assert len(got.output.data) == n_clips
+        for row, ref, buf in zip(got.output.data, refs, evalu):
+            assert np.array_equal(row, ref.output.data)
+            assert np.array_equal(row, fake_quant_reference(graph, buf))
+        assert np.array_equal(got.dequantized, np.stack([r.dequantized for r in refs]))
+        assert got.observed == {name: max(r.observed[name] for r in refs)
+                                for name in refs[0].observed}
+
+
+def test_sweep_refuses_clips_of_unequal_length():
+    plan = build_transform_plan("stft", Conventional(), CFG, FS).calibrate(clips(2))
+    with pytest.raises(CircuitError, match=r"lengths \[992, 1024\]"):
+        Sweep(plan, clips(2, seed=1) + clips(1, seed=2, n=1024))
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -199,6 +199,30 @@ def test_pearson_formula_and_errors():
         pearson([1.0], [2.0])
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       const_a=st.lists(st.booleans(), min_size=4, max_size=4),
+       const_b=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_pearson_columns_equal_the_vector_form(n, seed, const_a, const_b):
+    """The column form equals a 1-D `np.corrcoef` per column bit for bit, and
+    gives nan, with no warning, for a column constant on either side."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, 4)) * rng.uniform(0.1, 10.0, 4)
+    b = a + rng.standard_normal((n, 4)) * rng.uniform(0.01, 3.0, 4)
+    a[:, const_a] = 0.1  # a repeated value whose mean need not be exact
+    b[:, const_b] = rng.uniform(-1.0, 1.0)
+    r = pearson(a, b)
+    assert r.shape == (4,)
+    for j in range(4):
+        if const_a[j] or const_b[j]:
+            assert np.isnan(r[j])
+        else:
+            assert r[j] == np.corrcoef(a[:, j], b[:, j])[0, 1]
+            assert r[j] == pearson(a[:, j], b[:, j])
+    with pytest.raises(EvalError, match="equal-shape"):
+        pearson(a, b[:, :3])
+
+
 # Discovery accounting ---------------------------------------------------------
 
 def test_pair_outcomes_partition():
@@ -348,7 +372,9 @@ def test_sweep_equals_fresh_realizes(approx, widths, data):
         assert set(sweep.slots) == {"input", *(n.name for n in sweep.plan.nodes)}
         for slot in sweep.slots.values():
             assert slot.key == tuple(getattr(bits, f) for f in slot.fields)
-            assert set(slot.values) <= set(range(len(evalu)))
+            # a kept value spans the whole batch of evaluation clips
+            if slot.value is not None and slot.value[0] is not None:
+                assert len(slot.value[0]) == len(evalu)
         fresh_plan = descriptor_plan(calib, approx)
         fresh_results += grid_search([bits], fresh_plan, evalu)
         try:
@@ -358,11 +384,12 @@ def test_sweep_equals_fresh_realizes(approx, widths, data):
             continue
         assert violation is None
         assert graph.to_json() == want.to_json()
-        for i, buf in enumerate(evalu):
-            got, ref = sweep.execute(i), want.execute(buf)
-            assert np.array_equal(got.output.data, ref.output.data)
-            assert np.array_equal(got.dequantized, ref.dequantized)
-            assert got.observed == ref.observed
+        got, refs = sweep.execute(), [want.execute(buf) for buf in evalu]
+        for i, ref in enumerate(refs):
+            assert np.array_equal(got.output.data[i], ref.output.data)
+            assert np.array_equal(got.dequantized[i], ref.dequantized)
+        assert got.observed == {name: max(ref.observed[name] for ref in refs)
+                                for name in refs[0].observed}
     assert sorted(visited) == configs
     # the search over the whole space ranks like a fresh plan per config
     fresh_results.sort(key=lambda r: r.config)
@@ -440,3 +467,5 @@ def test_transform_distance_search_orders_by_fidelity():
     assert scored[0][0] == BitWidthConfig(6, 8, 4, 8)  # best first
     assert scored[0][1] < scored[1][1]
     assert all(0.0 <= d <= 2.0 for _, d in scored)
+    with pytest.raises(EvalError, match="evaluation clips"):
+        transform_distance_search(space, plan, [])
