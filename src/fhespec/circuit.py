@@ -38,6 +38,7 @@ from .transforms import (
     hann_window,
     mel_filterbank_matrix,
     MFCC_LOG_EPS,
+    N_MFCC,
 )
 
 BUDGET_BITS = 16
@@ -211,6 +212,14 @@ def _accumulate(node, v):
     """Step of a node whose output is a raw accumulator."""
     acc = node.run_int(v)
     return acc, _check_range(node.name, acc, node.out_spec.v_lo, node.out_spec.v_hi)
+
+
+def _check_frames(node, v) -> None:
+    """Refuse a clip whose frame count is not the time fan-in that sized
+    the node's mean and worst case."""
+    if v.shape[1] != node.fan_in:
+        raise CircuitError(f"node {node.name}: clip has {v.shape[1]} frames, "
+                           f"but the node was sized for fan_in={node.fan_in}")
 
 
 def _max_row_nonzero(w: np.ndarray) -> int:
@@ -453,6 +462,8 @@ class ReduceNode(Node):
                        out_spec=RawSpec(scale=scale, v_lo=fan * lo, v_hi=fan * hi))
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
+        if self.axis == "time":
+            _check_frames(self, v)
         arr, ax = self._split(v)
         return arr.sum(axis=ax)
 
@@ -492,7 +503,8 @@ class StdNode(Node):
         return replace(self, in_spec=specs[self.src], out_spec=edge(self.name))
 
     def run_int(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = v.shape[1]
+        _check_frames(self, v)
+        t = self.fan_in
         s1 = v.sum(axis=1)
         s2 = (v * v).sum(axis=1)
         m2 = t * s2 - s1 * s1  # exact: t^2 * variance in integer units
@@ -760,25 +772,24 @@ class PipelinePlan:
         return Sweep(self).realize(bits)
 
 
-_BIT_FIELDS = tuple(BitWidthConfig.__dataclass_fields__)
+# The config fields in the order a plan's nodes first read them: the input
+# edge, the conv weights, the intermediate edges, the output edges.  Every
+# node's fields are a prefix of it, so configs sorted by it share the
+# longest prefix of bound nodes and kept values.
+SWEEP_ORDER = ("input_bits", "weight_bits", "mid_bits", "output_bits")
 
 
 class _ReadLog:
-    """Stands in for a `BitWidthConfig` and records the fields read from it.
+    """Stands in for a `BitWidthConfig` and records, in `reads`, the fields
+    read from it since `reads` was last cleared."""
 
-    `reads` collects the fields read since it was last cleared, and `order`
-    lists every field in the order of its first read."""
-
-    def __init__(self, bits: BitWidthConfig, order: list):
+    def __init__(self, bits: BitWidthConfig):
         self._bits = bits
-        self.order = order
         self.reads: set = set()
 
     def __getattr__(self, name: str):
-        if name in _BIT_FIELDS:
+        if name in SWEEP_ORDER:
             self.reads.add(name)
-            if name not in self.order:
-                self.order.append(name)
         return getattr(self._bits, name)
 
 
@@ -803,16 +814,15 @@ class Sweep:
     A node depends on the config fields its own `bind` reads, through
     `bits` or the plan's `edge(name)`, plus the fields of its inputs; the
     input edge reads `input_bits`.  The reads are recorded during the
-    binds themselves.  For each node the sweep keeps one slot: its latest
-    key (the values of those fields), the bound node with its tables and
-    budget entry, and its batched (value, observed) once executed (see
-    `execute` for the values it drops).  A config with another key
-    rebinds the node and drops its value.  A reused value was
-    range-checked by the same bound node on the same input when it was
-    computed.
+    binds themselves, and a node's fields are listed in `SWEEP_ORDER`.
+    For each node the sweep keeps one slot: its latest key (the values of
+    those fields), the bound node with its tables and budget entry, and
+    its batched (value, observed) once executed (see `execute` for the
+    values it drops).  A config with another key rebinds the node and
+    drops its value.  A reused value was range-checked by the same bound
+    node on the same input when it was computed.
 
-    `visit` realizes configs in the order of the fields' first reads along
-    the plan (input, weight, mid, output for the descriptor plan), so
+    `visit` realizes configs sorted by the fields in `SWEEP_ORDER`, so
     consecutive configs share the longest prefix.  `PipelinePlan.realize`
     is the case of a fresh sweep and one config.
     """
@@ -824,7 +834,6 @@ class Sweep:
         self.plan = plan
         self.samples = np.stack([c.samples for c in clips]) if lengths else None  # (B, L)
         self.slots: dict = {}
-        self.order: list = []  # config fields in the order of first read
         self.graph: CircuitGraph | None = None  # the graph realized last
         # Heads feeding a multi-input node (the descriptor concat) must land
         # on one shared quantized edge, so their ranges are pooled.
@@ -844,7 +853,7 @@ class Sweep:
         log.reads.clear()
         node, entry = bind()
         deps = log.reads.union(*(self.slots[s].fields for s in inputs))
-        fields = tuple(f for f in _BIT_FIELDS if f in deps)
+        fields = tuple(f for f in SWEEP_ORDER if f in deps)
         slot = self.slots[name] = _Slot(fields, tuple(getattr(bits, f) for f in fields),
                                         node, entry)
         return slot
@@ -856,7 +865,7 @@ class Sweep:
         if plan.ranges is None:
             raise CircuitError("plan must be calibrated before realization")
         self.graph = None
-        log = _ReadLog(bits, self.order)
+        log = _ReadLog(bits)
 
         def edge(name: str) -> EdgeSpec:
             group = self.pooled if name in self.pooled else (name,)
@@ -936,21 +945,16 @@ class Sweep:
         return graph._result(v, observed)
 
     def visit(self, configs: list):
-        """Realize every config of `configs` in traversal order, yielding
-        (bits, graph, None), or (bits, None, violation) for one over budget.
-
-        The first config in sorted order is realized first; its binds
-        record the order of the fields, which sorts the rest."""
-        todo = sorted(set(configs))
-        for k in range(len(todo)):
-            if k == 1:
-                rank = self.order + [f for f in _BIT_FIELDS if f not in self.order]
-                todo[1:] = sorted(todo[1:], key=lambda b: tuple(getattr(b, f) for f in rank))
+        """Realize the distinct configs of `configs` sorted by the fields in
+        `SWEEP_ORDER`, yielding (bits, graph, None), or (bits, None,
+        violation) for one over budget."""
+        for bits in sorted(set(configs),
+                           key=lambda b: tuple(getattr(b, f) for f in SWEEP_ORDER)):
             try:
-                graph, violation = self.realize(todo[k]), None
+                graph, violation = self.realize(bits), None
             except BudgetViolation as exc:
                 graph, violation = None, exc
-            yield todo[k], graph, violation
+            yield bits, graph, violation
 
 
 def _energy_head(nodes: list, src: str, approx: ApproxSpec, prefix: str,
@@ -1002,7 +1006,7 @@ def build_transform_plan(kind: str, approx: ApproxSpec, cfg: StftConfig,
                          sample_rate_hz: int,
                          mel: MelSpec | None = None,
                          gamma: GammatoneSpec | None = None,
-                         n_mfcc: int = 13) -> PipelinePlan:
+                         n_mfcc: int = N_MFCC) -> PipelinePlan:
     """Un-calibrated pipeline structure for one transform."""
     if kind not in TRANSFORMS:
         raise CircuitError(f"unknown transform {kind!r}")

@@ -35,7 +35,6 @@ from .approx import (
     poorman_bound_report,
 )
 from .circuit import (
-    DESCRIPTOR_NAMES,
     BudgetViolation,
     CircuitError,
     build_descriptor_plan,
@@ -49,7 +48,7 @@ from .dataset import (
     split_clips,
     synthetic_clips,
 )
-from .descriptors import CSV_FIELDS, DescriptorVector, write_descriptor_csv
+from .descriptors import CSV_FIELDS, write_descriptor_csv
 from .evaluate import (
     SIGNIFICANCE_LEVEL,
     EvalError,
@@ -70,6 +69,7 @@ from .transforms import (
     AudioBuffer,
     GammatoneSpec,
     MelSpec,
+    N_MFCC,
     SignalError,
     StftConfig,
     gammatone_center_freqs,
@@ -98,7 +98,7 @@ SETTINGS = {
     "window": (int, 1024, "STFT window length N"),
     "hop": (int, 256, "STFT hop length"),
     "n_mels": (int, MelSpec.n_mels, None),
-    "n_mfcc": (int, 13, None),
+    "n_mfcc": (int, N_MFCC, None),
     "n_gammatone": (int, GammatoneSpec.n_filters, None),
     "alpha": (float, SIGNIFICANCE_LEVEL, "significance level"),
     "grid": (str, "full", "semicolon-separated Bi,Bo,Bw,Bm configs, or 'full'"),
@@ -258,19 +258,14 @@ def _descriptor_plan(settings, calib, evalu):
     return plan.calibrate([c.buffer for c in calib]), evalu
 
 
-def _descriptor_vectors(settings, calib, evalu):
+def _descriptor_arms(settings, calib, evalu):
+    """(evaluation clips, clear, fhe): the two arms are (n, 4) arrays, one
+    row per clip, of the realized descriptor graph."""
     plan, evalu = _descriptor_plan(settings, calib, evalu)
     graph = plan.realize(settings["bits_config"])
-    vectors = []
-    for clip in evalu:
-        clear = graph.run_clear(clip.buffer)["descriptor_vector"]
-        fhe = graph.execute(clip.buffer).dequantized
-        for path, vec in (("clear", clear), ("fhe", fhe)):
-            vectors.append(DescriptorVector(
-                file_id=clip.file_id, label=clip.label,
-                values=dict(zip(DESCRIPTOR_NAMES, (float(x) for x in vec))),
-                path=path))
-    return vectors
+    clear = np.array([graph.run_clear(c.buffer)["descriptor_vector"] for c in evalu])
+    fhe = np.array([graph.execute(c.buffer).dequantized for c in evalu])
+    return evalu, clear, fhe
 
 
 def _transform_plan(settings, calib):
@@ -315,27 +310,23 @@ def cmd_spectrogram(settings, calib, evalu, out: Path) -> None:
 
 
 def cmd_descriptors(settings, calib, evalu, out: Path) -> None:
-    vectors = _descriptor_vectors(settings, calib, evalu)
-    write_descriptor_csv(out / "descriptors.csv", vectors)
-    print(f"descriptors: wrote {len(vectors)} rows "
+    clips, clear, fhe = _descriptor_arms(settings, calib, evalu)
+    write_descriptor_csv(out / "descriptors.csv", clips, clear, fhe)
+    print(f"descriptors: wrote {2 * len(clips)} rows "
           f"({', '.join(CSV_FIELDS)})")
 
 
 def cmd_stattest(settings, calib, evalu, out: Path) -> None:
-    vectors = _descriptor_vectors(settings, calib, evalu)
-    clear_by, fhe_by = {}, {}
-    for v in vectors:
-        target = clear_by if v.path == "clear" else fhe_by
-        target.setdefault(v.label, []).append(v.values)
-    if len(clear_by) < 2:
+    classes = sorted({c.label for c in evalu})
+    if len(classes) < 2:
         raise CliError("stattest needs at least two classes")
-    results = pair_tests(clear_by, fhe_by, alpha=settings["alpha"])
+    clips, clear, fhe = _descriptor_arms(settings, calib, evalu)
+    results = pair_tests([c.label for c in clips], clear, fhe, alpha=settings["alpha"])
     report = discovery_errors(results)
     write_pair_csv(out / "pairs.csv", results)
     write_scatter_csv(out / "pvalue_scatter.csv", results)
     write_summary_json(out / "summary.json", report,
-                       extra={"alpha": settings["alpha"],
-                              "classes": sorted(clear_by)})
+                       extra={"alpha": settings["alpha"], "classes": classes})
     d = report.as_dict()
     print(f"stattest: n={d['n']} TP={d['TP']} FP={d['FP']} TN={d['TN']} "
           f"FN={d['FN']} error_rate={d['error_rate']:.4f}")

@@ -230,29 +230,25 @@ def discovery_errors(results: list) -> DiscoveryErrorReport:
                                 tn=counts["TN"], fn=counts["FN"])
 
 
-def pair_tests(clear_by_class: dict, fhe_by_class: dict,
-               descriptor: str | None = None,
-               alpha: float = SIGNIFICANCE_LEVEL) -> list:
-    """Mann-Whitney per unordered class pair, on one or all descriptors.
+def pair_tests(labels, clear, fhe, alpha: float = SIGNIFICANCE_LEVEL) -> list:
+    """Mann-Whitney per unordered class pair and descriptor, on both arms.
 
-    Inputs map class label -> list of descriptor dicts.  When `descriptor`
-    is None a test is emitted per (pair, descriptor); otherwise one per pair.
+    `labels` holds each clip's class; `clear` and `fhe` are (n, 4) arrays
+    with one row per clip and columns in `DESCRIPTOR_NAMES` order.  The
+    results run over the sorted class pairs, then the descriptors, and
+    each names its classes "<label>/<descriptor>".
     """
     if not 0.0 < alpha < 1.0:
         raise EvalError(f"significance level must lie in (0, 1), got {alpha}")
-    names = DESCRIPTOR_NAMES if descriptor is None else (descriptor,)
-    labels = sorted(clear_by_class)
+    labels = np.asarray(labels)
     results = []
-    for la, lb in itertools.combinations(labels, 2):
-        for name in names:
-            ca = [v[name] for v in clear_by_class[la]]
-            cb = [v[name] for v in clear_by_class[lb]]
-            fa = [v[name] for v in fhe_by_class[la]]
-            fb = [v[name] for v in fhe_by_class[lb]]
+    for la, lb in itertools.combinations(np.unique(labels), 2):
+        a, b = labels == la, labels == lb
+        for k, name in enumerate(DESCRIPTOR_NAMES):
             results.append(PairTestResult(
-                class_pair=(la, lb) if descriptor else (f"{la}/{name}", f"{lb}/{name}"),
-                p_clear=mann_whitney_u(ca, cb),
-                p_fhe=mann_whitney_u(fa, fb), alpha=alpha))
+                class_pair=(f"{la}/{name}", f"{lb}/{name}"),
+                p_clear=mann_whitney_u(clear[a, k], clear[b, k]),
+                p_fhe=mann_whitney_u(fhe[a, k], fhe[b, k]), alpha=alpha))
     return results
 
 

@@ -220,6 +220,7 @@ def mel_filterbank_matrix(spec: MelSpec, cfg: StftConfig, sample_rate_hz: int) -
 # MFCC ------------------------------------------------------------------------
 
 MFCC_LOG_EPS = 1e-6
+N_MFCC = 13  # cepstral coefficients kept by default
 
 
 def dct_matrix(n: int) -> np.ndarray:

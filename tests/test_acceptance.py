@@ -243,7 +243,7 @@ def test_statistical_replication_clear_and_constructed_effect():
 
     space = [BitWidthConfig(5, 6, 3, 4), BitWidthConfig(4, 6, 4, 4),
              BitWidthConfig(4, 5, 3, 4)]
-    from fhespec.circuit import DESCRIPTOR_NAMES, build_descriptor_plan
+    from fhespec.circuit import build_descriptor_plan
 
     plan = build_descriptor_plan(Conventional(), cfg, FS, n_frames,
                                  mel=mel, gamma=gamma)
@@ -252,21 +252,17 @@ def test_statistical_replication_clear_and_constructed_effect():
     feasible = [r for r in ranked if r.feasible]
     assert feasible
     graph = plan.realize(feasible[0].config)
-    clear_by, fhe_by = {}, {}
-    for clip in eval_c:
-        clear = graph.run_clear(clip.buffer)["descriptor_vector"]
-        fhe = graph.execute(clip.buffer).dequantized
-        clear_by.setdefault(clip.label, []).append(
-            dict(zip(DESCRIPTOR_NAMES, map(float, clear))))
-        fhe_by.setdefault(clip.label, []).append(
-            dict(zip(DESCRIPTOR_NAMES, map(float, fhe))))
+    labels = [clip.label for clip in eval_c]
+    clear = np.array([graph.run_clear(c.buffer)["descriptor_vector"] for c in eval_c])
+    fhe = np.array([graph.execute(c.buffer).dequantized for c in eval_c])
 
     # clear vs clear: perfectly replicated by construction
-    self_rep = discovery_errors(pair_tests(clear_by, clear_by))
+    self_rep = discovery_errors(pair_tests(labels, clear, clear))
     assert self_rep.error_rate == 0.0
 
     # clear vs simulated circuit on the amplitude-separated pair
-    results = pair_tests(clear_by, fhe_by, descriptor="mean_rms")
+    results = [r for r in pair_tests(labels, clear, fhe)
+               if r.class_pair[0].endswith("/mean_rms")]
     assert len(results) == 1
     r = results[0]
     assert r.p_clear < 0.05 and r.p_fhe < 0.05

@@ -37,6 +37,7 @@ from fhespec.circuit import (
     ConvNode,
     EdgeSpec,
     RawSpec,
+    SWEEP_ORDER,
     Sweep,
     approx_label,
     build_descriptor_plan,
@@ -600,6 +601,8 @@ def test_sweep_batch_equals_per_clip_execution(kind, approx, cfg, n_frames, n_cl
         assert np.array_equal(got.dequantized, np.stack([r.dequantized for r in refs]))
         assert got.observed == {name: max(r.observed[name] for r in refs)
                                 for name in refs[0].observed}
+    # the fixed sweep order lets every node share with its neighbours
+    assert all(s.fields == SWEEP_ORDER[:len(s.fields)] for s in sweep.slots.values())
 
 
 def test_sweep_refuses_clips_of_unequal_length():

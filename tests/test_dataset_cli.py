@@ -1,6 +1,7 @@
 """Dataset ingestion, splits, synthetic corpora, and CLI end-to-end runs."""
 
 import csv
+import inspect
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from fhespec.circuit import PipelinePlan
+from fhespec.circuit import DESCRIPTOR_NAMES, PipelinePlan, build_transform_plan
 from fhespec.cli import (
     COMMANDS,
     EVALUATING,
@@ -22,6 +23,7 @@ from fhespec.cli import (
     EXIT_SKIPS,
     CliError,
     build_parser,
+    gather_clips,
     main,
     parse_approx,
     parse_bits,
@@ -40,7 +42,7 @@ from fhespec.dataset import (
 )
 from fhespec.quant import BitWidthConfig
 from fhespec.evaluate import SIGNIFICANCE_LEVEL
-from fhespec.transforms import AudioBuffer, GammatoneSpec, MelSpec
+from fhespec.transforms import N_MFCC, AudioBuffer, GammatoneSpec, MelSpec
 
 FS = 16000
 
@@ -236,12 +238,51 @@ def run_cli(tmp_path, command, *extra):
     return main([command, *BASE, "--out", str(out), *extra]), out
 
 
+def record_realize(monkeypatch) -> list:
+    """The graphs `PipelinePlan.realize` returns from now on, in call order."""
+    realized = []
+    realize = PipelinePlan.realize
+
+    def recording(plan, *args, **kwargs):
+        realized.append(realize(plan, *args, **kwargs))
+        return realized[-1]
+
+    monkeypatch.setattr(PipelinePlan, "realize", recording)
+    return realized
+
+
 def test_cli_descriptors(tmp_path, capsys):
     code, out = run_cli(tmp_path, "descriptors")
     assert code == EXIT_OK
     text = (out / "descriptors.csv").read_text()
     assert text.startswith("file_id,class,")
     assert "clear" in text and "fhe" in text
+
+
+def test_cli_descriptor_rows_are_the_realized_arms(tmp_path, monkeypatch, capsys):
+    """descriptors.csv holds, per evaluation clip in split order, the clear
+    row and then the fhe row of the graph the CLI realizes, each value
+    written so that it parses back to the same float."""
+    realized = record_realize(monkeypatch)
+    code, out = run_cli(tmp_path, "descriptors")
+    assert code == EXIT_OK
+    [graph] = realized
+    settings = resolve_settings(build_parser().parse_args(["descriptors", *BASE]))
+    calib, evalu, _ = gather_clips(settings)
+    evalu = truncate_to_common_length(calib + evalu)[len(calib):]
+    with open(out / "descriptors.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * len(evalu)
+    for k, clip in enumerate(evalu):
+        clear = graph.run_clear(clip.buffer)["descriptor_vector"]
+        fhe = graph.execute(clip.buffer).dequantized
+        for row, path, want in ((rows[2 * k], "clear", clear),
+                                (rows[2 * k + 1], "fhe", fhe)):
+            assert (row["file_id"], row["class"], row["path"]) == \
+                (clip.file_id, clip.label, path)
+            got = [float(row[n]) for n in DESCRIPTOR_NAMES]
+            assert np.array_equal(got, want)
+            assert [row[n] for n in DESCRIPTOR_NAMES] == [repr(x) for x in got]
 
 
 def test_cli_spectrogram(tmp_path, capsys):
@@ -300,6 +341,15 @@ def test_cli_stattest(tmp_path, capsys):
     assert (out / "pvalue_scatter.csv").exists()
 
 
+def test_cli_stattest_needs_two_classes_before_realizing(tmp_path, capsys):
+    # 8,8,8,8 is over budget: the class check comes first
+    code, out = run_cli(tmp_path, "stattest", "--synthetic", "noise",
+                        "--bits", "8,8,8,8")
+    assert code == EXIT_FAILED
+    assert capsys.readouterr().err == "error: stattest needs at least two classes\n"
+    assert not list(out.iterdir())
+
+
 def test_cli_gridsearch(tmp_path, capsys):
     code, out = run_cli(tmp_path, "gridsearch",
                         "--grid", "5,6,4,5;8,6,8,6")
@@ -342,14 +392,7 @@ def test_budget_reports_the_graph_spectrogram_realizes(tmp_path, monkeypatch,
     would widen `stft_conv_requant` and the energy accumulators after it:
     `budget` must report the graph `spectrogram` runs, calibrated on the
     calibration split alone."""
-    realized = []
-    realize = PipelinePlan.realize
-
-    def recording(plan, *args, **kwargs):
-        realized.append(realize(plan, *args, **kwargs))
-        return realized[-1]
-
-    monkeypatch.setattr(PipelinePlan, "realize", recording)
+    realized = record_realize(monkeypatch)
     flags = ["--synthetic", "noise", "--clips", "6", "--duration", "0.062",
              "--window", "64", "--hop", "32", "--n-mels", "8", "--n-mfcc", "8",
              "--transform", "mfcc", "--bits", "6,6,4,6", "--seed", "1"]
@@ -388,6 +431,8 @@ def test_cli_settings_defaults(tmp_path):
     settings = resolve_settings(build_parser().parse_args(["gridsearch"]))
     assert settings["n_mels"] == MelSpec().n_mels
     assert settings["n_gammatone"] == GammatoneSpec().n_filters
+    assert settings["n_mfcc"] == N_MFCC
+    assert inspect.signature(build_transform_plan).parameters["n_mfcc"].default == N_MFCC
     assert settings["alpha"] == SIGNIFICANCE_LEVEL
     assert settings["grid"] == "full"
     # a config file's grid reaches gridsearch
@@ -575,3 +620,32 @@ def test_cli_loads_no_scipy(tmp_path):
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "budget.json").is_file()
+
+
+TRACER = README.parent / "perfbench" / "trace_cli.py"
+
+
+def traced_spans(tmp_path, command) -> list:
+    """Span names of one tiny CLI command run under the per-layer tracer."""
+    spans = tmp_path / f"{command}_spans.json"
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src"),
+           **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                               "MKL_NUM_THREADS")}}
+    run = subprocess.run([sys.executable, "-B", str(TRACER), str(spans), command,
+                          *BASE, "--out", str(tmp_path / command)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return [row[0] for row in json.loads(spans.read_text())]
+
+
+def test_tracer_sees_the_descriptor_commands(tmp_path):
+    """The per-layer tracer wraps the program's functions by name and skips
+    a name that is gone; each layer it times must still show up."""
+    names = traced_spans(tmp_path, "stattest")
+    for want in ("evaluate.pair_tests", "evaluate.mann_whitney", "circuit.realize",
+                 "circuit.execute", "circuit.run_clear",
+                 *(f"node.{kind}" for kind in ("conv", "matmul", "lut", "reduce",
+                                               "std", "concat"))):
+        assert want in names, want
+    assert names.count("io.write") == 3
+    assert traced_spans(tmp_path, "descriptors").count("io.write") == 1

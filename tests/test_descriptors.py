@@ -11,12 +11,14 @@ import pytest
 
 from oracles import power_spectrogram, stft
 from fhespec.approx import Conventional, L1Energy
-from fhespec.circuit import DESCRIPTOR_NAMES, CircuitError, build_descriptor_plan
-from fhespec.descriptors import (
-    CSV_FIELDS,
-    DescriptorVector,
-    write_descriptor_csv,
+from fhespec.circuit import (
+    DESCRIPTOR_NAMES,
+    CircuitError,
+    Sweep,
+    build_descriptor_plan,
 )
+from fhespec.dataset import Clip
+from fhespec.descriptors import CSV_FIELDS, write_descriptor_csv
 from fhespec.evaluate import pearson
 from fhespec.quant import BitWidthConfig
 from fhespec.transforms import (
@@ -130,32 +132,52 @@ def test_fit_normalization_matches_manual():
     assert np.array_equal(z, want)
 
 
+def test_descriptor_graph_refuses_another_frame_count():
+    """The time reductions are sized for the plan's n_frames: a clip of
+    another frame count raises instead of returning mis-scaled means."""
+    plan, graph = descriptor_graph()
+    for frames in (20, N_FRAMES, 40):
+        buf = noise_buf(0, n=CFG.window_length + (frames - 1) * CFG.hop)
+        assert CFG.frame_count(len(buf)) == frames
+        sweep = Sweep(plan, [buf])
+        sweep.realize(DBITS)
+        if frames == N_FRAMES:
+            assert np.array_equal(sweep.execute().dequantized[0],
+                                  graph.execute(buf).dequantized)
+            continue
+        for run in (lambda: graph.execute(buf), sweep.execute):
+            with pytest.raises(CircuitError,
+                               match=f"clip has {frames} frames.*fan_in={N_FRAMES}"):
+                run()
+
+
+def csv_arms(n=3):
+    """n noise clips and their (n, 4) clear and fhe arms."""
+    clips = [Clip(f"clip_{i}", "noise", noise_buf(i)) for i in range(n)]
+    clear = np.array([[0.1 * i + j for j in range(4)] for i in range(n)])
+    return clips, clear, clear / 3
+
+
 def test_csv_round_trip(tmp_path):
-    vectors = [
-        DescriptorVector(file_id=f"clip_{i}", label="noise",
-                         values={n: 0.1 * i + j for j, n in
-                                 enumerate(DESCRIPTOR_NAMES)},
-                         path=p)
-        for i in range(3) for p in ("clear", "fhe")
-    ]
+    clips, clear, fhe = csv_arms()
     out = tmp_path / "descriptors.csv"
-    write_descriptor_csv(out, vectors)
+    write_descriptor_csv(out, clips, clear, fhe)
     header = out.read_text().splitlines()[0]
     assert header == ",".join(CSV_FIELDS)
     with open(out, newline="") as fh:
-        back = [DescriptorVector(file_id=row["file_id"], label=row["class"],
-                                 values={n: float(row[n]) for n in DESCRIPTOR_NAMES},
-                                 path=row["path"])
-                for row in csv.DictReader(fh)]
-    assert back == vectors  # repr() serialization is lossless for floats
+        rows = list(csv.DictReader(fh))
+    assert [(r["file_id"], r["class"], r["path"]) for r in rows] == [
+        (c.file_id, c.label, arm) for c in clips for arm in ("clear", "fhe")]
+    back = np.array([[float(r[n]) for n in DESCRIPTOR_NAMES] for r in rows])
+    # repr() serialization is lossless for floats
+    assert np.array_equal(back[0::2], clear) and np.array_equal(back[1::2], fhe)
 
 
 def test_csv_bytes_deterministic(tmp_path):
-    vectors = [DescriptorVector("a", "x", {n: 1 / 3 for n in DESCRIPTOR_NAMES},
-                                "clear")]
+    clips, clear, fhe = csv_arms(1)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_descriptor_csv(p1, vectors)
-    write_descriptor_csv(p2, vectors)
+    write_descriptor_csv(p1, clips, clear, fhe)
+    write_descriptor_csv(p2, clips, clear, fhe)
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -15,6 +15,7 @@ from fhespec.circuit import (
     BudgetViolation,
     ConvNode,
     MatmulNode,
+    SWEEP_ORDER,
     Sweep,
     build_descriptor_plan,
     build_transform_plan,
@@ -254,17 +255,14 @@ def test_discovery_error_report():
 
 def test_pair_tests_identical_inputs_have_no_errors():
     rng = np.random.default_rng(8)
-    by_class = {
-        label: [{n: float(rng.normal(loc)) for n in
-                 ("m_gstds", "m_mstds", "mean_rms", "std_rms")}
-                for _ in range(12)]
-        for label, loc in (("a", 0.0), ("b", 2.0), ("c", 0.1))
-    }
-    results = pair_tests(by_class, by_class)
+    labels = [label for label in ("a", "b", "c") for _ in range(12)]
+    arm = np.array([[rng.normal(loc) for _ in range(4)]
+                    for loc in (0.0, 2.0, 0.1) for _ in range(12)])
+    results = pair_tests(labels, arm, arm)
     assert len(results) == 3 * 4  # three pairs, four descriptors
     rep = discovery_errors(results)
     assert rep.error_count == 0  # identical p-values can never disagree
-    single = pair_tests(by_class, by_class, descriptor="mean_rms")
+    single = [r for r in results if r.class_pair[0].endswith("/mean_rms")]
     assert len(single) == 3
 
 
@@ -404,11 +402,13 @@ def test_sweep_visits_configs_in_field_order_of_first_read():
     sweep = Sweep(descriptor_plan(calib), evalu)
     configs = subspace([(3, 4), (3, 5), (2, 3), (3, 4)])
     visited = [bits for bits, _, _ in sweep.visit(configs)]
-    assert sweep.order == ["input_bits", "weight_bits", "mid_bits", "output_bits"]
     assert visited == sorted(configs, key=lambda b: (b.input_bits, b.weight_bits,
                                                      b.mid_bits, b.output_bits))
     # an output width is read by the normalize tables and the concat alone
     fields = {name: slot.fields for name, slot in sweep.slots.items()}
+    # every node's fields are a prefix of the sweep order, which covers the config
+    assert sorted(SWEEP_ORDER) == sorted(BitWidthConfig.__dataclass_fields__)
+    assert all(f == SWEEP_ORDER[:len(f)] for f in fields.values())
     assert fields["input"] == ("input_bits",)
     assert fields["stft_conv"] == ("input_bits", "weight_bits")
     assert fields["mel_stds"] == ("input_bits", "weight_bits", "mid_bits")
