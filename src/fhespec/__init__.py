@@ -27,7 +27,6 @@ from .circuit import (
     build_transform_plan,
 )
 from .evaluate import (
-    DiscoveryErrorReport,
     GridSearchResult,
     PairTestResult,
     discovery_errors,

@@ -158,7 +158,7 @@ def fd_window(k: int, n: int, n_min: int) -> np.ndarray:
     leaves the extra zero on the right.
     """
     if not 2 <= n_min <= n:
-        raise ApproxError("need 2 <= n_min <= N")
+        raise ApproxError(f"need 2 <= n_min <= N, got n_min={n_min}, N={n}")
     width = fd_width(k, n, n_min)
     start = (n - width) // 2
     w = np.zeros(n)

@@ -800,7 +800,6 @@ class _Slot:
     fields: tuple  # the config fields the node depends on
     key: tuple  # their values
     node: object  # the bound node; for 'input', the input edge
-    entry: BudgetEntry | None
     value: tuple | None = None  # (value, observed) over the sweep's clips
 
 
@@ -816,11 +815,11 @@ class Sweep:
     input edge reads `input_bits`.  The reads are recorded during the
     binds themselves, and a node's fields are listed in `SWEEP_ORDER`.
     For each node the sweep keeps one slot: its latest key (the values of
-    those fields), the bound node with its tables and budget entry, and
-    its batched (value, observed) once executed (see `execute` for the
-    values it drops).  A config with another key rebinds the node and
-    drops its value.  A reused value was range-checked by the same bound
-    node on the same input when it was computed.
+    those fields), the bound node with its tables, and its batched
+    (value, observed) once executed (see `execute` for the values it
+    drops).  A config with another key rebinds the node and drops its
+    value.  A reused value was range-checked by the same bound node on
+    the same input when it was computed.
 
     `visit` realizes configs sorted by the fields in `SWEEP_ORDER`, so
     consecutive configs share the longest prefix.  `PipelinePlan.realize`
@@ -843,20 +842,19 @@ class Sweep:
             for s in n.inputs:
                 self.readers.setdefault(s, []).append(n.name)
 
-    def _slot(self, name: str, inputs: list, bits: BitWidthConfig, log: _ReadLog,
-              bind) -> _Slot:
-        """The slot of `name` at `bits`, rebound by `bind()` -> (node,
-        budget entry) when its key changed."""
+    def _bound(self, name: str, inputs: list, bits: BitWidthConfig, log: _ReadLog,
+               bind):
+        """The bound node of `name` at `bits`, from its slot, rebound by
+        `bind()` when its key changed."""
         slot = self.slots.get(name)
         if slot is not None and slot.key == tuple(getattr(bits, f) for f in slot.fields):
-            return slot
+            return slot.node
         log.reads.clear()
-        node, entry = bind()
+        node = bind()
         deps = log.reads.union(*(self.slots[s].fields for s in inputs))
         fields = tuple(f for f in SWEEP_ORDER if f in deps)
-        slot = self.slots[name] = _Slot(fields, tuple(getattr(bits, f) for f in fields),
-                                        node, entry)
-        return slot
+        self.slots[name] = _Slot(fields, tuple(getattr(bits, f) for f in fields), node)
+        return node
 
     def realize(self, bits: BitWidthConfig) -> CircuitGraph:
         """Bind `bits`, reusing every node whose key is unchanged; raises
@@ -877,36 +875,34 @@ class Sweep:
 
         def bind_input():
             return EdgeSpec.from_range(*plan.ranges["input"], bits=log.input_bits,
-                                       signed=False), None
+                                       signed=False)
 
-        def bind(n):
-            bound = n.bind(specs, log, edge, plan.normalization)
-            return bound, bound.budget_entry()
-
-        input_spec = self._slot("input", [], bits, log, bind_input).node
+        input_spec = self._bound("input", [], bits, log, bind_input)
         specs: dict = {"input": input_spec}
-        slots = []
+        nodes = []
         for n in plan.nodes:
-            slot = self._slot(n.name, n.inputs, bits, log, partial(bind, n))
-            specs[n.name] = slot.node.out_spec
-            slots.append(slot)
+            node = self._bound(n.name, n.inputs, bits, log,
+                               partial(n.bind, specs, log, edge, plan.normalization))
+            specs[n.name] = node.out_spec
+            nodes.append(node)
 
-        report = AccumulatorReport(entries=[s.entry for s in slots if s.entry is not None])
-        if not report.feasible:
-            raise BudgetViolation(report)
-        # remaining tables are only materialized once the budget holds: an
-        # over-budget input edge can make a lookup table huge
-        for s in slots:
-            s.node.materialize()
-        self.graph = CircuitGraph(
+        graph = CircuitGraph(
             kind=plan.kind,
             approx_label=approx_label(plan.approx),
             bits=bits,
             input_spec=input_spec,
-            nodes=[s.node for s in slots],
+            nodes=nodes,
             output_node=plan.output_node,
         )
-        return self.graph
+        report = graph.check_budget()
+        if not report.feasible:
+            raise BudgetViolation(report)
+        # remaining tables are only materialized once the budget holds: an
+        # over-budget input edge can make a lookup table huge
+        for n in graph.nodes:
+            n.materialize()
+        self.graph = graph
+        return graph
 
     def execute(self) -> ExecutionResult:
         """Run the graph realized last once over all clips, reusing what its

@@ -218,11 +218,9 @@ def gather_clips(settings) -> tuple[list, list, list]:
                                 settings["duration"])
         skips = []
     elif settings.get("dataset"):
-        manifest = ingest(settings["dataset"], settings["sample_rate"])
-        skips = [f"{s.path}: {s.reason}" for s in manifest.skipped]
-        if not manifest.entries:
+        items, skips = ingest(settings["dataset"], settings["sample_rate"])
+        if not items:
             raise CliError("all dataset files were skipped")
-        items = manifest.entries
     else:
         raise CliError("need either --dataset or --synthetic")
     calib, evalu, warnings = split_clips(items, settings["calib_fraction"],
@@ -322,12 +320,11 @@ def cmd_stattest(settings, calib, evalu, out: Path) -> None:
         raise CliError("stattest needs at least two classes")
     clips, clear, fhe = _descriptor_arms(settings, calib, evalu)
     results = pair_tests([c.label for c in clips], clear, fhe, alpha=settings["alpha"])
-    report = discovery_errors(results)
+    d = discovery_errors(results)  # the "discovery" dict of summary.json
     write_pair_csv(out / "pairs.csv", results)
     write_scatter_csv(out / "pvalue_scatter.csv", results)
-    write_summary_json(out / "summary.json", report,
+    write_summary_json(out / "summary.json", d,
                        extra={"alpha": settings["alpha"], "classes": classes})
-    d = report.as_dict()
     print(f"stattest: n={d['n']} TP={d['TP']} FP={d['FP']} TN={d['TN']} "
           f"FN={d['FN']} error_rate={d['error_rate']:.4f}")
 

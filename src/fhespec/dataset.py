@@ -2,23 +2,24 @@
 
 Every source yields the same `Clip` (file id, class label, decoded buffer).
 Datasets follow a directory-per-class layout (root/classA/*.wav, optionally
-one more level of sub-class directories); `ingest` decodes each file once
-and keeps the buffer.  A clip's file id is its file name without the
-extension, so it must be unique across classes.  Files that cannot be
-decoded, whose sample rate differs from the configured rate or whose id an
-earlier file took are collected in a skip report instead of aborting the
-run; there is no resampling or down-mixing.
+one more level of sub-class directories, which share their class's label);
+`ingest` decodes each file once and keeps the buffer.  A clip's file id is
+its file name without the extension, so it must be unique across classes.
+A file that cannot be decoded, whose sample rate differs from the
+configured rate or whose id an earlier file took is skipped instead of
+aborting the run: `ingest` returns one "path: reason" line for it next to
+the clips.  There is no resampling or down-mixing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .transforms import AudioBuffer, SignalError
+from .transforms import AudioBuffer
 
 
 class DatasetError(ValueError):
@@ -32,37 +33,26 @@ class Clip:
     file_id: str
     label: str
     buffer: AudioBuffer
-    sublabel: str | None = None
-
-
-@dataclass(frozen=True)
-class SkipRecord:
-    path: Path
-    reason: str
-
-
-@dataclass
-class DatasetManifest:
-    entries: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
 
 
 def read_wav(path, expected_rate_hz: int | None = None) -> AudioBuffer:
-    """Load a mono WAV file: 16-bit PCM (scaled by 2^15) or 32/64-bit float."""
+    """Load a mono WAV file: 16-bit PCM (scaled by 2^15) or 32/64-bit float.
+
+    A `DatasetError` says what is wrong with the file but not its path,
+    which the caller holds."""
     from scipy.io import wavfile  # on first use: most commands read no WAV
 
     rate, data = wavfile.read(path)
     if data.ndim != 1:
-        raise DatasetError(f"{path}: only mono files are supported")
+        raise DatasetError("only mono files are supported")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
     else:
-        raise DatasetError(f"{path}: unsupported sample format {data.dtype}")
+        raise DatasetError(f"unsupported sample format {data.dtype}")
     if expected_rate_hz is not None and rate != expected_rate_hz:
-        raise DatasetError(
-            f"{path}: sample rate {rate} Hz != expected {expected_rate_hz} Hz")
+        raise DatasetError(f"sample rate {rate} Hz != expected {expected_rate_hz} Hz")
     return AudioBuffer(samples=samples, sample_rate_hz=rate)
 
 
@@ -73,35 +63,32 @@ def write_wav(path, buf: AudioBuffer) -> None:
                   buf.samples.astype(np.float32))
 
 
-def ingest(root, sample_rate_hz: int) -> DatasetManifest:
-    """Decode a directory-per-class tree into a manifest of clips, collecting skips."""
+def ingest(root, sample_rate_hz: int) -> tuple[list, list]:
+    """Decode a directory-per-class tree: (clips, "path: reason" skip lines)."""
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
-    manifest = DatasetManifest()
+    clips, skips = [], []
     used: dict = {}  # file id -> the accepted file's path relative to root
     for wav_path in sorted(root.rglob("*.wav")):
         rel = wav_path.relative_to(root)
         if len(rel.parts) < 2:
-            manifest.skipped.append(SkipRecord(wav_path, "file outside any class directory"))
+            skips.append(f"{wav_path}: file outside any class directory")
             continue
         if wav_path.stem in used:
-            reason = f"file id {wav_path.stem!r} already used by {used[wav_path.stem]}"
-            manifest.skipped.append(SkipRecord(wav_path, reason))
+            skips.append(f"{wav_path}: file id {wav_path.stem!r} already used by "
+                         f"{used[wav_path.stem]}")
             continue
-        label = rel.parts[0]
-        sublabel = rel.parts[1] if len(rel.parts) > 2 else None
         try:
             buf = read_wav(wav_path, expected_rate_hz=sample_rate_hz)
-        except (DatasetError, SignalError, ValueError) as exc:
-            manifest.skipped.append(SkipRecord(wav_path, str(exc)))
+        except ValueError as exc:  # DatasetError, SignalError or undecodable
+            skips.append(f"{wav_path}: {exc}")
             continue
         used[wav_path.stem] = rel.as_posix()
-        manifest.entries.append(Clip(file_id=wav_path.stem, label=label,
-                                     buffer=buf, sublabel=sublabel))
-    if not manifest.entries and not manifest.skipped:
+        clips.append(Clip(file_id=wav_path.stem, label=rel.parts[0], buffer=buf))
+    if not clips and not skips:
         raise DatasetError(f"dataset root {root} contains no .wav files")
-    return manifest
+    return clips, skips
 
 
 def _check_seed(seed: int) -> None:

@@ -196,38 +196,17 @@ class PairTestResult:
         return "TN"
 
 
-@dataclass(frozen=True)
-class DiscoveryErrorReport:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def error_count(self) -> int:
-        return self.fp + self.fn
-
-    @property
-    def error_rate(self) -> float:
-        return self.error_count / self.n if self.n else 0.0
-
-    def as_dict(self) -> dict:
-        return {"TP": self.tp, "FP": self.fp, "TN": self.tn, "FN": self.fn,
-                "n": self.n, "error_count": self.error_count,
-                "error_rate": self.error_rate,
-                "error_percent": 100.0 * self.error_rate}
-
-
-def discovery_errors(results: list) -> DiscoveryErrorReport:
+def discovery_errors(results: list) -> dict:
+    """Outcome counts of `results` and the share of FP and FN among them
+    (0.0 when there are none): the "discovery" part of `summary.json`."""
     counts = {"TP": 0, "FP": 0, "TN": 0, "FN": 0}
     for r in results:
         counts[r.outcome] += 1
-    return DiscoveryErrorReport(tp=counts["TP"], fp=counts["FP"],
-                                tn=counts["TN"], fn=counts["FN"])
+    n = sum(counts.values())
+    errors = counts["FP"] + counts["FN"]
+    rate = errors / n if n else 0.0
+    return {**counts, "n": n, "error_count": errors, "error_rate": rate,
+            "error_percent": 100.0 * rate}
 
 
 def pair_tests(labels, clear, fhe, alpha: float = SIGNIFICANCE_LEVEL) -> list:
@@ -257,9 +236,12 @@ def pair_tests(labels, clear, fhe, alpha: float = SIGNIFICANCE_LEVEL) -> list:
 @dataclass(frozen=True)
 class GridSearchResult:
     config: BitWidthConfig
-    feasible: bool
     per_descriptor_r: dict | None = None
     reason: str | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.per_descriptor_r is not None
 
     @property
     def mean_r(self) -> float | None:
@@ -286,8 +268,11 @@ def conv_feasible(bits: BitWidthConfig, max_taps: int) -> bool:
 def _plan_max_taps(plan) -> int:
     """Largest nonzero tap count over the plan's input convolutions.
 
-    Sparse approximations (dilation, cropping) lower this, which is exactly
-    what lets them afford wider input/weight quantization."""
+    Only a kernel row thinned everywhere lowers it: uniform dilation
+    without the per-bin cap (which has no CLI form).  Every `--approx`
+    form keeps at least one row at N - 1 taps (the Hann window zeroes tap
+    0): the per-bin cap keeps high bins dense, and cropping drops whole
+    rows."""
     return max(n.nonzero_taps() for n in plan.nodes if isinstance(n, ConvNode))
 
 
@@ -327,10 +312,14 @@ def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:
     three filter banks, so the search is joint over the full descriptor
     vector.  Configurations share the nodes and values whose widths they
     share (see `Sweep`).  Infeasible configs are reported with
-    feasible=False and excluded from the ranking.
+    feasible=False and excluded from the ranking.  A correlation needs at
+    least two evaluation clips; fewer are refused before any realization.
     """
     if not space:
         raise EvalError("grid search needs a nonempty space")
+    if len(evaluation) < 2:
+        raise EvalError(f"grid search needs at least 2 evaluation clips, "
+                        f"got {len(evaluation)}")
 
     def correlations(clear: np.ndarray, fhe: np.ndarray) -> dict:
         rs = pearson(clear, fhe)
@@ -338,7 +327,7 @@ def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:
         return {name: 0.0 if math.isnan(r) else float(r)
                 for name, r in zip(DESCRIPTOR_NAMES, rs)}
 
-    results = [GridSearchResult(bits, rs is not None, per_descriptor_r=rs, reason=reason)
+    results = [GridSearchResult(bits, per_descriptor_r=rs, reason=reason)
                for bits, rs, reason in _search(plan, space, evaluation, correlations)]
     ranked = sorted([r for r in results if r.feasible],
                     key=lambda r: (-r.mean_r, r.config.as_tuple()))
@@ -378,8 +367,8 @@ def write_scatter_csv(path, results: list) -> None:
               ([repr(r.p_clear), repr(r.p_fhe)] for r in results))
 
 
-def write_summary_json(path, report: DiscoveryErrorReport, extra: dict) -> None:
-    write_json(path, {"format_version": 1, "discovery": report.as_dict(), **extra})
+def write_summary_json(path, discovery: dict, extra: dict) -> None:
+    write_json(path, {"format_version": 1, "discovery": discovery, **extra})
 
 
 def write_grid_json(path, results: list) -> None:

@@ -257,8 +257,7 @@ def test_statistical_replication_clear_and_constructed_effect():
     fhe = np.array([graph.execute(c.buffer).dequantized for c in eval_c])
 
     # clear vs clear: perfectly replicated by construction
-    self_rep = discovery_errors(pair_tests(labels, clear, clear))
-    assert self_rep.error_rate == 0.0
+    assert discovery_errors(pair_tests(labels, clear, clear))["error_rate"] == 0.0
 
     # clear vs simulated circuit on the amplitude-separated pair
     results = [r for r in pair_tests(labels, clear, fhe)
@@ -267,7 +266,7 @@ def test_statistical_replication_clear_and_constructed_effect():
     r = results[0]
     assert r.p_clear < 0.05 and r.p_fhe < 0.05
     assert r.outcome == "TP"
-    assert discovery_errors(results).error_rate == 0.0
+    assert discovery_errors(results)["error_rate"] == 0.0
     print(f"PASS: clear-vs-clear error_rate 0; amplitude effect replicated "
           f"(p_clear={r.p_clear:.2e}, p_fhe={r.p_fhe:.2e}, TP)")
 

@@ -44,6 +44,7 @@ from fhespec.circuit import (
     build_transform_plan,
     quantize_weights,
 )
+from fhespec.cli import parse_approx
 from fhespec.evaluate import normalized_euclidean
 from fhespec.quant import MAX_BITS, BitWidthConfig, width_of
 from fhespec.transforms import (
@@ -501,6 +502,12 @@ def test_sparse_approximations_lower_conv_taps():
     n_sparse = sparse.nodes[0].nonzero_taps()
     assert n_dense == CFG.window_length - 1  # the Hann window zeroes tap 0
     assert n_sparse <= (n_dense + 3) // 4 + 1
+    # every --approx form keeps a row at N - 1 taps: the per-bin cap keeps
+    # high bins dense, and cropping drops whole rows
+    for text in ("dilation:2", "dilation:4", "dilation:max", "fdwindow:16",
+                 "poorman:4", "l1", "crop", "crop:500:4000"):
+        plan = build_transform_plan("stft", parse_approx(text), CFG, FS)
+        assert plan.nodes[0].nonzero_taps() == CFG.window_length - 1, text
 
 
 def test_calibration_errors():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from fhespec.circuit import DESCRIPTOR_NAMES, PipelinePlan, build_transform_plan
+from fhespec.circuit import DESCRIPTOR_NAMES, PipelinePlan, Sweep, build_transform_plan
 from fhespec.cli import (
     COMMANDS,
     EVALUATING,
@@ -105,17 +105,20 @@ def test_ingest_layout_and_skips(tmp_path):
     wavfile.write(root / "beta" / "cd_rate.wav", 44100,
                   np.zeros(500, dtype=np.int16))
     write_wav(root / "beta" / "alpha_0.wav", AudioBuffer(np.ones(500) * 0.1, FS))
-    manifest = ingest(root, FS)
-    assert sorted({e.label for e in manifest.entries}) == ["alpha", "beta"]
-    assert len(manifest.entries) == 9
-    deep = next(e for e in manifest.entries if e.file_id == "deep")
-    assert (deep.label, deep.sublabel) == ("alpha", "sub")
+    clips, skips = ingest(root, FS)
+    assert sorted({e.label for e in clips}) == ["alpha", "beta"]
+    assert len(clips) == 9
+    deep = next(e for e in clips if e.file_id == "deep")
+    assert deep.label == "alpha"  # the sub-class level shares its class label
     assert np.allclose(deep.buffer.samples, 0.1)  # decoded once, kept
-    reasons = {s.path.name: s.reason for s in manifest.skipped}
-    assert "44100" in reasons["cd_rate.wav"]
-    assert "outside" in reasons["stray.wav"]
-    assert reasons["alpha_0.wav"] == "file id 'alpha_0' already used by alpha/alpha_0.wav"
-    assert [e.label for e in manifest.entries if e.file_id == "alpha_0"] == ["alpha"]
+    # one "path: reason" line per skipped file, naming the file once
+    assert skips == [
+        f"{root / 'beta' / 'alpha_0.wav'}: file id 'alpha_0' already used by "
+        "alpha/alpha_0.wav",
+        f"{root / 'beta' / 'cd_rate.wav'}: sample rate 44100 Hz != expected {FS} Hz",
+        f"{root / 'stray.wav'}: file outside any class directory",
+    ]
+    assert [e.label for e in clips if e.file_id == "alpha_0"] == ["alpha"]
     with pytest.raises(DatasetError):
         ingest(tmp_path / "missing", FS)
 
@@ -123,9 +126,9 @@ def test_ingest_layout_and_skips(tmp_path):
 def test_stratified_split_deterministic_and_proportional(tmp_path):
     root = tmp_path / "data"
     make_dataset(root, per_class=10)
-    manifest = ingest(root, FS)
-    cal1, ev1, warnings = split_clips(manifest.entries, 0.2, seed=7)
-    cal2, ev2, _ = split_clips(manifest.entries, 0.2, seed=7)
+    clips, _ = ingest(root, FS)
+    cal1, ev1, warnings = split_clips(clips, 0.2, seed=7)
+    cal2, ev2, _ = split_clips(clips, 0.2, seed=7)
     def keys(clips):
         return [(c.label, c.file_id) for c in clips]
 
@@ -134,11 +137,11 @@ def test_stratified_split_deterministic_and_proportional(tmp_path):
     for label in ("alpha", "beta"):
         assert sum(e.label == label for e in cal1) == 2
         assert sum(e.label == label for e in ev1) == 8
-    assert len(cal1) + len(ev1) == len(manifest.entries)
+    assert len(cal1) + len(ev1) == len(clips)
     assert not set(keys(cal1)) & set(keys(ev1))
     assert warnings == []
     with pytest.raises(DatasetError):
-        split_clips(manifest.entries, 1.5, seed=0)
+        split_clips(clips, 1.5, seed=0)
 
 
 def test_single_file_class_goes_to_calibration(tmp_path, capsys):
@@ -147,7 +150,7 @@ def test_single_file_class_goes_to_calibration(tmp_path, capsys):
     solo = root / "solo"
     solo.mkdir()
     write_wav(solo / "only.wav", AudioBuffer(np.ones(992) * 0.1, FS))
-    cal, ev, warnings = split_clips(ingest(root, FS).entries, 0.3, seed=0)
+    cal, ev, warnings = split_clips(ingest(root, FS)[0], 0.3, seed=0)
     assert any(e.label == "solo" for e in cal)
     assert not any(e.label == "solo" for e in ev)
     assert len(warnings) == 1 and "solo" in warnings[0]
@@ -313,7 +316,7 @@ def test_cli_distances_csv_quotes_file_ids(tmp_path, capsys):
         for name in (stem, f"{label}_0", f"{label}_1"):
             write_wav(root / label / f"{name}.wav",
                       AudioBuffer(rng.standard_normal(992) * 0.3, FS))
-    entries = ingest(root, FS).entries
+    entries, _ = ingest(root, FS)
     seed = next(s for s in range(20) if {"a,b", "plain"} <= {
         c.file_id for c in split_clips(entries, 0.1, s)[1]})
     evaluated = {c.file_id for c in split_clips(entries, 0.1, seed)[1]}
@@ -347,6 +350,19 @@ def test_cli_stattest_needs_two_classes_before_realizing(tmp_path, capsys):
                         "--bits", "8,8,8,8")
     assert code == EXIT_FAILED
     assert capsys.readouterr().err == "error: stattest needs at least two classes\n"
+    assert not list(out.iterdir())
+
+
+def test_cli_gridsearch_needs_two_evaluation_clips_before_realizing(
+        tmp_path, capsys, monkeypatch):
+    # two noise clips split one to calibration, one to evaluation: a
+    # correlation over one clip is undefined
+    monkeypatch.setattr(Sweep, "realize", lambda *a: pytest.fail("realized"))
+    code, out = run_cli(tmp_path, "gridsearch", "--synthetic", "noise",
+                        "--clips", "2", "--grid", "4,4,3,5")
+    assert code == EXIT_FAILED
+    assert capsys.readouterr().err == (
+        "error: grid search needs at least 2 evaluation clips, got 1\n")
     assert not list(out.iterdir())
 
 
@@ -480,6 +496,8 @@ MFCC = ["--transform", "mfcc", "--window", "256", "--hop", "128", "--n-mels", "1
     ("stattest", ["--alpha", "1"], ["significance level", "1.0"]),
     ("spectrogram", ["--approx", "crop:9000:10000"],
      ["9000.0-10000.0 Hz", "Nyquist frequency 8000.0 Hz"]),
+    ("spectrogram", ["--approx", "fdwindow:1000", "--window", "256"],
+     ["n_min=1000", "N=256"]),
 ])
 def test_cli_out_of_range_value_is_an_error(tmp_path, capsys, command, extra, names):
     code, _ = run_cli(tmp_path, command, *extra)
@@ -518,8 +536,10 @@ def test_cli_dataset_skips_exit_code(tmp_path, capsys):
     rows = (out / "descriptors.csv").read_text().splitlines()[1:]
     keys = [(r.split(",")[0], r.split(",")[-1]) for r in rows]
     assert len(keys) == len(set(keys))  # one row per file id and path
-    err = capsys.readouterr().err
-    assert "bad.wav" in err and "already used by alpha/alpha_1.wav" in err
+    assert capsys.readouterr().err == (
+        f"skipped: {root / 'alpha' / 'bad.wav'}: sample rate 44100 Hz != expected {FS} Hz\n"
+        f"skipped: {root / 'beta' / 'alpha_1.wav'}: file id 'alpha_1' already used by "
+        "alpha/alpha_1.wav\n")
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):

@@ -22,7 +22,6 @@ from fhespec.circuit import (
 )
 from fhespec.evaluate import (
     _midranks,
-    DiscoveryErrorReport,
     EvalError,
     GridSearchResult,
     PairTestResult,
@@ -244,13 +243,12 @@ def test_discovery_error_report():
     results = [PairTestResult(("a", "b"), pc, pf) for pc, pf in
                [(0.01, 0.01), (0.01, 0.5), (0.5, 0.01), (0.5, 0.5),
                 (0.02, 0.02)]]
-    rep = discovery_errors(results)
-    assert (rep.tp, rep.fn, rep.fp, rep.tn) == (2, 1, 1, 1)
-    assert rep.n == 5 and rep.error_count == 2
-    assert rep.error_rate == pytest.approx(0.4)
-    d = rep.as_dict()
+    d = discovery_errors(results)
+    assert (d["TP"], d["FN"], d["FP"], d["TN"]) == (2, 1, 1, 1)
+    assert d["n"] == 5 and d["error_count"] == 2
+    assert d["error_rate"] == pytest.approx(0.4)
     assert d["error_percent"] == pytest.approx(40.0)
-    assert DiscoveryErrorReport(0, 0, 0, 0).error_rate == 0.0
+    assert discovery_errors([])["error_rate"] == 0.0
 
 
 def test_pair_tests_identical_inputs_have_no_errors():
@@ -260,8 +258,7 @@ def test_pair_tests_identical_inputs_have_no_errors():
                     for loc in (0.0, 2.0, 0.1) for _ in range(12)])
     results = pair_tests(labels, arm, arm)
     assert len(results) == 3 * 4  # three pairs, four descriptors
-    rep = discovery_errors(results)
-    assert rep.error_count == 0  # identical p-values can never disagree
+    assert discovery_errors(results)["error_count"] == 0  # identical p-values never disagree
     single = [r for r in results if r.class_pair[0].endswith("/mean_rms")]
     assert len(single) == 3
 
@@ -446,8 +443,9 @@ def test_grid_search_all_infeasible_reported():
     space = [BitWidthConfig(8, 6, 8, 6)]
     # 63-tap convolution at 8/8 bits exceeds the accumulator budget
     results = grid_search(space, descriptor_plan(calib), evalu)
-    assert results == [GridSearchResult(BitWidthConfig(8, 6, 8, 6), False,
+    assert results == [GridSearchResult(BitWidthConfig(8, 6, 8, 6),
                                         reason="accumulator bound")]
+    assert not results[0].feasible
 
 
 def test_grid_search_validates_inputs():
@@ -456,6 +454,8 @@ def test_grid_search_validates_inputs():
         grid_search([], plan, eval_clips(2, 1))
     with pytest.raises(EvalError):
         grid_search([BitWidthConfig(5, 6, 3, 4)], plan, [])
+    with pytest.raises(EvalError, match="at least 2 evaluation clips, got 1"):
+        grid_search([BitWidthConfig(5, 6, 3, 4)], plan, eval_clips(1, 1))
 
 
 def test_transform_distance_search_orders_by_fidelity():
@@ -467,5 +467,6 @@ def test_transform_distance_search_orders_by_fidelity():
     assert scored[0][0] == BitWidthConfig(6, 8, 4, 8)  # best first
     assert scored[0][1] < scored[1][1]
     assert all(0.0 <= d <= 2.0 for _, d in scored)
+    assert len(transform_distance_search(space, plan, evalu[:1])) == 2  # one clip is enough
     with pytest.raises(EvalError, match="evaluation clips"):
         transform_distance_search(space, plan, [])
