@@ -648,28 +648,18 @@ class CircuitGraph:
 
     def execute(self, buf: AudioBuffer) -> ExecutionResult:
         """Integer forward of one clip: a batch of one, returned without
-        the clip axis."""
-        v, observed = self._forward(self.input_spec.to_v(buf.samples[None]),
-                                    lambda n, *vs: n.step(*vs))
-        return self._result(v[0], observed)
-
-    def _forward(self, v_in: np.ndarray, step) -> tuple[np.ndarray, dict]:
-        """Integer forward from the (B, L) input codes `v_in`; `step(node,
-        *values)` returns a node's (value, observed).  Returns the output
-        node's integers and the observed magnitude of each node.  A value
-        is dropped once its last reader ran, which lowers what a batch of
-        many clips holds at once."""
+        the clip axis.  A value is dropped once its last reader ran."""
         last_read = {s: k for k, n in enumerate(self.nodes) for s in n.inputs}
-        values = {"input": v_in}
+        values = {"input": self.input_spec.to_v(buf.samples[None])}
         observed: dict = {}
         for k, n in enumerate(self.nodes):
-            values[n.name], obs = step(n, *(values[s] for s in n.inputs))
+            values[n.name], obs = n.step(*(values[s] for s in n.inputs))
             if obs is not None:
                 observed[n.name] = obs
             for s in n.inputs:
                 if last_read[s] == k:
                     values.pop(s, None)
-        return values[self.output_node], observed
+        return self._result(values[self.output_node][0], observed)
 
     def _result(self, v: np.ndarray, observed: dict) -> ExecutionResult:
         spec = self.node(self.output_node).out_spec
@@ -797,9 +787,11 @@ class _ReadLog:
 class _Slot:
     """What a sweep keeps of one node: its latest key and what it bound."""
 
-    fields: tuple  # the config fields the node depends on
+    fields: tuple  # the config fields the node depends on, in SWEEP_ORDER
     key: tuple  # their values
+    depth: int  # length of the shortest SWEEP_ORDER prefix holding the fields
     node: object  # the bound node; for 'input', the input edge
+    entry: BudgetEntry | None  # the bound node's budget entry
     value: tuple | None = None  # (value, observed) over the sweep's clips
 
 
@@ -815,11 +807,19 @@ class Sweep:
     input edge reads `input_bits`.  The reads are recorded during the
     binds themselves, and a node's fields are listed in `SWEEP_ORDER`.
     For each node the sweep keeps one slot: its latest key (the values of
-    those fields), the bound node with its tables, and its batched
-    (value, observed) once executed (see `execute` for the values it
-    drops).  A config with another key rebinds the node and drops its
-    value.  A reused value was range-checked by the same bound node on
-    the same input when it was computed.
+    those fields), the bound node with its tables, its budget entry (built
+    once, at bind) and its batched (value, observed) once executed (see
+    `execute` for the values it drops).  A config with another key
+    rebinds the node and drops its value.  A reused value was
+    range-checked by the same bound node on the same input when it was
+    computed.  Each quantized edge is computed once per range and width.
+
+    A config costs what its changed nodes cost.  `realize` takes a node
+    whose fields lie in the `SWEEP_ORDER` prefix the config shares with
+    the last config whose binds all completed straight from its slot,
+    compares keys for the rest, and gives its verdict from the kept
+    budget entries; `execute` runs only the nodes whose slot holds no
+    value.
 
     `visit` realizes configs sorted by the fields in `SWEEP_ORDER`, so
     consecutive configs share the longest prefix.  `PipelinePlan.realize`
@@ -833,28 +833,36 @@ class Sweep:
         self.plan = plan
         self.samples = np.stack([c.samples for c in clips]) if lengths else None  # (B, L)
         self.slots: dict = {}
+        self.specs: dict = {}  # name -> the output edge of the node in its slot
+        self.edges: dict = {}  # (group of node names, width) -> EdgeSpec
+        self.realized: tuple | None = None  # the last config whose binds all completed
         self.graph: CircuitGraph | None = None  # the graph realized last
+        self.label = approx_label(plan.approx)
         # Heads feeding a multi-input node (the descriptor concat) must land
         # on one shared quantized edge, so their ranges are pooled.
-        self.pooled = {s for n in plan.nodes if len(n.inputs) > 1 for s in n.inputs}
+        self.pooled = frozenset(s for n in plan.nodes if len(n.inputs) > 1
+                                for s in n.inputs)
         self.readers: dict = {}  # name -> the nodes that read its value
         for n in plan.nodes:
             for s in n.inputs:
                 self.readers.setdefault(s, []).append(n.name)
+        self.last_read = {s: k for k, n in enumerate(plan.nodes) for s in n.inputs}
+        self.order = [("input", None), *((n.name, n) for n in plan.nodes)]
 
-    def _bound(self, name: str, inputs: list, bits: BitWidthConfig, log: _ReadLog,
-               bind):
-        """The bound node of `name` at `bits`, from its slot, rebound by
-        `bind()` when its key changed."""
-        slot = self.slots.get(name)
-        if slot is not None and slot.key == tuple(getattr(bits, f) for f in slot.fields):
-            return slot.node
-        log.reads.clear()
-        node = bind()
-        deps = log.reads.union(*(self.slots[s].fields for s in inputs))
-        fields = tuple(f for f in SWEEP_ORDER if f in deps)
-        self.slots[name] = _Slot(fields, tuple(getattr(bits, f) for f in fields), node)
-        return node
+    def _edge(self, log: _ReadLog, name: str) -> EdgeSpec:
+        """The plan's quantized edge for node `name`, at the width read
+        through `log`."""
+        plan = self.plan
+        pooled = name in self.pooled
+        b = log.output_bits if pooled or name == plan.output_node else log.mid_bits
+        group = self.pooled if pooled else (name,)
+        spec = self.edges.get((group, b))
+        if spec is None:
+            lo = min(plan.ranges[s][0] for s in group)
+            hi = max(plan.ranges[s][1] for s in group)
+            spec = self.edges[group, b] = EdgeSpec.from_range(lo, hi, bits=b,
+                                                              signed=lo < 0.0)
+        return spec
 
     def realize(self, bits: BitWidthConfig) -> CircuitGraph:
         """Bind `bits`, reusing every node whose key is unchanged; raises
@@ -863,40 +871,46 @@ class Sweep:
         if plan.ranges is None:
             raise CircuitError("plan must be calibrated before realization")
         self.graph = None
+        config = tuple(getattr(bits, f) for f in SWEEP_ORDER)
+        last, self.realized = self.realized, None  # None stays if a bind raises
+        shared = 0 if last is None else next(
+            (i for i, (a, b) in enumerate(zip(config, last)) if a != b), len(config))
         log = _ReadLog(bits)
+        edge = partial(self._edge, log)
+        slots, specs = self.slots, self.specs
+        for name, n in self.order:
+            slot = slots.get(name)
+            if slot is not None and (slot.depth <= shared or slot.key == tuple(
+                    getattr(bits, f) for f in slot.fields)):
+                continue
+            log.reads.clear()
+            if n is None:
+                node = spec = EdgeSpec.from_range(*plan.ranges["input"],
+                                                  bits=log.input_bits, signed=False)
+                entry, deps = None, log.reads
+            else:
+                node = n.bind(specs, log, edge, plan.normalization)
+                spec, entry = node.out_spec, node.budget_entry()
+                deps = log.reads.union(*(slots[s].fields for s in n.inputs))
+            fields = tuple(f for f in SWEEP_ORDER if f in deps)
+            depth = SWEEP_ORDER.index(fields[-1]) + 1 if fields else 0
+            slots[name] = _Slot(fields, tuple(getattr(bits, f) for f in fields), depth,
+                                node, entry)
+            specs[name] = spec
+        self.realized = config
 
-        def edge(name: str) -> EdgeSpec:
-            group = self.pooled if name in self.pooled else (name,)
-            lo = min(plan.ranges[s][0] for s in group)
-            hi = max(plan.ranges[s][1] for s in group)
-            wide = name in self.pooled or name == plan.output_node
-            b = log.output_bits if wide else log.mid_bits
-            return EdgeSpec.from_range(lo, hi, bits=b, signed=lo < 0.0)
-
-        def bind_input():
-            return EdgeSpec.from_range(*plan.ranges["input"], bits=log.input_bits,
-                                       signed=False)
-
-        input_spec = self._bound("input", [], bits, log, bind_input)
-        specs: dict = {"input": input_spec}
-        nodes = []
-        for n in plan.nodes:
-            node = self._bound(n.name, n.inputs, bits, log,
-                               partial(n.bind, specs, log, edge, plan.normalization))
-            specs[n.name] = node.out_spec
-            nodes.append(node)
-
-        graph = CircuitGraph(
-            kind=plan.kind,
-            approx_label=approx_label(plan.approx),
-            bits=bits,
-            input_spec=input_spec,
-            nodes=nodes,
-            output_node=plan.output_node,
-        )
-        report = graph.check_budget()
+        kept = [slots[n.name] for n in plan.nodes]
+        report = AccumulatorReport(entries=[s.entry for s in kept if s.entry is not None])
         if not report.feasible:
             raise BudgetViolation(report)
+        graph = CircuitGraph(
+            kind=plan.kind,
+            approx_label=self.label,
+            bits=bits,
+            input_spec=slots["input"].node,
+            nodes=[s.node for s in kept],
+            output_node=plan.output_node,
+        )
         # remaining tables are only materialized once the budget holds: an
         # over-budget input edge can make a lookup table huge
         for n in graph.nodes:
@@ -904,41 +918,50 @@ class Sweep:
         self.graph = graph
         return graph
 
+    def _keeps_value(self, name: str) -> bool:
+        """Whether the slot of `name` keeps the value itself: for the output,
+        and for a node with a reader that depends on more fields, since only
+        such a reader can run again while the node is reused."""
+        width = len(self.slots[name].fields)
+        return name == self.plan.output_node or any(
+            len(self.slots[r].fields) > width for r in self.readers.get(name, ()))
+
     def execute(self) -> ExecutionResult:
-        """Run the graph realized last once over all clips, reusing what its
-        bound nodes already computed.  The result's arrays lead with the
+        """Run the graph realized last once over all clips, running only the
+        nodes whose slot holds no value.  The result's arrays lead with the
         clip axis, and `observed` holds the maximum over the clips.
 
-        A slot keeps the value itself only for the output and for a node
-        with a reader that depends on more fields, since only such a reader
-        can run again while the node is reused; any other slot keeps the
-        observed magnitude alone.  What a run computes is stored once the
-        whole run succeeded, so a failed run leaves every slot as it was."""
+        A slot keeps the value itself where `_keeps_value` says so and the
+        observed magnitude alone otherwise; a value this run computed is
+        dropped once its last reader ran.  What a run computes is stored
+        once the whole run succeeded, so a failed run leaves every slot as
+        it was."""
         graph = self.graph
         if graph is None:
             raise CircuitError("the sweep has no realized graph to execute")
         if self.samples is None:
             raise CircuitError("the sweep has no clips to execute on")
+        slots = self.slots
+        values: dict = {}  # name -> a value this run computed
         computed: dict = {}  # name -> what its slot keeps of this run
-
-        def keep(name, value, obs):
-            width = len(self.slots[name].fields)
-            read_later = name == graph.output_node or any(
-                len(self.slots[r].fields) > width for r in self.readers.get(name, ()))
-            computed[name] = (value if read_later else None), obs
-            return value, obs
-
-        def step(n, *vs):
-            hit = self.slots[n.name].value
-            return hit if hit is not None else keep(n.name, *n.step(*vs))
-
-        v_in = self.slots["input"].value
-        if v_in is None:
-            v_in = keep("input", graph.input_spec.to_v(self.samples), None)
-        v, observed = graph._forward(v_in[0], step)
+        if slots["input"].value is None:
+            v = values["input"] = graph.input_spec.to_v(self.samples)
+            computed["input"] = (v if self._keeps_value("input") else None), None
+        for k, n in enumerate(graph.nodes):
+            if slots[n.name].value is not None:
+                continue
+            v, obs = n.step(*(values[s] if s in values else slots[s].value[0]
+                              for s in n.inputs))
+            values[n.name] = v
+            computed[n.name] = (v if self._keeps_value(n.name) else None), obs
+            for s in n.inputs:
+                if self.last_read[s] == k:
+                    values.pop(s, None)
         for name, kept in computed.items():
-            self.slots[name].value = kept
-        return graph._result(v, observed)
+            slots[name].value = kept
+        observed = {n.name: slots[n.name].value[1] for n in graph.nodes
+                    if slots[n.name].value[1] is not None}
+        return graph._result(slots[graph.output_node].value[0], observed)
 
     def visit(self, configs: list):
         """Realize the distinct configs of `configs` sorted by the fields in

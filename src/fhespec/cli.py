@@ -137,21 +137,24 @@ def parse_approx(text: str):
     raise CliError(f"bad approximation spec {text!r}")
 
 
-def parse_bits(text: str) -> BitWidthConfig:
+def parse_bits(text: str, flag: str = "--bits") -> BitWidthConfig:
     parts = text.split(",")
     if len(parts) != 4:
-        raise CliError(f"--bits wants 4 comma-separated widths, got {text!r}")
+        raise CliError(f"{flag} wants 4 comma-separated widths, got {text!r}")
     try:
         return BitWidthConfig(*(int(p) for p in parts))
     except (ValueError, QuantError) as exc:
-        raise CliError(f"bad --bits {text!r}: {exc}") from exc
+        raise CliError(f"bad {flag} {text!r}: {exc}") from exc
 
 
 def parse_grid(text: str) -> list:
     """Semicolon-separated bit configs, or 'full' for the whole {2..8}^4 grid."""
     if text == "full":
         return default_grid()
-    return [parse_bits(chunk) for chunk in text.split(";") if chunk]
+    configs = [parse_bits(chunk, "--grid") for chunk in text.split(";") if chunk]
+    if not configs:
+        raise CliError(f"--grid names no config: {text!r}")
+    return configs
 
 
 def _add_settings(parser, names) -> None:
@@ -200,6 +203,8 @@ def resolve_settings(args) -> dict:
                            f"want {convert.__name__}") from None
     settings["approx_spec"] = parse_approx(settings["approx"])
     settings["bits_config"] = parse_bits(settings["bits"])
+    if args.command == "gridsearch":  # the only command that reads the grid
+        settings["grid_configs"] = parse_grid(settings["grid"])
     settings["stft_config"] = StftConfig(window_length=settings["window"],
                                          hop=settings["hop"])
     settings["mel_spec"] = MelSpec(n_mels=settings["n_mels"])
@@ -330,9 +335,8 @@ def cmd_stattest(settings, calib, evalu, out: Path) -> None:
 
 
 def cmd_gridsearch(settings, calib, evalu, out: Path) -> None:
-    space = parse_grid(settings["grid"])
     plan, evalu = _descriptor_plan(settings, calib, evalu)
-    results = grid_search(space, plan, [c.buffer for c in evalu])
+    results = grid_search(settings["grid_configs"], plan, [c.buffer for c in evalu])
     write_grid_json(out / "gridsearch.json", results)
     feasible = [r for r in results if r.feasible]
     if feasible:

@@ -1,9 +1,10 @@
 """Bit accounting: bit-width configurations and accumulator widths.
 
 A `BitWidthConfig` names the four widths a circuit is realized at (input,
-output, weights, intermediates), each in 1..MAX_BITS.  `accumulator_bits`
-is the closed-form worst-case width of an L-tap dot product, and `width_of`
-the ceil(log2) convention every budget figure uses.  The quantizers
+output, weights, intermediates): the weight width in 2..MAX_BITS, since a
+symmetric weight code needs a sign bit, and the others in 1..MAX_BITS.
+`accumulator_bits` is the closed-form worst-case width of an L-tap dot
+product, and `width_of` the ceil(log2) convention every budget figure uses.  The quantizers
 themselves live with the circuits that run them, in `fhespec.circuit`:
 zero-aligned edges (`EdgeSpec`) and symmetric weights (`quantize_weights`).
 """
@@ -31,8 +32,9 @@ class BitWidthConfig:
 
     def __post_init__(self):
         for name, b in self.as_dict().items():
-            if not (1 <= b <= MAX_BITS):
-                raise QuantError(f"{name} must be in [1, {MAX_BITS}], got {b}")
+            low = 2 if name == "weight_bits" else 1  # a symmetric code needs a sign bit
+            if not (low <= b <= MAX_BITS):
+                raise QuantError(f"{name} must be in [{low}, {MAX_BITS}], got {b}")
 
     def as_dict(self) -> dict:
         return {

@@ -227,6 +227,15 @@ def test_parse_bits_and_grid():
     grid = parse_grid("4,6,3,5;2,2,2,2")
     assert grid == [BitWidthConfig(4, 6, 3, 5), BitWidthConfig(2, 2, 2, 2)]
     assert len(parse_grid("full")) == 7**4
+    for bad in ("4,4,0,4;5,5,4,5", "4,4,1,4", "4,4,4", ";"):
+        with pytest.raises(CliError, match="--grid"):
+            parse_grid(bad)
+    # a malformed grid is refused with the settings, before any clip is drawn
+    args = build_parser().parse_args(["gridsearch", *BASE, "--grid", "4,4,1,4;5,5,4,5"])
+    with pytest.raises(CliError, match="bad --grid '4,4,1,4'"):
+        resolve_settings(args)
+    assert resolve_settings(build_parser().parse_args(
+        ["gridsearch", "--grid", "5,6,4,5"]))["grid_configs"] == [BitWidthConfig(5, 6, 4, 5)]
 
 
 # CLI end-to-end ---------------------------------------------------------------
@@ -498,6 +507,10 @@ MFCC = ["--transform", "mfcc", "--window", "256", "--hop", "128", "--n-mels", "1
      ["9000.0-10000.0 Hz", "Nyquist frequency 8000.0 Hz"]),
     ("spectrogram", ["--approx", "fdwindow:1000", "--window", "256"],
      ["n_min=1000", "N=256"]),
+    ("gridsearch", ["--grid", "4,4,0,4;5,5,4,5"], ["--grid", "'4,4,0,4'", "weight_bits"]),
+    ("gridsearch", ["--grid", "4,4,1,4;5,5,4,5"], ["--grid", "'4,4,1,4'", "weight_bits",
+                                                   "[2, 16], got 1"]),
+    ("descriptors", ["--bits", "5,8,1,5"], ["--bits", "weight_bits", "[2, 16], got 1"]),
 ])
 def test_cli_out_of_range_value_is_an_error(tmp_path, capsys, command, extra, names):
     code, _ = run_cli(tmp_path, command, *extra)

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -344,6 +345,39 @@ def test_grid_search_quantizes_each_weight_width_once(monkeypatch):
     assert ranked  # some configs realize
 
 
+def test_grid_search_builds_each_edge_and_budget_entry_once(monkeypatch):
+    calib, evalu = eval_clips(4, 26), eval_clips(6, 27)
+    space = [BitWidthConfig(*t)
+             for t in itertools.product((4, 6), (5, 7), range(2, 9), (4, 5))]
+    edges, binds, entries = Counter(), Counter(), Counter()
+    from_range = circuit.EdgeSpec.from_range
+
+    def counting_range(cls, lo, hi, bits, signed):
+        edges[lo, hi, bits, signed] += 1
+        return from_range(lo, hi, bits, signed)
+
+    def counting(method, calls):
+        def counted(node, *args, **kwargs):
+            calls[node.name] += 1
+            return method(node, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(circuit.EdgeSpec, "from_range", classmethod(counting_range))
+    for cls in vars(circuit).values():
+        if isinstance(cls, type) and issubclass(cls, circuit.Node):
+            for attr, calls in (("bind", binds), ("budget_entry", entries)):
+                if attr in vars(cls):
+                    monkeypatch.setattr(cls, attr, counting(vars(cls)[attr], calls))
+    plan = descriptor_plan(calib)
+    results = grid_search(space, plan, evalu)
+    assert any(r.feasible for r in results) and not all(r.feasible for r in results)
+    # each quantized edge once per (range, width), each budget entry once per bind
+    assert max(edges.values()) == 1
+    assert entries == binds
+    # a config rebinds the nodes whose widths changed, not the whole plan
+    assert sum(binds.values()) < len(space) * len(plan.nodes) / 2
+
+
 def subspace(widths):
     return sorted(BitWidthConfig(*t) for t in itertools.product(*widths))
 
@@ -358,8 +392,39 @@ def test_sweep_equals_fresh_realizes(approx, widths, data):
     configs = subspace(widths)
     space = data.draw(st.permutations(configs + configs[:3]))  # repeats, shuffled
     calib, evalu = eval_clips(3, 28), eval_clips(3, 29)
-    sweep = Sweep(descriptor_plan(calib, approx), evalu)
+    fresh = {}  # config -> (to_json or None, budget report, results or message)
     fresh_results = []
+
+    def expected(bits):
+        if bits not in fresh:
+            fresh_plan = descriptor_plan(calib, approx)
+            fresh_results.extend(grid_search([bits], fresh_plan, evalu))
+            try:
+                want = fresh_plan.realize(bits)
+            except BudgetViolation as exc:
+                fresh[bits] = None, exc.report.as_dict(), str(exc)
+            else:
+                fresh[bits] = (want.to_json(), want.check_budget().as_dict(),
+                               [want.execute(buf) for buf in evalu])
+        return fresh[bits]
+
+    def check(bits, graph, violation, sweep):
+        want_json, want_report, refs = expected(bits)
+        if want_json is None:
+            assert graph is None and str(violation) == refs
+            assert violation.report.as_dict() == want_report
+            return
+        assert violation is None
+        assert graph.to_json() == want_json
+        assert graph.check_budget().as_dict() == want_report
+        got = sweep.execute()
+        for i, ref in enumerate(refs):
+            assert np.array_equal(got.output.data[i], ref.output.data)
+            assert np.array_equal(got.dequantized[i], ref.dequantized)
+        assert got.observed == {name: max(ref.observed[name] for ref in refs)
+                                for name in refs[0].observed}
+
+    sweep = Sweep(descriptor_plan(calib, approx), evalu)
     visited = []
     for bits, graph, violation in sweep.visit(space):
         visited.append(bits)
@@ -370,24 +435,41 @@ def test_sweep_equals_fresh_realizes(approx, widths, data):
             # a kept value spans the whole batch of evaluation clips
             if slot.value is not None and slot.value[0] is not None:
                 assert len(slot.value[0]) == len(evalu)
-        fresh_plan = descriptor_plan(calib, approx)
-        fresh_results += grid_search([bits], fresh_plan, evalu)
-        try:
-            want = fresh_plan.realize(bits)
-        except BudgetViolation as exc:
-            assert graph is None and str(violation) == str(exc)
-            continue
-        assert violation is None
-        assert graph.to_json() == want.to_json()
-        got, refs = sweep.execute(), [want.execute(buf) for buf in evalu]
-        for i, ref in enumerate(refs):
-            assert np.array_equal(got.output.data[i], ref.output.data)
-            assert np.array_equal(got.dequantized[i], ref.dequantized)
-        assert got.observed == {name: max(ref.observed[name] for ref in refs)
-                                for name in refs[0].observed}
+        check(bits, graph, violation, sweep)
     assert sorted(visited) == configs
+
+    # realizes called directly: in the drawn order, with repeats, a
+    # violation in between and a realize whose last bind raised
+    def realize(bits):
+        try:
+            return sweep.realize(bits), None
+        except BudgetViolation as exc:
+            return None, exc
+
+    class Injected(RuntimeError):
+        pass
+
+    def failing(node, *args):
+        raise Injected
+
+    over = BitWidthConfig(5, 6, 4, 8)  # 30 * 255^2 blows the std accumulators
+    assert expected(over)[0] is None
+    sweep = Sweep(descriptor_plan(calib, approx), evalu)
+    check(space[0], *realize(space[0]), sweep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuit.ConcatNode, "bind", failing)
+        with pytest.raises(Injected):  # every node but the last one rebinds first
+            sweep.realize(replace(space[0], input_bits=space[0].input_bits + 1))
+    with pytest.raises(circuit.CircuitError, match="no realized graph"):
+        sweep.execute()
+    for i, bits in enumerate([space[0], *space]):
+        check(bits, *realize(bits), sweep)
+        if i % 3 == 1:
+            check(over, *realize(over), sweep)
+
     # the search over the whole space ranks like a fresh plan per config
-    fresh_results.sort(key=lambda r: r.config)
+    fresh_results = sorted((r for r in fresh_results if r.config in configs),
+                           key=lambda r: r.config)
     ranked = sorted((r for r in fresh_results if r.feasible),
                     key=lambda r: (-r.mean_r, r.config.as_tuple()))
     assert grid_search(space, descriptor_plan(calib, approx), evalu) == \

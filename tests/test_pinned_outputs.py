@@ -2,8 +2,9 @@
 
 Each of the three `perfbench` workloads runs once, at seed 3 with one BLAS
 thread, as its own CLI process; the SHA-256 over its output files must equal
-the digest `perfbench/digests.json` pins for it.  An unintended change to
-any output then fails here rather than only in the benchmark.
+the digest `perfbench/digests.json` pins for it.  `grid` also runs at seed 4,
+the seed whose output depends on the BLAS thread count.  An unintended change
+to any output then fails here rather than only in the benchmark.
 """
 
 import importlib.util
@@ -15,7 +16,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 3
 
 
 def load_workloads():
@@ -34,16 +34,19 @@ def load_workloads():
 WORKLOADS = load_workloads()
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
-def test_workload_output_equals_its_pin(tmp_path, name):
+@pytest.mark.parametrize("name,seed", [
+    *(pytest.param(name, 3, id=name) for name in sorted(WORKLOADS.WORKLOADS)),
+    pytest.param("grid", 4, id="grid-seed4"),
+])
+def test_workload_output_equals_its_pin(tmp_path, name, seed):
     workload = WORKLOADS.WORKLOADS[name]
-    pinned = WORKLOADS.pinned_digest(name, 1, SEED)
-    assert pinned is not None, f"no digest pinned for {name} at seed {SEED}"
+    pinned = WORKLOADS.pinned_digest(name, 1, seed)
+    assert pinned is not None, f"no digest pinned for {name} at seed {seed}"
     out = tmp_path / "out"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-m", "fhespec.cli", *WORKLOADS.cli_args(workload, SEED, out)],
+        [sys.executable, "-m", "fhespec.cli", *WORKLOADS.cli_args(workload, seed, out)],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert WORKLOADS.output_digest(out) == pinned

@@ -103,4 +103,8 @@ def test_bit_width_config():
     assert b.as_dict()["weight_bits"] == 3
     with pytest.raises(QuantError):
         BitWidthConfig(0, 6, 3, 5)
+    # a symmetric weight code needs a sign bit: weights start at 2 bits
+    with pytest.raises(QuantError, match="weight_bits must be in \\[2, 16\\], got 1"):
+        BitWidthConfig(4, 6, 1, 5)
+    assert BitWidthConfig(1, 1, 2, 1).as_tuple() == (1, 1, 2, 1)
     assert BitWidthConfig(2, 2, 2, 2) < BitWidthConfig(2, 2, 2, 3)
