@@ -165,8 +165,8 @@ class Node:
     caches per width): `specs` maps every name bound so far to its
     output edge, `edge(name)` is the plan's quantized edge for a node and
     `normalization` the plan's z-score constants.  A bind reads widths
-    from `bits` and `edge` alone; that is how a `Sweep` learns which
-    fields a node depends on.  `clear()` never touches
+    from `bits` and `edge` alone; that is how a `Sweep` learns a node's
+    depth in `SWEEP_ORDER`.  `clear()` never touches
     quantization and is what calibration runs.  On a bound node, `step()`
     runs `run_int`, checks any accumulator against its declared range and
     returns the value with its observed magnitude (None when nothing
@@ -763,33 +763,33 @@ class PipelinePlan:
 
 
 # The config fields in the order a plan's nodes first read them: the input
-# edge, the conv weights, the intermediate edges, the output edges.  Every
-# node's fields are a prefix of it, so configs sorted by it share the
-# longest prefix of bound nodes and kept values.
+# edge, the conv weights, the intermediate edges, the output edges.  A
+# node's depth is the length of the prefix of it that holds every field the
+# node depends on, so configs sorted by it share the most bound nodes and
+# kept values.
 SWEEP_ORDER = ("input_bits", "weight_bits", "mid_bits", "output_bits")
 
 
 class _ReadLog:
-    """Stands in for a `BitWidthConfig` and records, in `reads`, the fields
-    read from it since `reads` was last cleared."""
+    """Stands in for a `BitWidthConfig` and records, in `depth`, the
+    deepest `SWEEP_ORDER` position (counted from 1) read from it since
+    `depth` was last reset to 0."""
 
     def __init__(self, bits: BitWidthConfig):
         self._bits = bits
-        self.reads: set = set()
+        self.depth = 0
 
     def __getattr__(self, name: str):
         if name in SWEEP_ORDER:
-            self.reads.add(name)
+            self.depth = max(self.depth, SWEEP_ORDER.index(name) + 1)
         return getattr(self._bits, name)
 
 
 @dataclass
 class _Slot:
-    """What a sweep keeps of one node: its latest key and what it bound."""
+    """What a sweep keeps of one node: its depth and what it bound."""
 
-    fields: tuple  # the config fields the node depends on, in SWEEP_ORDER
-    key: tuple  # their values
-    depth: int  # length of the shortest SWEEP_ORDER prefix holding the fields
+    depth: int  # the SWEEP_ORDER prefix length holding every width the node reads
     node: object  # the bound node; for 'input', the input edge
     entry: BudgetEntry | None  # the bound node's budget entry
     value: tuple | None = None  # (value, observed) over the sweep's clips
@@ -802,24 +802,21 @@ class Sweep:
     The clips must have equal lengths: every execution runs the graph once
     over all of them, stacked into one (B, L) batch.
 
-    A node depends on the config fields its own `bind` reads, through
-    `bits` or the plan's `edge(name)`, plus the fields of its inputs; the
-    input edge reads `input_bits`.  The reads are recorded during the
-    binds themselves, and a node's fields are listed in `SWEEP_ORDER`.
-    For each node the sweep keeps one slot: its latest key (the values of
-    those fields), the bound node with its tables, its budget entry (built
-    once, at bind) and its batched (value, observed) once executed (see
-    `execute` for the values it drops).  A config with another key
-    rebinds the node and drops its value.  A reused value was
-    range-checked by the same bound node on the same input when it was
-    computed.  Each quantized edge is computed once per range and width.
+    A node's depth is the deepest `SWEEP_ORDER` position (from 1) that its
+    `bind` reads, through `bits` or the plan's `edge(name)`, or that its
+    inputs have, whichever is deeper.  Each node has one slot: its depth,
+    the bound node with its tables, its budget entry and, once executed,
+    its batched (value, observed) (see `execute` for the values it drops).
 
-    A config costs what its changed nodes cost.  `realize` takes a node
-    whose fields lie in the `SWEEP_ORDER` prefix the config shares with
-    the last config whose binds all completed straight from its slot,
-    compares keys for the rest, and gives its verdict from the kept
-    budget entries; `execute` runs only the nodes whose slot holds no
-    value.
+    One rule decides reuse: `realize` keeps a slot iff its depth is at
+    most the length of the `SWEEP_ORDER` prefix the config shares with
+    `realized`, the last config whose binds all completed, and rebinds the
+    node, dropping its value, otherwise.  A kept node was bound at the same
+    first `depth` widths, so a reused value was range-checked by the same
+    bound node on the same input; after a failed bind every node rebinds.
+    A config costs what its changed nodes cost: the verdict comes from the
+    kept budget entries, `execute` runs only the slots with no value, and
+    each quantized edge is computed once per range and width.
 
     `visit` realizes configs sorted by the fields in `SWEEP_ORDER`, so
     consecutive configs share the longest prefix.  `PipelinePlan.realize`
@@ -865,8 +862,9 @@ class Sweep:
         return spec
 
     def realize(self, bits: BitWidthConfig) -> CircuitGraph:
-        """Bind `bits`, reusing every node whose key is unchanged; raises
-        `BudgetViolation` for an over-budget configuration."""
+        """Bind `bits`, reusing every node whose depth lies in the prefix it
+        shares with the last realized config; raises `BudgetViolation` for
+        an over-budget configuration."""
         plan = self.plan
         if plan.ranges is None:
             raise CircuitError("plan must be calibrated before realization")
@@ -880,22 +878,18 @@ class Sweep:
         slots, specs = self.slots, self.specs
         for name, n in self.order:
             slot = slots.get(name)
-            if slot is not None and (slot.depth <= shared or slot.key == tuple(
-                    getattr(bits, f) for f in slot.fields)):
+            if slot is not None and slot.depth <= shared:
                 continue
-            log.reads.clear()
+            log.depth = 0
             if n is None:
                 node = spec = EdgeSpec.from_range(*plan.ranges["input"],
                                                   bits=log.input_bits, signed=False)
-                entry, deps = None, log.reads
+                entry, depth = None, log.depth
             else:
                 node = n.bind(specs, log, edge, plan.normalization)
                 spec, entry = node.out_spec, node.budget_entry()
-                deps = log.reads.union(*(slots[s].fields for s in n.inputs))
-            fields = tuple(f for f in SWEEP_ORDER if f in deps)
-            depth = SWEEP_ORDER.index(fields[-1]) + 1 if fields else 0
-            slots[name] = _Slot(fields, tuple(getattr(bits, f) for f in fields), depth,
-                                node, entry)
+                depth = max(log.depth, *(slots[s].depth for s in n.inputs))
+            slots[name] = _Slot(depth, node, entry)
             specs[name] = spec
         self.realized = config
 
@@ -920,11 +914,11 @@ class Sweep:
 
     def _keeps_value(self, name: str) -> bool:
         """Whether the slot of `name` keeps the value itself: for the output,
-        and for a node with a reader that depends on more fields, since only
-        such a reader can run again while the node is reused."""
-        width = len(self.slots[name].fields)
+        and for a node with a deeper reader, since only such a reader can
+        run again while the node is reused."""
+        depth = self.slots[name].depth
         return name == self.plan.output_node or any(
-            len(self.slots[r].fields) > width for r in self.readers.get(name, ()))
+            self.slots[r].depth > depth for r in self.readers.get(name, ()))
 
     def execute(self) -> ExecutionResult:
         """Run the graph realized last once over all clips, running only the

@@ -428,10 +428,13 @@ def test_sweep_equals_fresh_realizes(approx, widths, data):
     visited = []
     for bits, graph, violation in sweep.visit(space):
         visited.append(bits)
-        # the cache holds one key per node: the one of the config just bound
-        assert set(sweep.slots) == {"input", *(n.name for n in sweep.plan.nodes)}
-        for slot in sweep.slots.values():
-            assert slot.key == tuple(getattr(bits, f) for f in slot.fields)
+        # one slot per node, its depth at least that of each of its inputs
+        slots = sweep.slots
+        assert set(slots) == {"input", *(n.name for n in sweep.plan.nodes)}
+        assert slots["input"].depth == 1
+        assert all(slots[s].depth <= slots[n.name].depth
+                   for n in sweep.plan.nodes for s in n.inputs)
+        for slot in slots.values():
             # a kept value spans the whole batch of evaluation clips
             if slot.value is not None and slot.value[0] is not None:
                 assert len(slot.value[0]) == len(evalu)
@@ -476,6 +479,10 @@ def test_sweep_equals_fresh_realizes(approx, widths, data):
         ranked + [r for r in fresh_results if not r.feasible]
 
 
+# the descriptor plan's nodes that read an output width, and only these
+DEPTH_4 = {"mean_rms", "std_rms", "m_mstds", "m_gstds", "descriptor_vector"}
+
+
 def test_sweep_visits_configs_in_field_order_of_first_read():
     calib, evalu = eval_clips(3, 30), eval_clips(2, 31)
     sweep = Sweep(descriptor_plan(calib), evalu)
@@ -483,16 +490,25 @@ def test_sweep_visits_configs_in_field_order_of_first_read():
     visited = [bits for bits, _, _ in sweep.visit(configs)]
     assert visited == sorted(configs, key=lambda b: (b.input_bits, b.weight_bits,
                                                      b.mid_bits, b.output_bits))
-    # an output width is read by the normalize tables and the concat alone
-    fields = {name: slot.fields for name, slot in sweep.slots.items()}
-    # every node's fields are a prefix of the sweep order, which covers the config
+    # the sweep order covers the config; an output width is read by the
+    # normalize tables and the concat alone
     assert sorted(SWEEP_ORDER) == sorted(BitWidthConfig.__dataclass_fields__)
-    assert all(f == SWEEP_ORDER[:len(f)] for f in fields.values())
-    assert fields["input"] == ("input_bits",)
-    assert fields["stft_conv"] == ("input_bits", "weight_bits")
-    assert fields["mel_stds"] == ("input_bits", "weight_bits", "mid_bits")
-    assert {name for name, f in fields.items() if "output_bits" in f} == {
-        "mean_rms", "std_rms", "m_mstds", "m_gstds", "descriptor_vector"}
+    depth = {name: slot.depth for name, slot in sweep.slots.items()}
+    assert (depth["input"], depth["stft_conv"], depth["mel_stds"]) == (1, 2, 3)
+    assert {name for name, d in depth.items() if d == 4} == DEPTH_4
+
+
+def test_sweep_rebinds_the_nodes_deeper_than_the_shared_prefix():
+    sweep = Sweep(descriptor_plan(eval_clips(3, 30)), eval_clips(2, 31))
+    a = BitWidthConfig(input_bits=4, output_bits=4, weight_bits=5, mid_bits=3)
+    sweep.realize(a)
+    before = {name: slot.node for name, slot in sweep.slots.items()}
+    sweep.realize(replace(a, output_bits=5))  # shares the first three widths
+    rebound = {name for name, slot in sweep.slots.items() if slot.node is not before[name]}
+    assert rebound == DEPTH_4
+    before = {name: slot.node for name, slot in sweep.slots.items()}
+    sweep.realize(replace(a, input_bits=5, output_bits=5))  # shares no prefix
+    assert all(slot.node is not before[name] for name, slot in sweep.slots.items())
 
 
 def test_transform_distance_search_runs_the_clear_arm_once_per_clip(monkeypatch):
