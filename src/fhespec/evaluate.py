@@ -4,8 +4,9 @@ Three questions are answered here.  How far is a simulated-encrypted
 spectrogram from its clear counterpart (scale-free Frobenius distance)?  Do
 clear and simulated-encrypted descriptors support the same class-separation
 decisions (Mann-Whitney U per class pair, discovery-error accounting)?  And
-which bit-width configuration tracks the clear descriptors best (Pearson
-correlation, grid search with budget pruning)?
+which bit-width configuration tracks the clear descriptors best (grid
+search with budget pruning, the descriptor arms of all realized configs
+scored by one stacked Pearson correlation)?
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -148,30 +150,44 @@ def mann_whitney_u(a, b, method: str = "auto") -> float:
 # Pearson ----------------------------------------------------------------------
 
 def pearson(a, b):
-    """Pearson r of two vectors, or of each column pair of two (n, k) arrays.
+    """Pearson r of two vectors, of each column pair of two (n, k) arrays,
+    or of each arm's column pairs in two (m, n, k) stacks of m arms.
 
-    The column form makes one `np.corrcoef` call and returns the k
-    correlations, nan for a column that is constant on either side.  The
-    vector form is its k = 1 case and raises `UndefinedCorrelation` there.
-    The rows handed to `np.corrcoef` are C-contiguous, so each row's mean
-    sums in the same order as in the vector form."""
+    The stacked form does `np.corrcoef`'s arithmetic once over all m arms:
+    the row means, the centring, X @ Xᵀ, the factor 1/(n−1), the two
+    divisions by the standard deviations and the clip to [−1, 1], so each
+    row of the (m, k) result equals `np.corrcoef` of its arm bit for bit.
+    A column constant on either side gives nan.  The (n, k) form is the
+    m = 1 case and returns the k correlations; the vector form is its k = 1
+    case and raises `UndefinedCorrelation` on a constant input."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    vector = a.ndim == 1
-    if vector:
+    ndim = a.ndim
+    if ndim == 1:
         a, b = a[:, None], b[:, None]
-    if a.shape != b.shape or a.ndim != 2 or len(a) < 2:
-        raise EvalError("pearson needs two equal-shape vectors or (n, k) arrays "
-                        "with n >= 2")
+    if ndim < 3:
+        a, b = a[None], b[None]
+    if a.shape != b.shape or a.ndim != 3 or a.shape[1] < 2:
+        raise EvalError("pearson needs two equal-shape vectors, (n, k) arrays "
+                        "or (m, n, k) stacks with n >= 2")
     _finite(a, "pearson input a")
     _finite(b, "pearson input b")
-    constant = (np.ptp(a, axis=0) == 0.0) | (np.ptp(b, axis=0) == 0.0)
-    if vector and constant[0]:
+    constant = (np.ptp(a, axis=1) == 0.0) | (np.ptp(b, axis=1) == 0.0)
+    if ndim == 1 and constant[0, 0]:
         raise UndefinedCorrelation("pearson is undefined for constant input")
-    k = a.shape[1]
+    n, k = a.shape[1:]
+    # one C-contiguous row per arm and column, so each row's mean sums in
+    # `np.corrcoef`'s order; X @ Xᵀ takes the BLAS path of `np.cov`'s dot
+    x = np.concatenate([a, b], axis=2).transpose(0, 2, 1).copy()
+    x -= x.mean(axis=2, keepdims=True)
+    c = x @ x.transpose(0, 2, 1)
+    c *= np.true_divide(1, n - 1)
+    sd = np.sqrt(np.diagonal(c, axis1=1, axis2=2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.corrcoef(np.ascontiguousarray(np.concatenate([a, b], axis=1).T))
-    r = np.where(constant, np.nan, c[np.arange(k), k + np.arange(k)])
-    return float(r[0]) if vector else r
+        c /= sd[:, :, None]
+        c /= sd[:, None, :]
+    np.clip(c, -1.0, 1.0, out=c)
+    r = np.where(constant, np.nan, c[:, np.arange(k), k + np.arange(k)])
+    return float(r[0, 0]) if ndim == 1 else r[0] if ndim == 2 else r
 
 
 # Discovery errors -------------------------------------------------------------
@@ -249,11 +265,6 @@ class GridSearchResult:
             return None
         return float(np.mean(list(self.per_descriptor_r.values())))
 
-    def as_dict(self) -> dict:
-        return {"config": self.config.as_dict(), "feasible": self.feasible,
-                "per_descriptor_r": self.per_descriptor_r,
-                "mean_r": self.mean_r, "reason": self.reason}
-
 
 def default_grid() -> list:
     """Every bit-width combination in {2..8}^4."""
@@ -276,33 +287,35 @@ def _plan_max_taps(plan) -> int:
     return max(n.nonzero_taps() for n in plan.nodes if isinstance(n, ConvNode))
 
 
-def _search(plan, space: list, evaluation: list, score) -> list:
-    """Prune, realize and score each distinct config of `space`.
+def _search(plan, space: list, evaluation: list):
+    """Prune, realize and execute each distinct config of `space`.
 
     One `Sweep` realizes and executes the configs the prune keeps, in its
     traversal order, each config once over all evaluation clips (which
     must have equal lengths).  The clear arm does not depend on the bit
     widths, so it runs once per evaluation clip, on the first graph that
-    realizes.  `score(clear, fhe)` gets the clear and the dequantized
-    outputs, stacked along a leading clip axis.  Returns, in sorted config
-    order, (config, score, None) for a realized config and (config, None,
-    reason) for one the prune or the budget rejects."""
+    realizes.  Yields (config, None, reason) for each config the prune
+    rejects, then, in the sweep's order, (config, (clear, fhe), None) for
+    a realized config, its clear and dequantized outputs stacked along a
+    leading clip axis, and (config, None, reason) for one over budget.
+    The outputs are yielded before the next config executes, so the
+    caller decides what it keeps of them."""
     if not evaluation:
         raise EvalError("a search needs evaluation clips")
     max_taps = _plan_max_taps(plan)
-    configs = sorted(set(space))
-    found = {bits: (None, "accumulator bound") for bits in configs
-             if not conv_feasible(bits, max_taps)}
+    configs = set(space)
+    pruned = {bits for bits in configs if not conv_feasible(bits, max_taps)}
+    for bits in pruned:
+        yield bits, None, "accumulator bound"
     sweep = Sweep(plan, evaluation)
     clear = None
-    for bits, graph, violation in sweep.visit([b for b in configs if b not in found]):
+    for bits, graph, violation in sweep.visit(configs - pruned):
         if graph is None:
-            found[bits] = (None, str(violation))
+            yield bits, None, str(violation)
             continue
         if clear is None:
             clear = np.stack([graph.run_clear(buf)[graph.output_node] for buf in evaluation])
-        found[bits] = (score(clear, sweep.execute().dequantized), None)
-    return [(bits, *found[bits]) for bits in configs]
+        yield bits, (clear, sweep.execute().dequantized), None
 
 
 def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:
@@ -311,27 +324,33 @@ def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:
     `plan` is a calibrated descriptor plan; the descriptor pipeline spans all
     three filter banks, so the search is joint over the full descriptor
     vector.  Configurations share the nodes and values whose widths they
-    share (see `Sweep`).  Infeasible configs are reported with
-    feasible=False and excluded from the ranking.  A correlation needs at
-    least two evaluation clips; fewer are refused before any realization.
+    share (see `Sweep`).  The (B, 4) descriptor arms of the realized configs
+    are stacked and scored by one `pearson` call.  Infeasible configs are
+    reported with feasible=False, after the ranking, in config order.  A
+    correlation needs at least two evaluation clips; fewer are refused
+    before any realization.
     """
     if not space:
         raise EvalError("grid search needs a nonempty space")
     if len(evaluation) < 2:
         raise EvalError(f"grid search needs at least 2 evaluation clips, "
                         f"got {len(evaluation)}")
-
-    def correlations(clear: np.ndarray, fhe: np.ndarray) -> dict:
-        rs = pearson(clear, fhe)
-        # a constant arm (nan) carries no ranking signal
-        return {name: 0.0 if math.isnan(r) else float(r)
-                for name, r in zip(DESCRIPTOR_NAMES, rs)}
-
-    results = [GridSearchResult(bits, per_descriptor_r=rs, reason=reason)
-               for bits, rs, reason in _search(plan, space, evaluation, correlations)]
-    ranked = sorted([r for r in results if r.feasible],
-                    key=lambda r: (-r.mean_r, r.config.as_tuple()))
-    return ranked + [r for r in results if not r.feasible]
+    realized, refused = [], []
+    for bits, arms, reason in _search(plan, space, evaluation):
+        if arms is None:
+            refused.append(GridSearchResult(bits, reason=reason))
+        else:
+            realized.append((bits, *arms))
+    ranked = []
+    if realized:
+        configs, clear, fhe = zip(*realized)
+        for bits, rs in zip(configs, pearson(np.stack(clear), np.stack(fhe))):
+            # a constant arm (nan) carries no ranking signal
+            ranked.append(GridSearchResult(bits, per_descriptor_r={
+                name: 0.0 if math.isnan(r) else float(r)
+                for name, r in zip(DESCRIPTOR_NAMES, rs)}))
+    ranked.sort(key=lambda r: (-r.mean_r, r.config.as_tuple()))
+    return ranked + sorted(refused, key=lambda r: r.config.as_tuple())
 
 
 def transform_distance_search(space: list, plan: PipelinePlan,
@@ -343,13 +362,14 @@ def transform_distance_search(space: list, plan: PipelinePlan,
     `CircuitError` names the lengths otherwise.  Returns (config,
     mean_distance) pairs for feasible configs, best first; the distance
     compares each clip's dequantized circuit output with the float forward
-    pass of the same graph.
+    pass of the same graph.  Each config is scored before the next one
+    executes, so no more than one config's spectrograms are held.
     """
-    def mean_distance(clear: np.ndarray, fhe: np.ndarray) -> float:
-        return float(np.mean([normalized_euclidean(c, f) for c, f in zip(clear, fhe)]))
-
-    scored = [(bits, d) for bits, d, _ in _search(plan, space, evaluation, mean_distance)
-              if d is not None]
+    scored = []
+    for bits, arms, _ in _search(plan, space, evaluation):
+        if arms is not None:
+            scored.append((bits, float(np.mean([normalized_euclidean(c, f)
+                                                for c, f in zip(*arms)]))))
     return sorted(scored, key=lambda t: (t[1], t[0].as_tuple()))
 
 
@@ -371,8 +391,55 @@ def write_summary_json(path, discovery: dict, extra: dict) -> None:
     write_json(path, {"format_version": 1, "discovery": discovery, **extra})
 
 
+# One result of gridsearch.json, laid out as `write_json` lays it out
+# inside the results list (keys sorted, two-space indent).
+_GRID_RECORD = """    {
+      "config": {
+        "input_bits": %d,
+        "mid_bits": %d,
+        "output_bits": %d,
+        "weight_bits": %d
+      },
+      "feasible": %s,
+      "mean_r": %s,
+      "per_descriptor_r": %s,
+      "reason": %s
+    }"""
+
+
 def write_grid_json(path, results: list) -> None:
-    write_json(path, {"format_version": 1, "results": [r.as_dict() for r in results]})
+    """`write_json`'s bytes for {"format_version": 1, "results": [...]}:
+    each result is formatted directly from its fixed schema and written on
+    its own, so the document is never held whole."""
+    with open(path, "w") as fh:
+        fh.write('{\n  "format_version": 1,\n  "results": [')
+        sep = "\n"
+        for r in results:
+            c, rs = r.config, r.per_descriptor_r
+            fh.write(sep + _GRID_RECORD % (
+                c.input_bits, c.mid_bits, c.output_bits, c.weight_bits,
+                "true" if r.feasible else "false",
+                "null" if rs is None else _json_float(r.mean_r),
+                "null" if rs is None else _json_floats(rs),
+                "null" if r.reason is None else encode_basestring_ascii(r.reason)))
+            sep = ",\n"
+        fh.write("\n  ]\n}\n" if results else "]\n}\n")
+
+
+def _json_floats(values: dict) -> str:
+    """A nonempty name -> float object at a result's per_descriptor_r indent."""
+    lines = ",\n".join(f"        {encode_basestring_ascii(k)}: {_json_float(v)}"
+                        for k, v in sorted(values.items()))
+    return f"{{\n{lines}\n      }}"
+
+
+def _json_float(x: float) -> str:
+    """`x` as `json.dumps` spells it: its repr, or NaN and +-Infinity."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
 
 
 def write_json(path, doc: dict) -> None:

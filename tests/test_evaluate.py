@@ -1,6 +1,8 @@
 """Evaluation tests: distance, rank test vs scipy, discovery, grid search."""
 
 import itertools
+import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu, rankdata
 
 from fhespec.approx import Conventional, Dilation, L1Energy, Poorman
-from fhespec import circuit
+from fhespec import circuit, evaluate
 from fhespec.circuit import (
+    DESCRIPTOR_NAMES,
     BudgetViolation,
     ConvNode,
     MatmulNode,
@@ -36,6 +39,7 @@ from fhespec.evaluate import (
     pair_tests,
     pearson,
     transform_distance_search,
+    write_grid_json,
 )
 from fhespec.quant import BitWidthConfig
 from fhespec.transforms import AudioBuffer, GammatoneSpec, MelSpec, StftConfig
@@ -222,6 +226,47 @@ def test_pearson_columns_equal_the_vector_form(n, seed, const_a, const_b):
             assert r[j] == pearson(a[:, j], b[:, j])
     with pytest.raises(EvalError, match="equal-shape"):
         pearson(a, b[:, :3])
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(m=st.integers(1, 30), n=st.integers(2, 64), k=st.integers(1, 6),
+       scale=st.floats(1e-3, 1e3), bits=st.integers(1, 8),
+       const_share=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1),
+       bad=st.sampled_from([None, None, None, "a", "b"]))
+def test_pearson_stack_equals_corrcoef_per_arm(m, n, k, scale, bits, const_share,
+                                                seed, bad):
+    """Each row of the stacked form equals `np.corrcoef` of its own arm's
+    2k rows bit for bit, and is nan for a column constant on either side.  The second arm holds dequantized
+    codes, as the grid search's arms do.  The (n, k) form is the stack of
+    one, and the vector form equals the 1-D `np.corrcoef`."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n, k)) * scale
+    step = scale * 2.0 ** (2 - bits)
+    b = np.round((a + rng.standard_normal((m, n, k)) * scale * 0.3) / step) * step
+    a.transpose(0, 2, 1)[rng.random((m, k)) < const_share] = 0.1 * scale  # constant columns
+    b.transpose(0, 2, 1)[rng.random((m, k)) < const_share] = step
+    if bad is not None:
+        arm = a if bad == "a" else b
+        arm[rng.integers(m), rng.integers(n), rng.integers(k)] = rng.choice(
+            [np.nan, np.inf, -np.inf])
+        with pytest.raises(EvalError, match=f"pearson input {bad} contains non-finite"):
+            pearson(a, b)
+        return
+    r = pearson(a, b)
+    assert r.shape == (m, k)
+    constant = (np.ptp(a, axis=1) == 0.0) | (np.ptp(b, axis=1) == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(m):
+            c = np.corrcoef(np.ascontiguousarray(np.concatenate([a[i], b[i]], axis=1).T))
+            want = np.where(constant[i], np.nan, c[np.arange(k), k + np.arange(k)])
+            assert np.array_equal(r[i], want, equal_nan=True)
+            assert np.array_equal(pearson(a[i], b[i]), want, equal_nan=True)
+    x, y = a[0, :, 0], b[0, :, 0]
+    if constant[0, 0]:
+        with pytest.raises(UndefinedCorrelation):
+            pearson(x, y)
+    else:
+        assert pearson(x, y) == np.corrcoef(x, y)[0, 1]
 
 
 # Discovery accounting ---------------------------------------------------------
@@ -568,3 +613,74 @@ def test_transform_distance_search_orders_by_fidelity():
     assert len(transform_distance_search(space, plan, evalu[:1])) == 2  # one clip is enough
     with pytest.raises(EvalError, match="evaluation clips"):
         transform_distance_search(space, plan, [])
+
+
+def test_grid_search_scores_every_config_with_one_pearson_call(monkeypatch):
+    calib, evalu = eval_clips(4, 22), eval_clips(10, 23)
+    space = subspace([(4, 6), (5, 7), (3, 4), (4, 5)])
+    calls = []
+    score = evaluate.pearson
+
+    def counting(a, b):
+        calls.append(np.shape(b))
+        return score(a, b)
+
+    monkeypatch.setattr(evaluate, "pearson", counting)
+    results = grid_search(space, descriptor_plan(calib), evalu)
+    feasible = sum(r.feasible for r in results)
+    assert feasible >= 2
+    assert calls == [(feasible, len(evalu), len(DESCRIPTOR_NAMES))]
+
+
+def test_transform_distance_search_scores_each_config_before_the_next_executes(
+        monkeypatch):
+    calib, evalu = eval_clips(4, 26), eval_clips(3, 27)
+    space = [BitWidthConfig(3, 3, 2, 3), BitWidthConfig(4, 5, 3, 4),
+             BitWidthConfig(6, 8, 4, 8)]
+    plan = build_transform_plan("mel", Conventional(), CFG, FS, mel=MEL).calibrate(calib)
+    events = []
+    execute, distance = Sweep.execute, evaluate.normalized_euclidean
+
+    def logged_execute(sweep):
+        events.append("execute")
+        return execute(sweep)
+
+    def logged_distance(a, b):
+        events.append("distance")
+        return distance(a, b)
+
+    monkeypatch.setattr(Sweep, "execute", logged_execute)
+    monkeypatch.setattr(evaluate, "normalized_euclidean", logged_distance)
+    scored = transform_distance_search(space, plan, evalu)
+    assert len(scored) == len(space)
+    assert events == (["execute"] + ["distance"] * len(evalu)) * len(space)
+
+
+# Report emission --------------------------------------------------------------
+
+_json_floats = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 1e-17, 0.1 + 0.2, 1 / 3, -2.0 ** -1074,
+                                  1.7976931348623157e308, math.nan, math.inf,
+                                  -math.inf]))
+_configs = st.builds(BitWidthConfig, st.integers(1, 16), st.integers(1, 16),
+                     st.integers(2, 16), st.integers(1, 16))
+_grid_results = st.lists(st.one_of(
+    st.builds(GridSearchResult, _configs, per_descriptor_r=st.fixed_dictionaries(
+        {name: _json_floats for name in DESCRIPTOR_NAMES})),
+    st.builds(GridSearchResult, _configs, reason=st.none() | st.text() | st.sampled_from(
+        ['"quoted" \\ back\\slash', "tab\tnew\nline\x00\x1f\x7f", "accumulé 16 → 17 bits"]))),
+    max_size=6)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(results=_grid_results)
+def test_write_grid_json_bytes_equal_the_indent_encoder(results, tmp_path_factory):
+    path = tmp_path_factory.mktemp("grid") / "gridsearch.json"
+    with np.errstate(over="ignore", invalid="ignore"):  # mean_r of huge or +-inf values
+        write_grid_json(path, results)
+        doc = {"format_version": 1, "results": [
+            {"config": r.config.as_dict(), "feasible": r.feasible,
+             "per_descriptor_r": r.per_descriptor_r, "mean_r": r.mean_r,
+             "reason": r.reason} for r in results]}
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("ascii")
