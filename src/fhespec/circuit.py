@@ -1,8 +1,10 @@
 """Integer dataflow circuits standing in for compiled FHE execution.
 
-A pipeline is a DAG of quantized convolutions, elementwise lookup tables and
-reductions.  Nonlinearities are single-input tables keyed on the incoming
-integer, mirroring a lookup-table FHE backend without any cryptography.
+A pipeline is a DAG of quantized convolutions, elementwise lookups and
+reductions.  Nonlinearities are single-input lookups keyed on the incoming
+integer, mirroring a lookup-table FHE backend without any cryptography; the
+simulator evaluates each lookup's function on the integers it gets, so a
+table exists only as its size.
 Every accumulator gets a worst-case bit width; anything above the 16-bit
 budget refuses to build, and execution asserts observed values against the
 declared ranges instead of ever wrapping silently.
@@ -167,11 +169,11 @@ class Node:
     `normalization` the plan's z-score constants.  A bind reads widths
     from `bits` and `edge` alone; that is how a `Sweep` learns a node's
     depth in `SWEEP_ORDER`.  `clear()` never touches
-    quantization and is what calibration runs.  On a bound node, `step()`
-    runs `run_int`, checks any accumulator against its declared range and
-    returns the value with its observed magnitude (None when nothing
-    accumulates); `budget_entry()` and `describe()` feed the budget report
-    and the JSON serialization.
+    quantization and is what calibration runs.  A bound node executes as
+    it is, with nothing left to build: `step()` runs `run_int`, checks any
+    accumulator against its declared range and returns the value with its
+    observed magnitude (None when nothing accumulates); `budget_entry()`
+    and `describe()` feed the budget report and the JSON serialization.
 
     Every value has a leading clip axis: the input is (B, L), a frame-wise
     value (B, T, C) or (B, T), a statistic over time (B, C) or (B,), and
@@ -185,9 +187,6 @@ class Node:
 
     def step(self, *vs):
         return self.run_int(*vs), None
-
-    def materialize(self) -> None:
-        """Build whatever binding deferred until the budget holds."""
 
     def budget_entry(self, observed_bits: int | None = None):
         return None
@@ -355,8 +354,10 @@ class MatmulNode(_DotNode):
 
 @dataclass
 class LutNode(Node):
-    """Elementwise lookup table keyed on the incoming integer value; the
-    table is `clear` evaluated on every integer of the input edge.
+    """Elementwise lookup keyed on the incoming integer value: `run_int`
+    evaluates `clear` on the codes it gets.  A lookup-table FHE backend
+    holds one entry per integer of the input edge; `describe` reports that
+    count as `table_size`, and no table is built here.
 
     'square' and 'abs' emit raw (un-requantized) integers so the cost
     contrast between l1 and squared energy is visible in the budget report;
@@ -371,7 +372,6 @@ class LutNode(Node):
     norm_scale: float = 1.0
     in_spec: EdgeSpec | RawSpec | None = None
     out_spec: EdgeSpec | RawSpec | None = None
-    table: np.ndarray | None = None
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         if self.semantic == "square":
@@ -391,30 +391,22 @@ class LutNode(Node):
     def bind(self, specs, bits, edge, normalization):
         node = replace(self, in_spec=specs[self.src])
         if self.semantic in ("square", "abs"):
-            node.build_table()  # raw output: its spec comes with the table
+            # both are convex and the input edge holds 0, so the outputs
+            # span 0 to the larger of the two endpoint values
+            lo, hi = node.in_spec.bounds
+            scale = node.in_spec.scale
+            node.out_spec = RawSpec(scale=scale**2 if self.semantic == "square" else scale,
+                                    v_lo=0, v_hi=int(max(self.clear(lo), self.clear(hi))))
             return node
         if self.semantic == "normalize":
             node.norm_center, node.norm_scale = normalization[self.name]
         node.out_spec = edge(self.name)
         return node
 
-    def build_table(self):
-        lo, hi = self.in_spec.bounds
-        v_in = np.arange(lo, hi + 1, dtype=np.int64)
-        if self.semantic in ("square", "abs"):
-            self.table = self.clear(v_in)
-            scale = self.in_spec.scale
-            self.out_spec = RawSpec(scale=scale**2 if self.semantic == "square" else scale,
-                                    v_lo=0, v_hi=int(self.table.max(initial=0)))
-        else:
-            self.table = self.out_spec.to_v(self.clear(self.in_spec.to_float(v_in)))
-
-    def materialize(self) -> None:
-        if self.table is None:
-            self.build_table()
-
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        return self.table[v - self.in_spec.bounds[0]]
+        if self.semantic in ("square", "abs"):
+            return self.clear(v)
+        return self.out_spec.to_v(self.clear(self.in_spec.to_float(v)))
 
     def budget_entry(self, observed_bits=None):
         return BudgetEntry(self.name, f"lut:{self.semantic}",
@@ -805,8 +797,8 @@ class Sweep:
     A node's depth is the deepest `SWEEP_ORDER` position (from 1) that its
     `bind` reads, through `bits` or the plan's `edge(name)`, or that its
     inputs have, whichever is deeper.  Each node has one slot: its depth,
-    the bound node with its tables, its budget entry and, once executed,
-    its batched (value, observed) (see `execute` for the values it drops).
+    the bound node, its budget entry and, once executed, its batched
+    (value, observed) (see `execute` for the values it drops).
 
     One rule decides reuse: `realize` keeps a slot iff its depth is at
     most the length of the `SWEEP_ORDER` prefix the config shares with
@@ -905,10 +897,6 @@ class Sweep:
             nodes=[s.node for s in kept],
             output_node=plan.output_node,
         )
-        # remaining tables are only materialized once the budget holds: an
-        # over-budget input edge can make a lookup table huge
-        for n in graph.nodes:
-            n.materialize()
         self.graph = graph
         return graph
 

@@ -304,9 +304,8 @@ def test_l1_saves_accumulator_bits_versus_square():
         edge = EdgeSpec(scale=1.0, v_min=-m, v_max=0, bits=b, signed=True)
         nodes = []
         for sem in ("abs", "square"):
-            lut = LutNode(name=f"{sem}_lut", src="input", semantic=sem)
-            lut.in_spec = edge
-            lut.build_table()
+            lut = LutNode(name=f"{sem}_lut", src="input", semantic=sem).bind(
+                {"input": edge}, None, None, None)
             red = ReduceNode(name=f"{sem}_sum", src=f"{sem}_lut",
                              op="sum", axis="pair", fan_in=2)
             red.in_spec = lut.out_spec

@@ -17,8 +17,10 @@ from oracles import (
     apply_filterbank,
     fake_quant_reference,
     gammatone_spectrogram,
+    lut_fn,
     mfcc,
     power_spectrogram,
+    quant_edge,
     stft,
 )
 from fhespec.approx import (
@@ -36,6 +38,7 @@ from fhespec.circuit import (
     CircuitOverflow,
     ConvNode,
     EdgeSpec,
+    LutNode,
     RawSpec,
     Sweep,
     approx_label,
@@ -485,9 +488,14 @@ def test_graph_json_contents():
     assert {"stft_conv", "mel_matmul", "dct_matmul", "mfcc_out"} <= names
     conv = next(n for n in doc["nodes"] if n["name"] == "stft_conv")
     assert conv["weights"]["shape"] == [2 * CFG.bins, CFG.window_length]
+    # a table holds one entry per integer of its input edge: 2^B on a
+    # quantized edge, v_hi - v_lo + 1 on a raw one
+    edges = {n["name"]: n["out_edge"] for n in doc["nodes"]}
     for n in doc["nodes"]:
         if "table_size" in n:
-            assert n["table_size"] == graph.node(n["name"]).table.size
+            e = edges[n["inputs"][0]]
+            want = e["v_hi"] - e["v_lo"] + 1 if e["raw"] else 1 << e["bits"]
+            assert n["table_size"] == want
     assert len(conv["weights"]["sha256"]) == 64
 
 
@@ -641,3 +649,65 @@ def test_budget_violations_persist_under_wider_widths(kind, approx, cfg, configs
             for i in range(4):
                 wider = BitWidthConfig(*(w + (j == i) for j, w in enumerate(c)))
                 assert realize_or_none(plan, wider) is None, (c, wider)
+
+
+LUT_SEMANTICS = ("requant", "log", "sqrt", "normalize", "square", "abs")
+
+
+@st.composite
+def bound_luts(draw):
+    """A lookup bound to a random input edge and, for a quantized semantic,
+    a random output edge around its values, with codes that hold every
+    integer of the input edge laid out as (B, T, C): contiguous, a strided
+    view or a transposed view."""
+    magnitude = st.floats(1e-3, 1e3)
+    signed = draw(st.booleans())
+    in_spec = EdgeSpec.from_range(-draw(magnitude) if signed else 0.0, draw(magnitude),
+                                  bits=draw(st.integers(1, 16)), signed=signed)
+    norm = (draw(st.floats(-1e3, 1e3)), draw(magnitude))
+    node = LutNode(name="lut", src="src", semantic=draw(st.sampled_from(LUT_SEMANTICS)),
+                   norm_center=norm[0], norm_scale=norm[1])
+    lo, hi = in_spec.bounds
+    out_spec = None  # a raw lookup derives its own
+    if node.semantic not in ("square", "abs"):
+        f = lut_fn(node, np.arange(lo, hi + 1) * in_spec.scale)
+        stretch = st.floats(0.25, 2.0)
+        out_lo, out_hi = f.min() * draw(stretch), f.max() * draw(stretch)
+        out_spec = EdgeSpec.from_range(out_lo, out_hi, bits=draw(st.integers(1, 16)),
+                                       signed=out_lo < 0.0)
+    node = node.bind({"src": in_spec}, None, lambda name: out_spec, {"lut": norm})
+
+    b, c = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    t = -(-(hi - lo + 1) // (b * c))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.permutation(np.resize(np.arange(lo, hi + 1), b * t * c)).reshape(b, t, c)
+    layout = draw(st.sampled_from(("contiguous", "strided", "transposed")))
+    if layout == "strided":
+        padded = np.zeros((b, 2 * t, c + 1), dtype=np.int64)
+        padded[:, ::2, :c] = codes
+        codes = padded[:, ::2, :c]
+    elif layout == "transposed":
+        codes = np.ascontiguousarray(codes.transpose(2, 1, 0)).transpose(2, 1, 0)
+    return node, codes
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=bound_luts())
+def test_lookup_equals_a_gather_from_the_whole_table(case):
+    """`run_int` on any layout of the codes equals a gather from a table of
+    the whole key domain built with the oracle's quantizer, and a raw
+    lookup declares the largest value of that table as its bound."""
+    node, codes = case
+    lo, hi = node.in_spec.bounds
+    keys = np.arange(lo, hi + 1)
+    if node.semantic == "square":
+        table = keys * keys
+    elif node.semantic == "abs":
+        table = np.abs(keys)
+    else:
+        table = quant_edge(lut_fn(node, keys * node.in_spec.scale), node.out_spec)
+    got = node.run_int(codes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, table[codes - lo])
+    if node.semantic in ("square", "abs"):
+        assert node.out_spec.bounds == (0, int(table.max()))
