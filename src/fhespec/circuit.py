@@ -45,8 +45,12 @@ from .transforms import (
 
 BUDGET_BITS = 16
 
-# Integers below this are exact in float64, so is any sum of them that
-# stays below it: the integer dot products run in float64 BLAS.
+# A float type holds every integer below its bound exactly, and so every
+# sum of such integers that stays below it: 2^24 in float32, 2^53 in
+# float64.  The integer dot products run in float32 BLAS when no partial sum
+# can reach the first and in float64 when none can reach the second; `bind`
+# refuses the rest (see `_DotNode`).
+EXACT_FLOAT32_BOUND = 1 << 24
 EXACT_FLOAT_BOUND = 1 << 53
 
 TRANSFORMS = ("stft", "mel", "mfcc", "gammatone")
@@ -73,9 +77,15 @@ class CircuitOverflow(CircuitError):
 
 # Edges -----------------------------------------------------------------------
 
-def _round_half_away(t: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, halves away from zero (np.round is half-even)."""
-    return np.sign(t) * np.floor(np.abs(t) + 0.5)
+def _round_in_place(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Round the float64 array `t` to the nearest integer, halves away from
+    zero (np.round is half-even), clamp it to [lo, hi] and return it as
+    int64.  Overwrites `t`.  trunc(t + copysign(0.5, t)) is
+    sign(t) * floor(|t| + 0.5) for every float, ties and -0.0 included."""
+    t += np.copysign(0.5, t)
+    np.trunc(t, out=t)
+    np.clip(t, lo, hi, out=t)
+    return t.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -97,7 +107,7 @@ class EdgeSpec:
             hi = lo + 1.0
         levels = (1 << bits) - 1
         scale = (hi - lo) / levels
-        m = int(np.clip(_round_half_away(np.float64(-lo / scale)), 0, levels))
+        m = int(_round_in_place(np.array(-lo / scale), 0, levels))
         return cls(scale=scale, v_min=-m, v_max=levels - m, bits=bits, signed=signed)
 
     @property
@@ -115,8 +125,13 @@ class EdgeSpec:
         return max(abs(self.v_min), abs(self.v_max))
 
     def to_v(self, x) -> np.ndarray:
-        v = _round_half_away(np.asarray(x, dtype=np.float64) / self.scale)
-        return np.clip(v, self.v_min, self.v_max).astype(np.int64)
+        """The edge integers of the floats `x`; `x` itself is not written."""
+        return self.to_v_in_place(np.array(x, dtype=np.float64))
+
+    def to_v_in_place(self, t: np.ndarray) -> np.ndarray:
+        """`to_v` of a float64 array the caller hands over: overwrites `t`."""
+        t /= self.scale
+        return _round_in_place(t, self.v_min, self.v_max)
 
     def to_float(self, v) -> np.ndarray:
         return np.asarray(v, dtype=np.float64) * self.scale
@@ -233,30 +248,45 @@ def _describe_weights(w: np.ndarray) -> dict:
 class WeightBank:
     """A kernel bank quantized at one weight width.
 
-    Holds the int64 codes `q`, their float64 copy `f` that the BLAS kernel
-    multiplies with, the positive and negative row sums `acc_range` reads,
-    the largest row sum of |q| and the largest nonzero count of a row.
-    Everything but `q` is derived once, here.
+    Holds the int64 codes `q`, the positive and negative row sums
+    `acc_range` reads, the largest row sum of |q| and the largest nonzero
+    count of a row, all derived once, here.  `as_float(dtype)` is the copy
+    of `q` a BLAS kernel multiplies with, made the first time a node runs
+    at that dtype.  Every node the budget accepts runs in float32 (see
+    `_DotNode`), so a realized graph holds no float64 copy of a bank.
     """
 
     def __init__(self, q: np.ndarray):
         self.q = q
-        self.f = q.astype(np.float64)
+        self.copies: dict = {}  # dtype -> q cast to it
         self.pos = np.maximum(q, 0).sum(axis=1)
         self.neg = np.minimum(q, 0).sum(axis=1)
         self.max_row_l1 = int((self.pos - self.neg).max(initial=0))
         self.nonzero_taps = _max_row_nonzero(q)
+
+    def as_float(self, dtype) -> np.ndarray:
+        f = self.copies.get(dtype)
+        if f is None:
+            f = self.copies[dtype] = self.q.astype(dtype)
+        return f
 
 
 @dataclass
 class _DotNode(Node):
     """Integer dot products of the input with a fixed weight matrix.
 
-    The products run in float64 BLAS and are cast back to int64.  That is
-    exact: inputs and weights are integers, and every partial sum is
-    bounded by max_row(sum |w_q|) * max |v|, which `bind` refuses at 2^53
-    or above, so no summation order can round.  The bound is per output
-    element, so it covers a batch of any size unchanged.
+    The products run in float BLAS and are cast back to int64.  That is
+    exact: inputs and weights are integers, and no partial sum exceeds
+    `partial_sum_bound` = max_row(sum |w_q|) * max |v| in magnitude, so as
+    long as the float holds every integer up to it no summation order can
+    round.  `dtype` is float32 below 2^24 and float64 otherwise; `bind`
+    refuses a bound of 2^53 or above.  The bound is per output element, so
+    it covers a batch of any size unchanged.
+
+    Every node the budget accepts runs in float32, with partial sums below
+    2^17: row r spans hi_r - lo_r = l1_r * (v_max - v_min), at least
+    l1_r * max |v| because the input edge holds 0, and a width within the
+    16-bit budget puts hi_r and lo_r inside +-2^16.
 
     `banks` maps a weight width to its `(WeightBank, w_scale)`; it is
     filled lazily by `bind` and shared with every bound copy, so each
@@ -286,6 +316,14 @@ class _DotNode(Node):
             return _max_row_nonzero(self.weights_f)
         return self.bank.nonzero_taps
 
+    @property
+    def partial_sum_bound(self) -> int:
+        return self.bank.max_row_l1 * self.in_spec.max_abs
+
+    @property
+    def dtype(self) -> type:
+        return np.float32 if self.partial_sum_bound < EXACT_FLOAT32_BOUND else np.float64
+
     def acc_range(self) -> tuple[int, int]:
         pos, neg = self.bank.pos, self.bank.neg
         a, b = self.in_spec.v_min, self.in_spec.v_max
@@ -299,14 +337,13 @@ class _DotNode(Node):
             weights_q, w_scale = quantize_weights(self.weights_f, bits.weight_bits)
             entry = self.banks[bits.weight_bits] = (WeightBank(weights_q), w_scale)
         bank, w_scale = entry
-        in_spec = specs[self.src]
-        bound = bank.max_row_l1 * in_spec.max_abs
+        node = replace(self, bank=bank, w_scale=w_scale, in_spec=specs[self.src])
+        bound = node.partial_sum_bound
         if bound >= EXACT_FLOAT_BOUND:
             raise CircuitError(f"node {self.name}: partial sums may reach {bound}, "
                                f"which float64 does not hold exactly (limit 2^53)")
-        node = replace(self, bank=bank, w_scale=w_scale, in_spec=in_spec)
         lo, hi = node.acc_range()
-        node.out_spec = RawSpec(scale=in_spec.scale * w_scale, v_lo=lo, v_hi=hi)
+        node.out_spec = RawSpec(scale=node.in_spec.scale * w_scale, v_lo=lo, v_hi=hi)
         return node
 
     step = _accumulate
@@ -332,8 +369,9 @@ class ConvNode(_DotNode):
         return frame_signal(x, self.weights_f.shape[1], self.stride) @ self.weights_f.T
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        frames = frame_signal(v.astype(np.float64), self.bank.f.shape[1], self.stride)
-        return (frames @ self.bank.f.T).astype(np.int64)  # (B, T, C)
+        w = self.bank.as_float(self.dtype)
+        frames = frame_signal(v.astype(w.dtype), w.shape[1], self.stride)
+        return (frames @ w.T).astype(np.int64)  # (B, T, C)
 
     def describe(self) -> dict:
         return {**super().describe(), "stride": self.stride}
@@ -349,7 +387,8 @@ class MatmulNode(_DotNode):
         return x @ self.weights_f.T
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        return (v.astype(np.float64) @ self.bank.f.T).astype(np.int64)
+        w = self.bank.as_float(self.dtype)
+        return (v.astype(w.dtype) @ w.T).astype(np.int64)
 
 
 @dataclass
@@ -406,7 +445,9 @@ class LutNode(Node):
     def run_int(self, v: np.ndarray) -> np.ndarray:
         if self.semantic in ("square", "abs"):
             return self.clear(v)
-        return self.out_spec.to_v(self.clear(self.in_spec.to_float(v)))
+        # `clear` of the fresh `to_float` array is a fresh array: rounding
+        # it in place leaves the codes `v` as they were
+        return self.out_spec.to_v_in_place(self.clear(self.in_spec.to_float(v)))
 
     def budget_entry(self, observed_bits=None):
         return BudgetEntry(self.name, f"lut:{self.semantic}",
@@ -501,7 +542,7 @@ class StdNode(Node):
         s2 = (v * v).sum(axis=1)
         m2 = t * s2 - s1 * s1  # exact: t^2 * variance in integer units
         std = self.in_spec.scale * np.sqrt(m2.astype(np.float64)) / t
-        return self.out_spec.to_v(std), s1, s2
+        return self.out_spec.to_v_in_place(std), s1, s2
 
     def step(self, v):
         out, s1, s2 = self.run_int(v)
@@ -562,8 +603,7 @@ def quantize_weights(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
     if max_abs == 0.0:
         return np.zeros_like(w, dtype=np.int64), 1.0
     scale = max_abs / q_max
-    q = np.clip(_round_half_away(w / scale), -q_max, q_max).astype(np.int64)
-    return q, scale
+    return _round_in_place(w / scale, -q_max, q_max), scale
 
 
 # Graph -----------------------------------------------------------------------

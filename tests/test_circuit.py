@@ -21,6 +21,7 @@ from oracles import (
     mfcc,
     power_spectrogram,
     quant_edge,
+    round_half_away,
     stft,
 )
 from fhespec.approx import (
@@ -39,6 +40,7 @@ from fhespec.circuit import (
     ConvNode,
     EdgeSpec,
     LutNode,
+    MatmulNode,
     RawSpec,
     Sweep,
     approx_label,
@@ -137,13 +139,99 @@ def test_quantize_weights_preserves_sparsity():
     assert np.all(q[:, ::2] == 0)
 
 
-# Float64 integer kernels ------------------------------------------------------
+# Values of t = x / scale, all within the oracle's int64 cast: exact
+# halves, signed zeros, values far outside any edge and magnitudes near
+# 2^52, where the float spacing reaches 1
+ROUNDING_VALUES = st.one_of(
+    st.integers(-(1 << 20), 1 << 20).map(lambda k: k + 0.5),
+    st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5)),
+    st.floats(-(2.0**40), 2.0**40),
+    st.floats(2.0**51, 2.0**53).flatmap(lambda t: st.sampled_from((t, -t))),
+    st.integers((1 << 52) - 4, (1 << 52) + 4).flatmap(lambda k: st.sampled_from((k, -k)))
+    .map(float),
+)
+
+
+@st.composite
+def edges_and_inputs(draw):
+    """A quantized edge of 1-16 bits, signed or not, over a random range
+    (with a power-of-two scale half the time, where x / scale is exact), and
+    floats to quantize as a Python float, a 0-d array or a 1-d or 2-d array."""
+    bits, signed = draw(st.integers(1, 16)), draw(st.booleans())
+    levels = (1 << bits) - 1
+    if draw(st.booleans()):
+        step = 2.0 ** draw(st.integers(-30, 30))
+        m = draw(st.integers(0, levels)) if signed else 0
+        spec = EdgeSpec.from_range(-m * step, (levels - m) * step, bits=bits, signed=signed)
+        assert spec.scale == step
+    else:
+        magnitude = st.floats(1e-6, 1e6)
+        spec = EdgeSpec.from_range(-draw(magnitude) if signed else draw(magnitude) / 4,
+                                   draw(magnitude), bits=bits, signed=signed)
+    ts = draw(st.lists(ROUNDING_VALUES, min_size=1, max_size=24))
+    x = np.array(ts) * spec.scale
+    form = draw(st.sampled_from(("python", "0-d", "1-d", "2-d")))
+    if form == "python":
+        return spec, float(x[0])
+    if form == "0-d":
+        return spec, np.array(x[0])
+    if form == "2-d" and x.size % 2 == 0:
+        return spec, x.reshape(2, -1)
+    return spec, x
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(case=edges_and_inputs())
+def test_to_v_equals_the_oracle_quantizer(case):
+    """`to_v` rounds half away from zero and clamps like the oracle, on
+    ties, signed zeros, far-out and near-2^52 values, and leaves its input
+    as it was."""
+    spec, x = case
+    before = np.array(x, copy=True)
+    got = spec.to_v(x)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, quant_edge(x, spec))
+    assert np.asarray(x).tobytes() == before.tobytes()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(bits=st.integers(2, 16), data=st.data())
+def test_quantize_weights_equals_the_oracle_rounding(bits, data):
+    """Symmetric weight codes are the oracle's half-away rounding of
+    w / scale, clipped to +-q_max, with exact ties whenever the largest
+    weight is q_max itself, and the float weights are left as they were."""
+    q_max = (1 << (bits - 1)) - 1
+    values = st.one_of(st.integers(-q_max, q_max - 1).map(lambda k: k + 0.5),
+                       st.sampled_from((0.0, -0.0, float(q_max), -float(q_max))),
+                       st.floats(-q_max, q_max))
+    w = np.array(data.draw(st.lists(values, min_size=1, max_size=32)))
+    w = w.reshape(data.draw(st.sampled_from(((1, -1), (-1, 1)))))
+    before = w.copy()
+    q, scale = quantize_weights(w, bits)
+    assert q.dtype == np.int64
+    assert w.tobytes() == before.tobytes()
+    if not np.abs(w).max():
+        assert not q.any() and scale == 1.0
+    else:
+        assert np.array_equal(q, np.clip(round_half_away(w / scale), -q_max, q_max))
+
+
+# Float integer kernels --------------------------------------------------------
 
 def bound_conv(weights_f, in_spec, bits):
     """A hand-built conv node bound to `in_spec`, one frame per kernel length."""
     node = ConvNode(name="conv", src="input", weights_f=weights_f,
                     stride=weights_f.shape[1])
     return node.bind({"input": in_spec}, bits, None, None)
+
+
+def worst_case_frames(q, in_spec):
+    """Each channel's worst-case sign pattern at the edge's extremes, high
+    then low, as (2C, N) frames: every product of a row has the same sign,
+    so the partial sums climb monotonically to the extreme."""
+    hi = np.where(q >= 0, in_spec.v_max, in_spec.v_min)
+    lo = np.where(q >= 0, in_spec.v_min, in_spec.v_max)
+    return np.concatenate([hi, lo])
 
 
 def test_conv_kernel_exact_at_max_bits():
@@ -153,16 +241,53 @@ def test_conv_kernel_exact_at_max_bits():
     in_spec = EdgeSpec.from_range(-1.0, 1.0, bits=MAX_BITS, signed=True)
     node = bound_conv(w, in_spec, BitWidthConfig(*[MAX_BITS] * 4))
     q = node.weights_q
-    # each channel's worst-case sign pattern at +-max_abs: every product has
-    # the same sign, so the partial sums climb monotonically to the extreme
-    hi = np.where(q >= 0, in_spec.v_max, in_spec.v_min)
-    lo = np.where(q >= 0, in_spec.v_min, in_spec.v_max)
-    frames = np.concatenate([hi, lo])
+    frames = worst_case_frames(q, in_spec)
     got = node.run_int(frames.ravel()[None])  # a batch of one clip
     assert got.dtype == np.int64
     assert np.array_equal(got, np.einsum("tn,cn->tc", frames, q)[None])
     assert (got.min(), got.max()) == node.acc_range()
     assert node.out_spec.max_abs > 1 << 39  # far beyond float32's 2^24
+    assert node.dtype is np.float64
+
+
+# At 13 weight bits q_max is 4095, and a bank whose largest weight is 4095
+# quantizes to itself.  Row 0 of each bank has the l1 norm and the edge
+# the magnitude whose product is the bound: 23205 * 723 = 2^24 - 1 and
+# 16384 * 1024 = 2^24.
+KERNEL_BOUNDS = [
+    ((1 << 24) - 1, [4095] * 5 + [2730], 723, np.float32),
+    (1 << 24, [4095] * 4 + [4], 1024, np.float64),
+]
+
+
+@pytest.mark.parametrize("kind", ["conv", "matmul"])
+@pytest.mark.parametrize("bound, row0, max_abs, dtype", KERNEL_BOUNDS,
+                         ids=["float32", "float64"])
+def test_kernels_exact_at_the_float32_boundary(kind, bound, row0, max_abs, dtype):
+    """A dot node multiplies in float32 while its partial sums stay below
+    2^24 and in float64 from there, exact on the worst-case input either
+    way, and its bank holds a float copy at that dtype only."""
+    n, c = 8, 4
+    rng = np.random.default_rng(51)
+    q = rng.integers(-2000, 2001, (c, n))
+    q[0] = np.pad(row0, (0, n - len(row0))) * rng.choice([-1, 1], n)
+    in_spec = EdgeSpec(scale=1.0, v_min=-max_abs, v_max=max_abs, bits=MAX_BITS,
+                       signed=True)
+    bits = BitWidthConfig(MAX_BITS, MAX_BITS, 13, MAX_BITS)
+    frames = worst_case_frames(q, in_spec)
+    if kind == "conv":
+        node = bound_conv(q.astype(np.float64), in_spec, bits)
+        got = node.run_int(frames.ravel()[None])
+    else:
+        node = MatmulNode(name="matmul", src="src", weights_f=q.astype(np.float64))
+        node = node.bind({"src": in_spec}, bits, None, None)
+        got = node.run_int(frames[None])
+    assert np.array_equal(node.weights_q, q)
+    assert node.partial_sum_bound == bound
+    assert node.dtype is dtype and list(node.bank.copies) == [dtype]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.einsum("tn,cn->tc", frames, q)[None])
+    assert (got.min(), got.max()) == node.acc_range() == (-bound, bound)
 
 
 def test_bind_refuses_partial_sums_beyond_float64():
@@ -185,11 +310,12 @@ def test_bind_refuses_partial_sums_beyond_float64():
 THREAD_PROBE = """
 import hashlib, pickle, sys
 with open(sys.argv[1], "rb") as fh:
-    graphs, bufs = pickle.load(fh)
+    graphs, bufs, sweep = pickle.load(fh)
 h = hashlib.sha256()
 for graph in graphs:
     for buf in bufs:
         h.update(graph.execute(buf).output.data.tobytes())
+h.update(sweep.execute().output.data.tobytes())
 print(h.hexdigest())
 """
 
@@ -205,15 +331,24 @@ def test_integer_path_independent_of_blas_threads(tmp_path):
         build_descriptor_plan(Conventional(), cfg, FS, n_frames=30, mel=mel,
                               gamma=gamma).calibrate(calib).realize(bits),
     ]
+    # an N=1024 plan run as one (B, L) batch, whose long products BLAS
+    # splits between threads
+    wide = StftConfig(1024, 256)
+    n_wide = wide.window_length + 29 * wide.hop
+    plan = build_descriptor_plan(Conventional(), wide, FS, n_frames=30, mel=mel,
+                                 gamma=gamma).calibrate(clips(4, seed=47, n=n_wide))
+    sweep = Sweep(plan, clips(4, seed=48, n=n_wide))
+    sweep.realize(bits)
     # calibration runs the float clear path, whose last bits may depend on
     # the thread count, so the graphs are realized once, here, and only their
     # integer execution runs at each thread count
     path = tmp_path / "graphs.pkl"
-    path.write_bytes(pickle.dumps((graphs, evalu)))
+    path.write_bytes(pickle.dumps((graphs, evalu, sweep)))
     want = hashlib.sha256()
     for graph in graphs:
         for buf in evalu:
             want.update(graph.execute(buf).output.data.tobytes())
+    want.update(sweep.execute().output.data.tobytes())
     src = str(Path(sys.modules["fhespec"].__file__).parents[1])
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
@@ -649,6 +784,25 @@ def test_budget_violations_persist_under_wider_widths(kind, approx, cfg, configs
             for i in range(4):
                 wider = BitWidthConfig(*(w + (j == i) for j, w in enumerate(c)))
                 assert realize_or_none(plan, wider) is None, (c, wider)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
+       cfg=STFT_CONFIGS,
+       configs=st.lists(BITS_ST | st.builds(BitWidthConfig, *[st.integers(2, MAX_BITS)] * 4),
+                        min_size=1, max_size=8))
+def test_realized_dot_products_run_in_float32(kind, approx, cfg, configs):
+    """Every conv and matmul of a config the budget accepts keeps its
+    partial sums within its accumulator's span, at most 2^17, so it
+    multiplies in float32."""
+    plan = calibrated_plan(kind, approx, cfg)
+    for bits in configs:
+        graph = realize_or_none(plan, bits)
+        for node in graph.nodes if graph is not None else ():
+            if isinstance(node, (ConvNode, MatmulNode)):
+                lo, hi = node.out_spec.bounds
+                assert node.partial_sum_bound <= hi - lo <= 1 << 17
+                assert node.dtype is np.float32
 
 
 LUT_SEMANTICS = ("requant", "log", "sqrt", "normalize", "square", "abs")
