@@ -60,6 +60,7 @@ from .evaluate import (
     write_csv,
     write_grid_json,
     write_json,
+    write_matrix_csv,
     write_pair_csv,
     write_scatter_csv,
     write_summary_json,
@@ -288,10 +289,8 @@ def cmd_spectrogram(settings, calib, evalu, out: Path) -> None:
     for clip in evalu:
         clear = np.asarray(graph.run_clear(clip.buffer)[graph.output_node])
         fhe = graph.execute(clip.buffer).dequantized
-        np.savetxt(out / f"{clip.file_id}_clear.csv", clear,
-                   fmt="%.9e", delimiter=",")
-        np.savetxt(out / f"{clip.file_id}_fhe.csv", fhe,
-                   fmt="%.9e", delimiter=",")
+        write_matrix_csv(out / f"{clip.file_id}_clear.csv", clear)
+        write_matrix_csv(out / f"{clip.file_id}_fhe.csv", fhe)
         distances.append((clip.file_id, normalized_euclidean(clear, fhe)))
     write_csv(out / "distances.csv", ["file_id", "distance"],
               ([fid, repr(d)] for fid, d in distances))

@@ -158,8 +158,12 @@ def pearson(a, b):
     divisions by the standard deviations and the clip to [−1, 1], so each
     row of the (m, k) result equals `np.corrcoef` of its arm bit for bit.
     A column constant on either side gives nan.  The (n, k) form is the
-    m = 1 case and returns the k correlations; the vector form is its k = 1
-    case and raises `UndefinedCorrelation` on a constant input."""
+    m = 1 case and returns the k correlations, each equal to `np.corrcoef`
+    of the 2k-row stack [a | b]ᵀ at [j, k + j]; the vector form is its k = 1
+    case and raises `UndefinedCorrelation` on a constant input.  BLAS rounds
+    the product of a 2k-row stack and of a 2-row pair differently, so a
+    column of the (n, k) form can differ from the vector form of the same
+    column in the last bit."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     ndim = a.ndim
     if ndim == 1:
@@ -455,3 +459,14 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_matrix_csv(path, x) -> None:
+    """One line per row of the 2-D array `x`, each value `%.9e`, comma-separated.
+
+    The bytes are those NumPy's `savetxt` writes with `fmt="%.9e"` and
+    `delimiter=","`, formatted by one `%` over all values instead of one per
+    row; `newline=""` keeps the line ends `\\n` on every platform."""
+    rows, cols = x.shape
+    with open(path, "w", newline="") as fh:
+        fh.write((",".join(["%.9e"] * cols) + "\n") * rows % tuple(x.ravel().tolist()))

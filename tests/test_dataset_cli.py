@@ -2,6 +2,7 @@
 
 import csv
 import inspect
+import io
 import json
 import os
 import re
@@ -297,14 +298,29 @@ def test_cli_descriptor_rows_are_the_realized_arms(tmp_path, monkeypatch, capsys
             assert [row[n] for n in DESCRIPTOR_NAMES] == [repr(x) for x in got]
 
 
-def test_cli_spectrogram(tmp_path, capsys):
+def test_cli_spectrogram(tmp_path, monkeypatch, capsys):
+    """Per evaluation clip, `<file_id>_clear.csv` and `<file_id>_fhe.csv`
+    hold the clear output and the dequantized circuit output of the graph
+    the CLI realizes, with the bytes `np.savetxt(fmt="%.9e", delimiter=",")`
+    writes."""
+    realized = record_realize(monkeypatch)
     code, out = run_cli(tmp_path, "spectrogram")
     assert code == EXIT_OK
     axes = json.loads((out / "axes.json").read_text())
     assert axes["transform"] == "stft"
     assert 0.0 <= axes["mean_distance"] <= 2.0
-    assert (out / "distances.csv").exists()
-    assert list(out.glob("*_clear.csv")) and list(out.glob("*_fhe.csv"))
+    [graph] = realized
+    settings = resolve_settings(build_parser().parse_args(["spectrogram", *BASE]))
+    _, evalu, _ = gather_clips(settings)
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(
+        ["distances.csv", *(f"{c.file_id}_{arm}.csv" for c in evalu
+                            for arm in ("clear", "fhe"))])
+    for clip in evalu:
+        for arm, want in (("clear", graph.run_clear(clip.buffer)[graph.output_node]),
+                          ("fhe", graph.execute(clip.buffer).dequantized)):
+            text = io.BytesIO()
+            np.savetxt(text, want, fmt="%.9e", delimiter=",")
+            assert (out / f"{clip.file_id}_{arm}.csv").read_bytes() == text.getvalue()
 
 
 def test_cli_stft_axes_are_bin_frequencies(tmp_path, capsys):

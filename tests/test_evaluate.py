@@ -1,5 +1,6 @@
 """Evaluation tests: distance, rank test vs scipy, discovery, grid search."""
 
+import io
 import itertools
 import json
 import math
@@ -40,6 +41,7 @@ from fhespec.evaluate import (
     pearson,
     transform_distance_search,
     write_grid_json,
+    write_matrix_csv,
 )
 from fhespec.quant import BitWidthConfig
 from fhespec.transforms import AudioBuffer, GammatoneSpec, MelSpec, StftConfig
@@ -204,28 +206,48 @@ def test_pearson_formula_and_errors():
         pearson([1.0], [2.0])
 
 
+def assert_columns_equal_corrcoef_of_the_stack(a, b):
+    """Column j of `pearson(a, b)` equals `np.corrcoef` of the (n, 2k) stack
+    [a | b] at [j, k + j] bit for bit, and is nan, with no warning, for a
+    column constant on either side.  The stack goes to `np.corrcoef` as 2k
+    C-contiguous rows, the order in which `pearson` sums each row's mean.
+    The vector form equals the 1-D `np.corrcoef` bit for bit."""
+    k = a.shape[1]
+    r = pearson(a, b)
+    assert r.shape == (k,)
+    constant = (np.ptp(a, axis=0) == 0.0) | (np.ptp(b, axis=0) == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.corrcoef(np.ascontiguousarray(np.concatenate([a, b], axis=1).T))
+    want = np.where(constant, np.nan, c[np.arange(k), k + np.arange(k)])
+    assert np.array_equal(r, want, equal_nan=True)
+    for j in np.flatnonzero(~constant):
+        assert pearson(a[:, j], b[:, j]) == np.corrcoef(a[:, j], b[:, j])[0, 1]
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
        const_a=st.lists(st.booleans(), min_size=4, max_size=4),
        const_b=st.lists(st.booleans(), min_size=4, max_size=4))
-def test_pearson_columns_equal_the_vector_form(n, seed, const_a, const_b):
-    """The column form equals a 1-D `np.corrcoef` per column bit for bit, and
-    gives nan, with no warning, for a column constant on either side."""
+def test_pearson_columns_equal_corrcoef_of_the_stacked_pair(n, seed, const_a, const_b):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, 4)) * rng.uniform(0.1, 10.0, 4)
     b = a + rng.standard_normal((n, 4)) * rng.uniform(0.01, 3.0, 4)
     a[:, const_a] = 0.1  # a repeated value whose mean need not be exact
     b[:, const_b] = rng.uniform(-1.0, 1.0)
-    r = pearson(a, b)
-    assert r.shape == (4,)
-    for j in range(4):
-        if const_a[j] or const_b[j]:
-            assert np.isnan(r[j])
-        else:
-            assert r[j] == np.corrcoef(a[:, j], b[:, j])[0, 1]
-            assert r[j] == pearson(a[:, j], b[:, j])
+    assert_columns_equal_corrcoef_of_the_stack(a, b)
     with pytest.raises(EvalError, match="equal-shape"):
         pearson(a, b[:, :3])
+
+
+def test_pearson_column_may_differ_from_the_vector_form_in_the_last_bit():
+    """A fixed case where BLAS rounds the product of the 12-row stack and of
+    a 2-row pair differently: column 5 came out 1.0 in the column form and
+    0.9999999999999999 in the vector form (NumPy 2.4.6, OpenBLAS 0.3.31).
+    Each form still equals its own `np.corrcoef`."""
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((1, 2, 6)) * 73
+    b = np.round((a + rng.standard_normal((1, 2, 6)) * 73 * 0.3) / 73) * 73
+    assert_columns_equal_corrcoef_of_the_stack(a[0], b[0])
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -684,3 +706,37 @@ def test_write_grid_json_bytes_equal_the_indent_encoder(results, tmp_path_factor
              "reason": r.reason} for r in results]}
     want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == want.encode("ascii")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40),
+       values=st.sampled_from(["normal", "subnormal", "codes"]),
+       exponent=st.integers(-300, 300), special=st.sampled_from([0.0, 0.2]),
+       layout=st.sampled_from(["C", "F", "transposed", "strided"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_write_matrix_csv_bytes_equal_savetxt(rows, cols, values, exponent, special,
+                                              layout, seed, tmp_path_factory):
+    """The bytes equal `np.savetxt(fmt="%.9e", delimiter=",")` for values from
+    1e-300 to 1e301, subnormals, dequantized codes (which repeat), a share of
+    +-0.0, nan and +-inf, and C-ordered, F-ordered, transposed or strided
+    arrays."""
+    rng = np.random.default_rng(seed)
+    shape = {"transposed": (cols, rows), "strided": (2 * rows, 3 * cols)}.get(
+        layout, (rows, cols))
+    scale = rng.uniform(1.0, 10.0) * 10.0 ** exponent
+    if values == "codes":
+        x = (rng.integers(0, 16, shape) + rng.integers(-128, 128)) * scale
+    elif values == "subnormal":
+        x = rng.integers(-2**20, 2**20, shape) * 2.0 ** -1074
+    else:
+        x = rng.standard_normal(shape) * scale
+    hit = rng.random(shape) < special
+    x[hit] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], hit.sum())
+    x = {"C": x, "F": np.asfortranarray(x), "transposed": x.T,
+         "strided": x[::2, ::3]}[layout]
+    assert x.shape == (rows, cols) and x.dtype == np.float64
+    path = tmp_path_factory.mktemp("matrix") / "matrix.csv"
+    write_matrix_csv(path, x)
+    want = io.BytesIO()
+    np.savetxt(want, x, fmt="%.9e", delimiter=",")
+    assert path.read_bytes() == want.getvalue()

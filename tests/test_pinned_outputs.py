@@ -3,8 +3,10 @@
 Each of the three `perfbench` workloads runs once, at seed 3 with one BLAS
 thread, as its own CLI process; the SHA-256 over its output files must equal
 the digest `perfbench/digests.json` pins for it.  `grid` also runs at seed 4,
-the seed whose output depends on the BLAS thread count.  An unintended change
-to any output then fails here rather than only in the benchmark.
+the seed whose output depends on the BLAS thread count, and `spectrogram` at
+seed 11, so its CSVs are also checked on a seed other than the benchmark's.
+An unintended change to any output then fails here rather than only in the
+benchmark.
 """
 
 import importlib.util
@@ -37,6 +39,7 @@ WORKLOADS = load_workloads()
 @pytest.mark.parametrize("name,seed", [
     *(pytest.param(name, 3, id=name) for name in sorted(WORKLOADS.WORKLOADS)),
     pytest.param("grid", 4, id="grid-seed4"),
+    pytest.param("spectrogram", 11, id="spectrogram-seed11"),
 ])
 def test_workload_output_equals_its_pin(tmp_path, name, seed):
     workload = WORKLOADS.WORKLOADS[name]
