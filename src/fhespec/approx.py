@@ -4,9 +4,10 @@ Five rewrites of the conventional kernel bank: tap dilation (with a per-bin
 Nyquist cap), frequency-adaptive window widths, unit-root phase projection
 ("poorman" DFT), l1 energy, and frequency-band cropping.  Each one only
 zeroes taps or bins, reshapes windows, or projects coefficients, so the bank
-shape is unchanged.  The poorman error bound and the dilation aliasing
-identity are implemented alongside, so `validate-bounds` can check them on
-audio.
+shape is unchanged; each writes its rewrite into one new (2K, N) array and
+leaves the bank it was given as it was.  The poorman error bound and the
+dilation aliasing identity are implemented alongside, so `validate-bounds`
+can check them on audio.
 """
 
 from __future__ import annotations
@@ -114,9 +115,14 @@ def dilation_mask(n: int, bins: int, rate: int | None, per_bin_cap: bool) -> np.
     return (j % eff == 0).astype(np.float64)
 
 
+def _rewritten(bank: KernelBank, halves: np.ndarray) -> KernelBank:
+    """`bank` with the new (2, K, N) kernels `halves`, stacked as a view."""
+    return dc_replace(bank, kernels=halves.reshape(bank.kernels.shape))
+
+
 def dilation_kernels(bank: KernelBank, rate: int | None, per_bin_cap: bool = True) -> KernelBank:
     mask = dilation_mask(bank.cfg.window_length, bank.bins, rate, per_bin_cap)
-    return dc_replace(bank, real=bank.real * mask, imag=bank.imag * mask)
+    return _rewritten(bank, bank.halves * mask)
 
 
 def dilation_aliasing_residual(buf: AudioBuffer, cfg: StftConfig,
@@ -169,9 +175,10 @@ def fd_window(k: int, n: int, n_min: int) -> np.ndarray:
 
 def fd_kernels(bank: KernelBank, n_min: int) -> KernelBank:
     n = bank.cfg.window_length
-    base = stft_kernels(bank.cfg, np.ones(n))  # bare complex coefficients
     windows = np.vstack([fd_window(k, n, n_min) for k in range(bank.bins)])
-    return dc_replace(bank, real=base.real * windows, imag=base.imag * windows)
+    halves = stft_kernels(bank.cfg, np.ones(n)).halves  # bare complex coefficients
+    halves *= windows
+    return _rewritten(bank, halves)
 
 
 # Poorman ---------------------------------------------------------------------
@@ -223,7 +230,10 @@ def poorman_kernels(bank: KernelBank, roots: int) -> KernelBank:
     n = bank.cfg.window_length
     l = _project_grid(n, bank.bins, roots)
     root = poorman_root(l, roots)
-    return dc_replace(bank, real=bank.window * root.real, imag=bank.window * root.imag)
+    halves = np.empty_like(bank.halves)
+    np.multiply(bank.window, root.real, out=halves[0])
+    np.multiply(bank.window, root.imag, out=halves[1])
+    return _rewritten(bank, halves)
 
 
 # Cropping --------------------------------------------------------------------
@@ -242,7 +252,7 @@ def crop_kernels(bank: KernelBank, sample_rate_hz: int, f_min: float,
                           f"{sample_rate_hz / bank.cfg.window_length} Hz apart, up to "
                           f"the Nyquist frequency {sample_rate_hz / 2.0} Hz")
     keep = mask[:, None].astype(np.float64)
-    return dc_replace(bank, real=bank.real * keep, imag=bank.imag * keep)
+    return _rewritten(bank, bank.halves * keep)
 
 
 # Kernel bank dispatch --------------------------------------------------------

@@ -13,8 +13,9 @@ This module holds the package's only quantizers.  A quantized edge
 (`EdgeSpec`) is zero-aligned: it represents scale * v, with v an integer in
 a B-bit range [v_min, v_max] that contains 0 and covers the calibrated
 range; floats round half away from zero and clamp to it.  Weights quantize
-symmetrically (`quantize_weights`).  Outputs export the codes q = v - lift,
-in [0, 2^B - 1], or [-2^(B-1), 2^(B-1) - 1] on a signed edge.
+symmetrically (`quantize_weights`), to float32 codes.  Outputs export the
+codes q = v - lift, in [0, 2^B - 1], or [-2^(B-1), 2^(B-1) - 1] on a
+signed edge.
 """
 
 from __future__ import annotations
@@ -79,13 +80,13 @@ class CircuitOverflow(CircuitError):
 
 def _round_in_place(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Round the float64 array `t` to the nearest integer, halves away from
-    zero (np.round is half-even), clamp it to [lo, hi] and return it as
-    int64.  Overwrites `t`.  trunc(t + copysign(0.5, t)) is
+    zero (np.round is half-even), clamp it to [lo, hi] and return it.
+    Overwrites `t`.  trunc(t + copysign(0.5, t)) is
     sign(t) * floor(|t| + 0.5) for every float, ties and -0.0 included."""
     t += np.copysign(0.5, t)
     np.trunc(t, out=t)
     np.clip(t, lo, hi, out=t)
-    return t.astype(np.int64)
+    return t
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class EdgeSpec:
     def to_v_in_place(self, t: np.ndarray) -> np.ndarray:
         """`to_v` of a float64 array the caller hands over: overwrites `t`."""
         t /= self.scale
-        return _round_in_place(t, self.v_min, self.v_max)
+        return _round_in_place(t, self.v_min, self.v_max).astype(np.int64)
 
     def to_float(self, v) -> np.ndarray:
         return np.asarray(v, dtype=np.float64) * self.scale
@@ -236,8 +237,20 @@ def _check_frames(node, v) -> None:
                            f"but the node was sized for fan_in={node.fan_in}")
 
 
+# A pass over a whole bank takes a block of whole rows, of about this many
+# elements, at a time, so its temporaries stay near 256 KB at any bank size.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _row_blocks(rows: int, n: int) -> list:
+    """Slices of whole rows covering a (rows, n) matrix, each of about
+    `_BLOCK_ELEMENTS` elements and at least one row."""
+    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    return [slice(r, r + step) for r in range(0, rows, step)]
+
+
 def _max_row_nonzero(w: np.ndarray) -> int:
-    return int(np.max(np.count_nonzero(w, axis=1)))
+    return max(int(np.count_nonzero(w[r], axis=1).max()) for r in _row_blocks(*w.shape))
 
 
 def _describe_weights(w: np.ndarray) -> dict:
@@ -248,27 +261,23 @@ def _describe_weights(w: np.ndarray) -> dict:
 class WeightBank:
     """A kernel bank quantized at one weight width.
 
-    Holds the int64 codes `q`, the positive and negative row sums
-    `acc_range` reads, the largest row sum of |q| and the largest nonzero
-    count of a row, all derived once, here.  `as_float(dtype)` is the copy
-    of `q` a BLAS kernel multiplies with, made the first time a node runs
-    at that dtype.  Every node the budget accepts runs in float32 (see
-    `_DotNode`), so a realized graph holds no float64 copy of a bank.
+    `codes` holds the integer codes as float32, which holds every code
+    exactly (|q| <= 2^15 < 2^24), and is the bank's only array of its
+    size: a float32 kernel multiplies it as it is (see `_DotNode`).  The
+    bank also holds the positive and negative row sums `acc_range` reads,
+    the largest row sum of |q| and the largest nonzero count of a row, all
+    derived once, here, a row block at a time.
     """
 
-    def __init__(self, q: np.ndarray):
-        self.q = q
-        self.copies: dict = {}  # dtype -> q cast to it
-        self.pos = np.maximum(q, 0).sum(axis=1)
-        self.neg = np.minimum(q, 0).sum(axis=1)
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+        self.pos, self.neg = (np.empty(codes.shape[0], dtype=np.int64) for _ in range(2))
+        for r in _row_blocks(*codes.shape):
+            # float64 sums of integers stay exact below 2^53
+            self.pos[r] = np.maximum(codes[r], 0).sum(axis=1, dtype=np.float64)
+            self.neg[r] = np.minimum(codes[r], 0).sum(axis=1, dtype=np.float64)
         self.max_row_l1 = int((self.pos - self.neg).max(initial=0))
-        self.nonzero_taps = _max_row_nonzero(q)
-
-    def as_float(self, dtype) -> np.ndarray:
-        f = self.copies.get(dtype)
-        if f is None:
-            f = self.copies[dtype] = self.q.astype(dtype)
-        return f
+        self.nonzero_taps = _max_row_nonzero(codes)
 
 
 @dataclass
@@ -281,7 +290,10 @@ class _DotNode(Node):
     long as the float holds every integer up to it no summation order can
     round.  `dtype` is float32 below 2^24 and float64 otherwise; `bind`
     refuses a bound of 2^53 or above.  The bound is per output element, so
-    it covers a batch of any size unchanged.
+    it covers a batch of any size unchanged.  A float32 node multiplies the
+    bank's float32 codes themselves; a float64 node casts them for each
+    call, so a realized node holds its float kernel `weights_f` and the
+    bank's codes, and no other array of the bank's size.
 
     Every node the budget accepts runs in float32, with partial sums below
     2^17: row r spans hi_r - lo_r = l1_r * (v_max - v_min), at least
@@ -290,8 +302,10 @@ class _DotNode(Node):
 
     `banks` maps a weight width to its `(WeightBank, w_scale)`; it is
     filled lazily by `bind` and shared with every bound copy, so each
-    width quantizes the float weights once.  Setting `weights_q` by hand
-    builds a fresh bank for it.  `kind` names the node in the budget report.
+    width quantizes the float weights once.  `weights_q` reads the codes
+    as int64, cast afresh on each read; setting it by hand builds a fresh
+    bank from integer codes below 2^24 in magnitude.  `kind` names the node
+    in the budget report.
     """
 
     name: str
@@ -305,11 +319,11 @@ class _DotNode(Node):
 
     @property
     def weights_q(self) -> np.ndarray | None:
-        return None if self.bank is None else self.bank.q
+        return None if self.bank is None else self.bank.codes.astype(np.int64)
 
     @weights_q.setter
     def weights_q(self, q: np.ndarray) -> None:
-        self.bank = WeightBank(q)
+        self.bank = WeightBank(np.asarray(q, dtype=np.float32))
 
     def nonzero_taps(self) -> int:
         if self.bank is None:
@@ -369,7 +383,7 @@ class ConvNode(_DotNode):
         return frame_signal(x, self.weights_f.shape[1], self.stride) @ self.weights_f.T
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        w = self.bank.as_float(self.dtype)
+        w = self.bank.codes.astype(self.dtype, copy=False)
         frames = frame_signal(v.astype(w.dtype), w.shape[1], self.stride)
         return (frames @ w.T).astype(np.int64)  # (B, T, C)
 
@@ -387,7 +401,7 @@ class MatmulNode(_DotNode):
         return x @ self.weights_f.T
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        w = self.bank.as_float(self.dtype)
+        w = self.bank.codes.astype(self.dtype, copy=False)
         return (v.astype(w.dtype) @ w.T).astype(np.int64)
 
 
@@ -595,15 +609,23 @@ def _clear_forward(nodes: list, samples: np.ndarray) -> dict:
 # Weight quantization ---------------------------------------------------------
 
 def quantize_weights(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
-    """Per-tensor symmetric quantization: exact integer zeros for sparse taps."""
+    """Per-tensor symmetric quantization of the 2-D weights `w`: the codes
+    and the scale, with exact integer zeros for sparse taps.
+
+    The codes come as float32, which holds each of them exactly
+    (|q| <= 2^15 < 2^24).  They are rounded a row block at a time, so the
+    codes are the only array of the bank's size this allocates."""
     if bits < 2:
         raise CircuitError("weight quantization needs at least 2 bits")
     q_max = (1 << (bits - 1)) - 1
-    max_abs = float(np.abs(w).max())
+    max_abs = float(max(w.max(), -w.min()))
+    q = np.zeros(w.shape, dtype=np.float32)
     if max_abs == 0.0:
-        return np.zeros_like(w, dtype=np.int64), 1.0
+        return q, 1.0
     scale = max_abs / q_max
-    return _round_in_place(w / scale, -q_max, q_max), scale
+    for r in _row_blocks(*w.shape):
+        q[r] = _round_in_place(w[r] / scale, -q_max, q_max)
+    return q, scale
 
 
 # Graph -----------------------------------------------------------------------
@@ -1015,7 +1037,7 @@ def _stft_power_nodes(approx: ApproxSpec, cfg: StftConfig,
                       sample_rate_hz: int) -> tuple[list, str]:
     bank = approx_kernels(approx, cfg, hann_window(cfg.window_length), sample_rate_hz)
     nodes = [
-        ConvNode(name="stft_conv", src="input", weights_f=bank.stacked(),
+        ConvNode(name="stft_conv", src="input", weights_f=bank.kernels,
                  stride=cfg.hop),
         LutNode(name="stft_conv_requant", src="stft_conv", semantic="requant"),
     ]

@@ -241,7 +241,8 @@ def pair_tests(labels, clear, fhe, alpha: float = SIGNIFICANCE_LEVEL) -> list:
         raise EvalError(f"significance level must lie in (0, 1), got {alpha}")
     labels = np.asarray(labels)
     results = []
-    for la, lb in itertools.combinations(np.unique(labels), 2):
+    # np.unique's order, without the numpy.ma import its first call makes
+    for la, lb in itertools.combinations(sorted(set(labels.tolist())), 2):
         a, b = labels == la, labels == lb
         for k, name in enumerate(DESCRIPTOR_NAMES):
             results.append(PairTestResult(

@@ -6,7 +6,10 @@ symmetric weight code needs a sign bit, and the others in 1..MAX_BITS.
 `accumulator_bits` is the closed-form worst-case width of an L-tap dot
 product, and `width_of` the ceil(log2) convention every budget figure uses.  The quantizers
 themselves live with the circuits that run them, in `fhespec.circuit`:
-zero-aligned edges (`EdgeSpec`) and symmetric weights (`quantize_weights`).
+zero-aligned edges (`EdgeSpec`), whose codes are int64, and symmetric
+weights (`quantize_weights`), whose codes come as float32: it holds every
+code of up to MAX_BITS bits exactly, and it is what the dot products
+multiply.
 """
 
 from __future__ import annotations

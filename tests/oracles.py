@@ -8,7 +8,9 @@ with the integer execution path is the circuit-equivalence contract.
 The float transforms (`stft`, `power_spectrogram`, `apply_filterbank`,
 `mfcc`, `gammatone_spectrogram`) compute each spectrogram directly, frame by
 frame, without the kernel-bank and node machinery of `fhespec.circuit`; they
-are what `run_clear` is checked against.  The approximation error terms
+are what `run_clear` is checked against.  `kernel_halves` computes each
+approximation's kernel bank as two separate (K, N) products, the formulas
+`approx_kernels` must reproduce bit for bit.  The approximation error terms
 (`dilation_error`, `fd_window_error_terms`, `l1_energy_error`,
 `cropping_error`) are the closed forms the approximation tests compare with
 direct subtraction.  Spectrograms are (T, C) arrays, complex before the
@@ -19,7 +21,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from fhespec.approx import crop_mask, dilation_kernels, fd_width
+from fhespec.approx import (
+    Cropping,
+    Dilation,
+    FreqAdaptiveWindow,
+    Poorman,
+    _project_grid,
+    crop_mask,
+    dilation_kernels,
+    dilation_mask,
+    fd_width,
+    fd_window,
+    poorman_root,
+)
 from fhespec.circuit import (
     ConcatNode,
     ConvNode,
@@ -146,6 +160,35 @@ def gammatone_spectrogram(buf: AudioBuffer, kernels: np.ndarray,
     """Strided squared-convolution output, shape (T, n_filters)."""
     frames = frame_signal(buf.samples, cfg.window_length, cfg.hop)
     return (frames @ kernels.T) ** 2
+
+
+# Kernel banks -----------------------------------------------------------------
+
+def kernel_halves(spec, cfg: StftConfig, window: np.ndarray,
+                  sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray]:
+    """(real, imag) kernels of the STFT formulation `spec`, each computed as
+    its own (K, N) product: w(j) * cos(2*pi*k*j/N) and -w(j) * sin(...),
+    then each rewrite's product with its mask, windows or projected roots."""
+    n = cfg.window_length
+    k = np.arange(cfg.bins)[:, None]
+    j = np.arange(n)[None, :]
+    phase = 2.0 * np.pi * k * j / n
+    real, imag = window * np.cos(phase), -window * np.sin(phase)
+    if isinstance(spec, Dilation):
+        mask = dilation_mask(n, cfg.bins, spec.rate, spec.per_bin_cap)
+        return real * mask, imag * mask
+    if isinstance(spec, FreqAdaptiveWindow):
+        ones = np.ones(n)
+        windows = np.vstack([fd_window(b, n, spec.n_min) for b in range(cfg.bins)])
+        return (ones * np.cos(phase)) * windows, (-ones * np.sin(phase)) * windows
+    if isinstance(spec, Poorman):
+        root = poorman_root(_project_grid(n, cfg.bins, spec.roots), spec.roots)
+        return window * root.real, window * root.imag
+    if isinstance(spec, Cropping):
+        keep = crop_mask(cfg, sample_rate_hz, spec.f_min_hz, spec.f_max_hz)
+        keep = keep[:, None].astype(np.float64)
+        return real * keep, imag * keep
+    return real, imag  # conventional and l1 share the conventional bank
 
 
 # Approximation error terms ----------------------------------------------------

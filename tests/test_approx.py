@@ -7,6 +7,7 @@ from oracles import (
     cropping_error,
     dilation_error,
     fd_window_error_terms,
+    kernel_halves,
     l1_energy,
     l1_energy_error,
 )
@@ -287,3 +288,24 @@ def test_fd_kernels_use_narrow_windows():
     w_top = fd_window(128, 256, 32)
     envelope = np.hypot(fd.real[128], fd.imag[128])
     assert np.allclose(envelope, w_top, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_approx_kernels_equal_the_half_formulas_bit_for_bit(n):
+    """Every formulation's bank equals the oracle's two separate (K, N)
+    products in every bit, signed zeros included, and its halves are views
+    of the one (2K, N) array the conv node multiplies."""
+    cfg = StftConfig(n, n // 4)
+    window = hann_window(n)
+    specs = (Conventional(), Dilation(rate=4), Dilation(rate=None),
+             Dilation(rate=3, per_bin_cap=False), FreqAdaptiveWindow(n_min=16),
+             Poorman(roots=4), Poorman(roots=3), L1Energy(),
+             Cropping(f_min_hz=300.0, f_max_hz=4000.0))
+    for spec in specs:
+        bank = approx_kernels(spec, cfg, window, FS)
+        real, imag = kernel_halves(spec, cfg, window, FS)
+        assert bank.kernels.shape == (2 * cfg.bins, n), spec
+        assert bank.real.tobytes() == real.tobytes(), spec
+        assert bank.imag.tobytes() == imag.tobytes(), spec
+        assert np.shares_memory(bank.real, bank.kernels), spec
+        assert np.shares_memory(bank.imag, bank.kernels), spec

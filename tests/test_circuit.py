@@ -43,6 +43,7 @@ from fhespec.circuit import (
     MatmulNode,
     RawSpec,
     Sweep,
+    _row_blocks,
     approx_label,
     build_descriptor_plan,
     build_transform_plan,
@@ -199,16 +200,28 @@ def test_to_v_equals_the_oracle_quantizer(case):
 def test_quantize_weights_equals_the_oracle_rounding(bits, data):
     """Symmetric weight codes are the oracle's half-away rounding of
     w / scale, clipped to +-q_max, with exact ties whenever the largest
-    weight is q_max itself, and the float weights are left as they were."""
+    weight is q_max itself, and the float weights are left as they were.
+    The codes come as float32, which holds every one of them exactly.  The
+    drawn values make up one row or one column, or are scattered over a
+    uniform matrix taller than one row block of the quantizer's pass."""
     q_max = (1 << (bits - 1)) - 1
     values = st.one_of(st.integers(-q_max, q_max - 1).map(lambda k: k + 0.5),
                        st.sampled_from((0.0, -0.0, float(q_max), -float(q_max))),
                        st.floats(-q_max, q_max))
-    w = np.array(data.draw(st.lists(values, min_size=1, max_size=32)))
-    w = w.reshape(data.draw(st.sampled_from(((1, -1), (-1, 1)))))
+    drawn = np.array(data.draw(st.lists(values, min_size=1, max_size=32)))
+    form = data.draw(st.sampled_from(("row", "column", "blocks")))
+    if form == "blocks":
+        n = data.draw(st.integers(16, 4096))
+        step = _row_blocks(1, n)[0].stop  # rows per block
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        w = rng.uniform(-q_max, q_max, (data.draw(st.integers(step + 1, 3 * step)), n))
+        w.flat[rng.choice(w.size, drawn.size, replace=False)] = drawn
+        assert len(_row_blocks(*w.shape)) > 1
+    else:
+        w = drawn.reshape((1, -1) if form == "row" else (-1, 1))
     before = w.copy()
     q, scale = quantize_weights(w, bits)
-    assert q.dtype == np.int64
+    assert q.dtype == np.float32
     assert w.tobytes() == before.tobytes()
     if not np.abs(w).max():
         assert not q.any() and scale == 1.0
@@ -266,7 +279,8 @@ KERNEL_BOUNDS = [
 def test_kernels_exact_at_the_float32_boundary(kind, bound, row0, max_abs, dtype):
     """A dot node multiplies in float32 while its partial sums stay below
     2^24 and in float64 from there, exact on the worst-case input either
-    way, and its bank holds a float copy at that dtype only."""
+    way, and its bank keeps the float32 codes as its only array of the
+    bank's size at either dtype."""
     n, c = 8, 4
     rng = np.random.default_rng(51)
     q = rng.integers(-2000, 2001, (c, n))
@@ -284,10 +298,25 @@ def test_kernels_exact_at_the_float32_boundary(kind, bound, row0, max_abs, dtype
         got = node.run_int(frames[None])
     assert np.array_equal(node.weights_q, q)
     assert node.partial_sum_bound == bound
-    assert node.dtype is dtype and list(node.bank.copies) == [dtype]
+    assert node.dtype is dtype and node.bank.codes.dtype == np.float32
+    assert [k for k, a in vars(node.bank).items()
+            if isinstance(a, np.ndarray) and a.size == q.size] == ["codes"]
     assert got.dtype == np.int64
     assert np.array_equal(got, np.einsum("tn,cn->tc", frames, q)[None])
     assert (got.min(), got.max()) == node.acc_range() == (-bound, bound)
+
+
+def test_weight_bank_row_sums_exact_beyond_float32():
+    """The row sums behind `acc_range` stay exact past 2^24, where a float32
+    sum of the float32 codes would round."""
+    rng = np.random.default_rng(52)
+    q = rng.integers(1 << 14, 1 << 15, (4, 1024))
+    q[1] *= -1
+    node = ConvNode(name="conv", src="input", weights_f=np.ones(q.shape), stride=q.shape[1])
+    node.weights_q = q
+    assert node.bank.pos.tolist() == np.maximum(q, 0).sum(axis=1).tolist()
+    assert node.bank.neg.tolist() == np.minimum(q, 0).sum(axis=1).tolist()
+    assert node.bank.max_row_l1 == np.abs(q).sum(axis=1).max() > 1 << 24
 
 
 def test_bind_refuses_partial_sums_beyond_float64():
@@ -632,6 +661,55 @@ def test_graph_json_contents():
             want = e["v_hi"] - e["v_lo"] + 1 if e["raw"] else 1 << e["bits"]
             assert n["table_size"] == want
     assert len(conv["weights"]["sha256"]) == 64
+
+
+def test_realized_plan_json_is_pinned():
+    """A fixed small realized plan serializes to the bytes pinned here: its
+    weight codes' int64 hashes, weight scales, accumulator ranges and edges.
+    The ranges are set by hand, so no float summation order reaches them."""
+    plan = build_transform_plan("mfcc", Dilation(rate=4), CFG, FS, mel=MEL, n_mfcc=8)
+    plan.ranges = {"input": (-1.0, 1.0),
+                   **{n.name: (-0.25 * k, 1.0 + k) for k, n in enumerate(plan.nodes)}}
+    doc = plan.realize(BITS).to_json()
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
+        "e4636e5e456c90a6660aa13280241954f236949386371f37c409f248f8df0efe"
+
+
+def test_bank_memory_is_one_float_kernel_and_one_float32_code_array():
+    """On an N=1024 STFT plan whose float kernel takes W bytes, building
+    the plan peaks at 1.5 W (plus 1 MB), realizing adds a peak of 0.5 W (the
+    float32 codes, plus 1 MB), and the first execution allocates nothing
+    near the size of the bank.  tracemalloc sees numpy's buffers, so the
+    figures do not depend on the allocator."""
+    import tracemalloc
+
+    mb = 1 << 20
+    clip = clips(1, seed=60, n=4000)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        plan = build_transform_plan("stft", Conventional(), StftConfig(1024, 256), FS)
+        build_peak = tracemalloc.get_traced_memory()[1] - base
+        w = plan.nodes[0].weights_f.nbytes
+        plan.calibrate(clip)
+
+        def added_peak(fn):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - base
+
+        graph, realize_peak = added_peak(lambda: plan.realize(BitWidthConfig(4, 8, 3, 5)))
+        _, execute_peak = added_peak(lambda: graph.execute(clip[0]))
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert w == 2 * (1024 // 2 + 1) * 1024 * 8
+    assert build_peak <= 1.5 * w + mb
+    assert realize_peak <= 0.5 * w + mb
+    assert execute_peak < w / 8
 
 
 def test_sparse_approximations_lower_conv_taps():

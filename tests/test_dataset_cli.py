@@ -671,6 +671,28 @@ def test_cli_loads_no_scipy(tmp_path):
     assert (tmp_path / "budget.json").is_file()
 
 
+MA_PROBE = """
+import sys
+import fhespec.cli
+code = fhespec.cli.main(["stattest", *sys.argv[2:], "--out", sys.argv[1]])
+assert code == 0, code
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_stattest_loads_no_numpy_ma(tmp_path):
+    """A `stattest` run never imports `numpy.ma`, whose import the first
+    `np.unique` call pays for."""
+    src = str(Path(sys.modules["fhespec"].__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", MA_PROBE, str(tmp_path),
+                          "--synthetic", "tones,noise", *BASE[2:]],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "summary.json").is_file()
+
+
 TRACER = README.parent / "perfbench" / "trace_cli.py"
 
 

@@ -331,6 +331,25 @@ def test_pair_tests_identical_inputs_have_no_errors():
     assert len(single) == 3
 
 
+# Labels mixing case, accents, other scripts and characters beyond the BMP
+LABELS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00/"),
+                 min_size=1, max_size=3) | st.sampled_from(("a", "A", "b", "B", "é", "É",
+                                                            "ß", "Ω", "ω", "中", "😀"))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(labels=st.lists(LABELS, min_size=1, max_size=10), seed=st.integers(0, 2**32 - 1))
+def test_pair_tests_run_over_the_np_unique_pairs(labels, seed):
+    """The results run over the class pairs in the order of `np.unique`'s
+    sorted classes, then over the descriptors."""
+    arm = np.random.default_rng(seed).standard_normal((len(labels), 4))
+    got = [r.class_pair for r in pair_tests(labels, arm, arm)]
+    want = [(f"{a}/{name}", f"{b}/{name}")
+            for a, b in itertools.combinations(np.unique(labels), 2)
+            for name in DESCRIPTOR_NAMES]
+    assert got == want
+
+
 # Grid search ------------------------------------------------------------------
 
 def eval_clips(count, seed):
