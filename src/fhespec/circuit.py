@@ -597,13 +597,21 @@ class ConcatNode(Node):
         return np.stack(vs, axis=-1)
 
 
-def _clear_forward(nodes: list, samples: np.ndarray) -> dict:
-    """Float forward of a node list on one clip: every node's value, keyed
-    by name, without the clip axis the nodes run with."""
-    values = {"input": samples[None]}
-    for n in nodes:
-        values[n.name] = n.clear(*(values[s] for s in n.inputs))
-    return {name: value[0] for name, value in values.items()}
+def _forward(nodes: list, values: dict, clear: bool):
+    """Run, in order, each node of `nodes` whose value `values` lacks on the
+    batch in `values` (name -> value, 'input' included): `clear()` if
+    `clear`, else `step()`.  Yields (name, value, observed) for each node
+    run and drops a value from `values` once its last reader ran."""
+    last_read = {s: k for k, n in enumerate(nodes) for s in n.inputs}
+    for k, n in enumerate(nodes):
+        if n.name in values:
+            continue
+        args = (values[s] for s in n.inputs)
+        values[n.name], obs = (n.clear(*args), None) if clear else n.step(*args)
+        for s in n.inputs:
+            if last_read[s] == k:
+                values.pop(s, None)
+        yield n.name, values[n.name], obs
 
 
 # Weight quantization ---------------------------------------------------------
@@ -702,17 +710,10 @@ class CircuitGraph:
 
     def execute(self, buf: AudioBuffer) -> ExecutionResult:
         """Integer forward of one clip: a batch of one, returned without
-        the clip axis.  A value is dropped once its last reader ran."""
-        last_read = {s: k for k, n in enumerate(self.nodes) for s in n.inputs}
+        the clip axis."""
         values = {"input": self.input_spec.to_v(buf.samples[None])}
-        observed: dict = {}
-        for k, n in enumerate(self.nodes):
-            values[n.name], obs = n.step(*(values[s] for s in n.inputs))
-            if obs is not None:
-                observed[n.name] = obs
-            for s in n.inputs:
-                if last_read[s] == k:
-                    values.pop(s, None)
+        observed = {name: obs for name, _, obs in _forward(self.nodes, values, clear=False)
+                    if obs is not None}
         return self._result(values[self.output_node][0], observed)
 
     def _result(self, v: np.ndarray, observed: dict) -> ExecutionResult:
@@ -724,8 +725,10 @@ class CircuitGraph:
         )
 
     def run_clear(self, buf: AudioBuffer) -> dict:
-        """Float forward of the same structure (no quantization anywhere)."""
-        return _clear_forward(self.nodes, buf.samples)
+        """Float forward of the same structure (no quantization anywhere) on
+        one clip: every value by name, 'input' included, without the clip axis."""
+        values = _forward(self.nodes, {"input": buf.samples[None]}, clear=True)
+        return {"input": buf.samples, **{name: v[0] for name, v, _ in values}}
 
     def check_budget(self, observed: dict | None = None) -> AccumulatorReport:
         observed = observed or {}
@@ -777,27 +780,22 @@ class PipelinePlan:
         ranges: dict = {}
 
         def widen(name, arr):
-            arr = np.asarray(arr, dtype=np.float64)
-            lo, hi = float(arr.min()), float(arr.max())
-            if name in ranges:
-                lo = min(lo, ranges[name][0])
-                hi = max(hi, ranges[name][1])
-            ranges[name] = (lo, hi)
+            lo, hi = ranges.get(name, (math.inf, -math.inf))
+            ranges[name] = (min(float(arr.min()), lo), max(float(arr.max()), hi))
 
         collected: dict = {name: [] for name in (self.normalization or {})}
         for buf in calibration:
             if buf.sample_rate_hz != self.sample_rate_hz:
                 raise CircuitError("calibration buffer sample rate mismatch")
-            values = _clear_forward(self.nodes, buf.samples)
             widen("input", buf.samples)
-            for n in self.nodes:
-                widen(n.name, values[n.name])
-                if n.name in collected:
-                    collected[n.name].append(np.asarray(values[n.name], dtype=np.float64))
+            for name, v, _ in _forward(self.nodes, {"input": buf.samples[None]}, clear=True):
+                widen(name, v)
+                if name in collected:
+                    collected[name].append(v.ravel())
         if self.normalization is not None:
             norm = {}
             for name, vals in collected.items():
-                flat = np.concatenate([v.ravel() for v in vals])
+                flat = np.concatenate(vals)
                 center = float(flat.mean())
                 scale = float(flat.std())
                 if scale <= 0.0:
@@ -897,7 +895,6 @@ class Sweep:
         for n in plan.nodes:
             for s in n.inputs:
                 self.readers.setdefault(s, []).append(n.name)
-        self.last_read = {s: k for k, n in enumerate(plan.nodes) for s in n.inputs}
         self.order = [("input", None), *((n.name, n) for n in plan.nodes)]
 
     def _edge(self, log: _ReadLog, name: str) -> EdgeSpec:
@@ -970,42 +967,44 @@ class Sweep:
         return name == self.plan.output_node or any(
             self.slots[r].depth > depth for r in self.readers.get(name, ()))
 
+    def _graph(self) -> CircuitGraph:
+        if self.graph is None:
+            raise CircuitError("the sweep has no realized graph to execute")
+        if self.samples is None:
+            raise CircuitError("the sweep has no clips to execute on")
+        return self.graph
+
     def execute(self) -> ExecutionResult:
         """Run the graph realized last once over all clips, running only the
         nodes whose slot holds no value.  The result's arrays lead with the
         clip axis, and `observed` holds the maximum over the clips.
 
-        A slot keeps the value itself where `_keeps_value` says so and the
-        observed magnitude alone otherwise; a value this run computed is
-        dropped once its last reader ran.  What a run computes is stored
-        once the whole run succeeded, so a failed run leaves every slot as
-        it was."""
-        graph = self.graph
-        if graph is None:
-            raise CircuitError("the sweep has no realized graph to execute")
-        if self.samples is None:
-            raise CircuitError("the sweep has no clips to execute on")
+        The forward starts from what the slots hold: the value, or None
+        where `_keeps_value` kept the observed magnitude alone, which no
+        reader that runs needs.  What a run computes is stored once the
+        whole run succeeded, so a failed run leaves every slot as it was."""
+        graph = self._graph()
         slots = self.slots
-        values: dict = {}  # name -> a value this run computed
+        values = {name: s.value[0] for name, s in slots.items() if s.value is not None}
         computed: dict = {}  # name -> what its slot keeps of this run
-        if slots["input"].value is None:
+        if "input" not in values:
             v = values["input"] = graph.input_spec.to_v(self.samples)
             computed["input"] = (v if self._keeps_value("input") else None), None
-        for k, n in enumerate(graph.nodes):
-            if slots[n.name].value is not None:
-                continue
-            v, obs = n.step(*(values[s] if s in values else slots[s].value[0]
-                              for s in n.inputs))
-            values[n.name] = v
-            computed[n.name] = (v if self._keeps_value(n.name) else None), obs
-            for s in n.inputs:
-                if self.last_read[s] == k:
-                    values.pop(s, None)
+        for name, v, obs in _forward(graph.nodes, values, clear=False):
+            computed[name] = (v if self._keeps_value(name) else None), obs
         for name, kept in computed.items():
             slots[name].value = kept
         observed = {n.name: slots[n.name].value[1] for n in graph.nodes
                     if slots[n.name].value[1] is not None}
         return graph._result(slots[graph.output_node].value[0], observed)
+
+    def clear_output(self) -> np.ndarray:
+        """The clear output of the graph realized last, over all clips at
+        once, leading with the clip axis: row b equals `run_clear` of clip b."""
+        graph = self._graph()
+        for name, v, _ in _forward(graph.nodes, {"input": self.samples}, clear=True):
+            if name == graph.output_node:
+                return v
 
     def visit(self, configs: list):
         """Realize the distinct configs of `configs` sorted by the fields in

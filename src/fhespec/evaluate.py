@@ -298,8 +298,8 @@ def _search(plan, space: list, evaluation: list):
     One `Sweep` realizes and executes the configs the prune keeps, in its
     traversal order, each config once over all evaluation clips (which
     must have equal lengths).  The clear arm does not depend on the bit
-    widths, so it runs once per evaluation clip, on the first graph that
-    realizes.  Yields (config, None, reason) for each config the prune
+    widths, so it runs once, over all evaluation clips as one batch, on
+    the first graph that realizes.  Yields (config, None, reason) for each config the prune
     rejects, then, in the sweep's order, (config, (clear, fhe), None) for
     a realized config, its clear and dequantized outputs stacked along a
     leading clip axis, and (config, None, reason) for one over budget.
@@ -319,7 +319,7 @@ def _search(plan, space: list, evaluation: list):
             yield bits, None, str(violation)
             continue
         if clear is None:
-            clear = np.stack([graph.run_clear(buf)[graph.output_node] for buf in evaluation])
+            clear = sweep.clear_output()
         yield bits, (clear, sweep.execute().dequantized), None
 
 

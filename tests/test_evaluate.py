@@ -598,20 +598,29 @@ def test_sweep_rebinds_the_nodes_deeper_than_the_shared_prefix():
 
 
 def test_transform_distance_search_runs_the_clear_arm_once_per_clip(monkeypatch):
+    """A search runs its clear arm once, over all evaluation clips as one
+    batch: the plan's convolution runs one clear call on a (B, L) batch,
+    and no per-clip `run_clear` runs."""
     calib, evalu = eval_clips(4, 26), eval_clips(5, 27)
     space = [BitWidthConfig(3, 3, 2, 3), BitWidthConfig(4, 5, 3, 4),
              BitWidthConfig(4, 6, 3, 4), BitWidthConfig(6, 8, 4, 8)]
     plan = build_transform_plan("mel", Conventional(), CFG, FS, mel=MEL).calibrate(calib)
-    run_clear = circuit.CircuitGraph.run_clear
-    calls = Counter()
+    run_clear, conv_clear = circuit.CircuitGraph.run_clear, circuit.ConvNode.clear
+    calls, batches = Counter(), []
 
     def counting(graph, buf):
         calls[id(buf)] += 1
         return run_clear(graph, buf)
 
+    def conv_counting(node, x):
+        batches.append(x.shape)
+        return conv_clear(node, x)
+
     monkeypatch.setattr(circuit.CircuitGraph, "run_clear", counting)
+    monkeypatch.setattr(circuit.ConvNode, "clear", conv_counting)
     scored = transform_distance_search(space, plan, evalu)
-    assert calls == Counter({id(buf): 1 for buf in evalu})
+    assert calls == Counter()
+    assert batches == [(len(evalu), len(evalu[0].samples))]
     # each score is the distance of that config's own clear and integer arms
     want = []
     for bits in space:
