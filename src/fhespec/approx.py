@@ -4,8 +4,9 @@ Five rewrites of the conventional kernel bank: tap dilation (with a per-bin
 Nyquist cap), frequency-adaptive window widths, unit-root phase projection
 ("poorman" DFT), l1 energy, and frequency-band cropping.  Each one only
 zeroes taps or bins, reshapes windows, or projects coefficients, so the bank
-shape is unchanged; each writes its rewrite into one new (2K, N) array and
-leaves the bank it was given as it was.  The poorman error bound and the
+shape is unchanged; each writes its rewrite into one new (2K, N) array.
+Dilation and cropping mask a conventional bank and leave it as it was; the
+window and phase rewrites need none.  The poorman error bound and the
 dilation aliasing identity are implemented alongside, so `validate-bounds`
 can check them on audio.
 """
@@ -173,12 +174,15 @@ def fd_window(k: int, n: int, n_min: int) -> np.ndarray:
     return w
 
 
-def fd_kernels(bank: KernelBank, n_min: int) -> KernelBank:
-    n = bank.cfg.window_length
-    windows = np.vstack([fd_window(k, n, n_min) for k in range(bank.bins)])
-    halves = stft_kernels(bank.cfg, np.ones(n)).halves  # bare complex coefficients
+def fd_kernels(cfg: StftConfig, window: np.ndarray, n_min: int) -> KernelBank:
+    """Each bin's bare complex coefficients under its own `fd_window`;
+    `window` is the bank's nominal window."""
+    n = cfg.window_length
+    windows = np.vstack([fd_window(k, n, n_min) for k in range(cfg.bins)])
+    bank = stft_kernels(cfg, np.ones(n))  # bare complex coefficients
+    halves = bank.halves
     halves *= windows
-    return _rewritten(bank, halves)
+    return dc_replace(bank, window=np.asarray(window, dtype=np.float64))
 
 
 # Poorman ---------------------------------------------------------------------
@@ -226,14 +230,16 @@ def _project_grid(n: int, bins: int, roots: int) -> np.ndarray:
     return l % roots
 
 
-def poorman_kernels(bank: KernelBank, roots: int) -> KernelBank:
-    n = bank.cfg.window_length
-    l = _project_grid(n, bank.bins, roots)
-    root = poorman_root(l, roots)
-    halves = np.empty_like(bank.halves)
-    np.multiply(bank.window, root.real, out=halves[0])
-    np.multiply(bank.window, root.imag, out=halves[1])
-    return _rewritten(bank, halves)
+def poorman_kernels(cfg: StftConfig, window: np.ndarray, roots: int) -> KernelBank:
+    """The window times each tap's projected root, gathered by index from
+    the `roots` distinct roots."""
+    window = np.asarray(window, dtype=np.float64)
+    l = _project_grid(cfg.window_length, cfg.bins, roots)
+    root = poorman_root(np.arange(roots), roots)
+    kernels = np.empty((2 * cfg.bins, cfg.window_length))
+    np.multiply(window, root.real[l], out=kernels[:cfg.bins])
+    np.multiply(window, root.imag[l], out=kernels[cfg.bins:])
+    return KernelBank(cfg=cfg, window=window, kernels=kernels)
 
 
 # Cropping --------------------------------------------------------------------
@@ -259,16 +265,17 @@ def crop_kernels(bank: KernelBank, sample_rate_hz: int, f_min: float,
 
 def approx_kernels(spec: ApproxSpec, cfg: StftConfig, window: np.ndarray,
                    sample_rate_hz: int) -> KernelBank:
-    """Kernel bank implementing the requested STFT formulation."""
+    """Kernel bank implementing the requested STFT formulation.  The
+    conventional bank is built only for the rewrites that start from it."""
+    if isinstance(spec, FreqAdaptiveWindow):
+        return fd_kernels(cfg, window, spec.n_min)
+    if isinstance(spec, Poorman):
+        return poorman_kernels(cfg, window, spec.roots)
     base = stft_kernels(cfg, window)
     if isinstance(spec, (Conventional, L1Energy)):
         return base
     if isinstance(spec, Dilation):
         return dilation_kernels(base, spec.rate, spec.per_bin_cap)
-    if isinstance(spec, FreqAdaptiveWindow):
-        return fd_kernels(base, spec.n_min)
-    if isinstance(spec, Poorman):
-        return poorman_kernels(base, spec.roots)
     if isinstance(spec, Cropping):
         return crop_kernels(base, sample_rate_hz, spec.f_min_hz, spec.f_max_hz)
     raise ApproxError(f"unknown approximation spec: {spec!r}")
@@ -300,7 +307,7 @@ def poorman_bound_report(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
     would not survive the worst case.
     """
     base = stft_kernels(cfg, window)
-    poor = poorman_kernels(base, roots)
+    poor = poorman_kernels(cfg, window, roots)
     exact = base.apply(buf)
     approx = poor.apply(buf)
     err = np.hypot(exact.real - approx.real, exact.imag - approx.imag)

@@ -195,6 +195,8 @@ class Node:
     value (B, T, C) or (B, T), a statistic over time (B, C) or (B,), and
     the descriptor vector (B, 4).  `clear` and `run_int` treat the clips
     independently, so an observed magnitude is the maximum over the batch.
+    `_forward` is the one loop that runs nodes, `clear` or `step` on a
+    batch, for calibration, both arms of a graph and the sweep alike.
     """
 
     @property
@@ -622,7 +624,8 @@ def quantize_weights(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
 
     The codes come as float32, which holds each of them exactly
     (|q| <= 2^15 < 2^24).  They are rounded a row block at a time, so the
-    codes are the only array of the bank's size this allocates."""
+    codes are the only array of the bank's size this allocates.  Weights so
+    small that the scale underflows to 0 raise `CircuitError`."""
     if bits < 2:
         raise CircuitError("weight quantization needs at least 2 bits")
     q_max = (1 << (bits - 1)) - 1
@@ -631,6 +634,8 @@ def quantize_weights(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
     if max_abs == 0.0:
         return q, 1.0
     scale = max_abs / q_max
+    if scale == 0.0:
+        raise CircuitError(f"weight scale {max_abs!r} / {q_max} underflows to 0")
     for r in _row_blocks(*w.shape):
         q[r] = _round_in_place(w[r] / scale, -q_max, q_max)
     return q, scale
@@ -693,7 +698,8 @@ class ExecutionResult:
 
 @dataclass
 class CircuitGraph:
-    """Realized integer pipeline; immutable once built, reusable across inputs."""
+    """Realized integer pipeline; immutable once built, reusable across inputs.
+    `execute` and `run_clear` run `_forward` on a batch of one clip."""
 
     kind: str
     approx_label: str
@@ -867,8 +873,10 @@ class Sweep:
     first `depth` widths, so a reused value was range-checked by the same
     bound node on the same input; after a failed bind every node rebinds.
     A config costs what its changed nodes cost: the verdict comes from the
-    kept budget entries, `execute` runs only the slots with no value, and
-    each quantized edge is computed once per range and width.
+    kept budget entries, `execute` seeds `_forward` with the kept values so
+    that it runs only the slots with no value, and each quantized edge is
+    computed once per range and width.  `clear_output` runs the clear arm
+    over all clips in one `_forward`.
 
     `visit` realizes configs sorted by the fields in `SWEEP_ORDER`, so
     consecutive configs share the longest prefix.  `PipelinePlan.realize`

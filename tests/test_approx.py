@@ -184,9 +184,8 @@ def test_project_grid_matches_scalar_projection():
 
 
 def test_poorman_kernels_nearest_root_per_tap():
-    base = stft_kernels(CFG, WINDOW)
     for roots in (2, 4, 8):
-        poor = poorman_kernels(base, roots)
+        poor = poorman_kernels(CFG, WINDOW, roots)
         k = np.arange(129)[:, None]
         j = np.arange(256)[None, :]
         target = np.exp(-2j * np.pi * k * j / 256)
@@ -199,14 +198,13 @@ def test_poorman_kernels_nearest_root_per_tap():
 
 def test_poorman_large_l_converges():
     base = stft_kernels(CFG, WINDOW)
-    poor = poorman_kernels(base, 1 << 20)
+    poor = poorman_kernels(CFG, WINDOW, 1 << 20)
     assert np.max(np.abs(poor.real - base.real)) < 1e-5
     assert np.max(np.abs(poor.imag - base.imag)) < 1e-5
 
 
 def test_poorman_k0_kernel():
-    base = stft_kernels(CFG, WINDOW)
-    poor = poorman_kernels(base, 4)
+    poor = poorman_kernels(CFG, WINDOW, 4)
     assert np.allclose(poor.real[0], WINDOW)
     assert np.allclose(poor.imag[0], 0.0)
 
@@ -282,12 +280,38 @@ def test_spec_validation():
 
 
 def test_fd_kernels_use_narrow_windows():
-    base = stft_kernels(CFG, WINDOW)
-    fd = fd_kernels(base, 32)
+    fd = fd_kernels(CFG, WINDOW, 32)
     # top bin kernel support matches the narrow centered window
     w_top = fd_window(128, 256, 32)
     envelope = np.hypot(fd.real[128], fd.imag[128])
     assert np.allclose(envelope, w_top, atol=1e-9)
+
+
+@pytest.mark.parametrize("spec, bound", [(FreqAdaptiveWindow(n_min=80), 2.1),
+                                         (Poorman(roots=4), 4.2)])
+def test_rewrites_without_a_base_bank_build_none(spec, bound):
+    """At N=1024, with W the bytes of one (2K, N) float bank, building the
+    frequency-adaptive bank peaks near 2 W (the bank and its windows) and
+    the poorman bank near 4 W (the bank, the root indices and the int64
+    temporaries of the projection grid): neither builds the conventional
+    bank, which took another W, nor poorman's complex (K, N) roots."""
+    import tracemalloc
+
+    cfg = StftConfig(1024, 256)
+    window = hann_window(1024)
+    w = 2 * cfg.bins * 1024 * 8
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        bank = approx_kernels(spec, cfg, window, FS)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert bank.kernels.nbytes == w
+    assert peak <= bound * w
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])

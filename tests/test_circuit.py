@@ -36,6 +36,7 @@ from fhespec.circuit import (
     BUDGET_BITS,
     BudgetViolation,
     CircuitError,
+    CircuitGraph,
     CircuitOverflow,
     ConvNode,
     EdgeSpec,
@@ -195,6 +196,15 @@ def test_to_v_equals_the_oracle_quantizer(case):
     assert np.asarray(x).tobytes() == before.tobytes()
 
 
+def test_quantize_weights_refuses_a_scale_that_underflows():
+    """The smallest subnormal over q_max = 32767 rounds to a scale of 0, so
+    dividing by it would give inf and nan codes."""
+    with pytest.raises(CircuitError, match="underflows"):
+        quantize_weights(np.array([[5e-324, 0.0]]), 16)
+    q, scale = quantize_weights(np.array([[5e-324, 0.0]]), 2)  # q_max = 1
+    assert q.tolist() == [[1.0, 0.0]] and scale == 5e-324
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(bits=st.integers(2, 16), data=st.data())
 def test_quantize_weights_equals_the_oracle_rounding(bits, data):
@@ -203,7 +213,8 @@ def test_quantize_weights_equals_the_oracle_rounding(bits, data):
     weight is q_max itself, and the float weights are left as they were.
     The codes come as float32, which holds every one of them exactly.  The
     drawn values make up one row or one column, or are scattered over a
-    uniform matrix taller than one row block of the quantizer's pass."""
+    uniform matrix taller than one row block of the quantizer's pass.
+    Weights whose scale underflows to 0 are refused."""
     q_max = (1 << (bits - 1)) - 1
     values = st.one_of(st.integers(-q_max, q_max - 1).map(lambda k: k + 0.5),
                        st.sampled_from((0.0, -0.0, float(q_max), -float(q_max))),
@@ -220,10 +231,16 @@ def test_quantize_weights_equals_the_oracle_rounding(bits, data):
     else:
         w = drawn.reshape((1, -1) if form == "row" else (-1, 1))
     before = w.copy()
+    largest = np.abs(w).max()
+    if largest and not largest / q_max:
+        # the scale underflows, as for a largest weight of 5e-324 at 16 bits
+        with pytest.raises(CircuitError, match="underflows"):
+            quantize_weights(w, bits)
+        return
     q, scale = quantize_weights(w, bits)
     assert q.dtype == np.float32
     assert w.tobytes() == before.tobytes()
-    if not np.abs(w).max():
+    if not largest:
         assert not q.any() and scale == 1.0
     else:
         assert np.array_equal(q, np.clip(round_half_away(w / scale), -q_max, q_max))
@@ -750,13 +767,17 @@ STFT_CONFIGS = st.sampled_from((32, 64, 128)).flatmap(
     lambda n: st.builds(StftConfig, st.just(n), st.integers(1, n)))
 
 
+def uncalibrated_plan(kind, approx, cfg=CFG, n_frames=30):
+    """A plan whose time reductions expect clips of `n_frames` frames."""
+    if kind == "descriptors":
+        return build_descriptor_plan(approx, cfg, FS, n_frames=n_frames, mel=MEL,
+                                     gamma=GAMMA)
+    return build_transform_plan(kind, approx, cfg, FS, mel=MEL, gamma=GAMMA, n_mfcc=8)
+
+
 def calibrated_plan(kind, approx, cfg=CFG, n_frames=30):
     """A plan calibrated on clips of exactly `n_frames` frames."""
-    if kind == "descriptors":
-        plan = build_descriptor_plan(approx, cfg, FS, n_frames=n_frames, mel=MEL,
-                                     gamma=GAMMA)
-    else:
-        plan = build_transform_plan(kind, approx, cfg, FS, mel=MEL, gamma=GAMMA, n_mfcc=8)
+    plan = uncalibrated_plan(kind, approx, cfg, n_frames)
     return plan.calibrate(clips(4, seed=40, n=clip_length(cfg, n_frames)))
 
 
@@ -813,7 +834,8 @@ def test_sweep_batch_equals_per_clip_execution(kind, approx, cfg, n_frames, n_cl
                                                configs):
     """One batched run of a sweep gives, row by row, what each clip gives on
     its own, and observes the maximum of the per-clip magnitudes, for
-    configs visited in sorted order and then realized in the drawn order."""
+    configs visited in sorted order and then realized in the drawn order;
+    so does the batched clear arm."""
     plan = calibrated_plan(kind, approx, cfg, n_frames)
     evalu = clips(n_clips, seed=42, n=clip_length(cfg, n_frames))
     sweep = Sweep(plan, evalu)
@@ -838,9 +860,46 @@ def test_sweep_batch_equals_per_clip_execution(kind, approx, cfg, n_frames, n_cl
         assert np.array_equal(got.dequantized, np.stack([r.dequantized for r in refs]))
         assert got.observed == {name: max(r.observed[name] for r in refs)
                                 for name in refs[0].observed}
+        # the batched clear arm is each clip's own clear forward, bit for bit
+        clear = np.stack([graph.run_clear(buf)[graph.output_node] for buf in evalu])
+        batched = sweep.clear_output()
+        assert batched.shape == clear.shape
+        assert batched.tobytes() == clear.tobytes()
     # depth never falls along an edge, so a node rebinds whenever an input does
     slots = sweep.slots
     assert all(slots[s].depth <= slots[n.name].depth for n in plan.nodes for s in n.inputs)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
+       cfg=STFT_CONFIGS, n_frames=st.integers(2, 40), n_clips=st.integers(1, 4))
+def test_calibration_equals_the_per_clip_clear_forwards(kind, approx, cfg, n_frames,
+                                                        n_clips):
+    """`calibrate` widens each range as its forward yields the value, and
+    gives the ranges and z-score constants that the whole per-clip
+    `run_clear` dicts of the unbound plan give: each range spans every
+    clip, and a normalize head's constants are the mean and standard
+    deviation of its values concatenated in clip order."""
+    plan = uncalibrated_plan(kind, approx, cfg, n_frames)
+    calib = clips(n_clips, seed=43, n=clip_length(cfg, n_frames))
+    unbound = CircuitGraph(kind=plan.kind, approx_label="", bits=None, input_spec=None,
+                           nodes=plan.nodes, output_node=plan.output_node)
+    runs = [unbound.run_clear(buf) for buf in calib]
+    ranges = {name: (min(float(r[name].min()) for r in runs),
+                     max(float(r[name].max()) for r in runs)) for name in runs[0]}
+    normalization = None
+    if plan.normalization is not None:
+        normalization = {}
+        for name in plan.normalization:
+            flat = np.concatenate([r[name].ravel() for r in runs])
+            center, scale = float(flat.mean()), float(flat.std()) or 1.0
+            normalization[name] = (center, scale)
+            lo, hi = ranges[name]
+            ranges[name] = ((lo - center) / scale, (hi - center) / scale)
+    plan.calibrate(calib)
+    assert list(plan.ranges) == ["input", *(n.name for n in plan.nodes)]
+    assert plan.ranges == ranges
+    assert plan.normalization == normalization
 
 
 def test_sweep_refuses_clips_of_unequal_length():
