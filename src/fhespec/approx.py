@@ -13,14 +13,16 @@ can check them on audio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from typing import NamedTuple
 
 import numpy as np
 
+from .record import Record, set_field
 from .transforms import (
     AudioBuffer,
     KernelBank,
     StftConfig,
+    _row_blocks,
     frame_signal,
     stft_kernels,
     stft_two_sided,
@@ -33,62 +35,65 @@ class ApproxError(ValueError):
 
 # Approximation specs (tagged union) ------------------------------------------
 
-@dataclass(frozen=True)
-class Conventional:
+# Each spec is a `Record`: specs of different kinds never compare equal,
+# even with equal fields, and `_fields` lists what `approx_label` prints.
+
+class Conventional(Record):
+    __slots__ = _fields = ()
     kind = "conventional"
 
 
-@dataclass(frozen=True)
-class Dilation:
+class Dilation(Record):
     """Keep one tap every `rate` samples; rate=None means the per-bin maximum."""
 
-    rate: int | None = None
-    per_bin_cap: bool = True
+    __slots__ = _fields = ("rate", "per_bin_cap")
     kind = "dilation"
 
-    def __post_init__(self):
-        if self.rate is not None and self.rate < 1:
+    def __init__(self, rate: int | None = None, per_bin_cap: bool = True):
+        if rate is not None and rate < 1:
             raise ApproxError("dilation rate must be >= 1")
-        if self.rate is None and not self.per_bin_cap:
+        if rate is None and not per_bin_cap:
             raise ApproxError("maximal dilation requires the per-bin cap")
+        set_field(self, "rate", rate)
+        set_field(self, "per_bin_cap", per_bin_cap)
 
 
-@dataclass(frozen=True)
-class FreqAdaptiveWindow:
-    n_min: int = 80
+class FreqAdaptiveWindow(Record):
+    __slots__ = _fields = ("n_min",)
     kind = "fdwindow"
 
-    def __post_init__(self):
-        if self.n_min < 2:
+    def __init__(self, n_min: int = 80):
+        if n_min < 2:
             raise ApproxError("minimum window width must be >= 2")
+        set_field(self, "n_min", n_min)
 
 
-@dataclass(frozen=True)
-class Poorman:
+class Poorman(Record):
     """Project each DFT coefficient onto the `roots`-th roots of unity."""
 
-    roots: int = 4
+    __slots__ = _fields = ("roots",)
     kind = "poorman"
 
-    def __post_init__(self):
-        if self.roots < 2:
+    def __init__(self, roots: int = 4):
+        if roots < 2:
             raise ApproxError("poorman needs at least 2 roots")
+        set_field(self, "roots", roots)
 
 
-@dataclass(frozen=True)
-class L1Energy:
+class L1Energy(Record):
+    __slots__ = _fields = ()
     kind = "l1"
 
 
-@dataclass(frozen=True)
-class Cropping:
-    f_min_hz: float = 0.0
-    f_max_hz: float = 1000.0
+class Cropping(Record):
+    __slots__ = _fields = ("f_min_hz", "f_max_hz")
     kind = "crop"
 
-    def __post_init__(self):
-        if not 0 <= self.f_min_hz < self.f_max_hz:
+    def __init__(self, f_min_hz: float = 0.0, f_max_hz: float = 1000.0):
+        if not 0 <= f_min_hz < f_max_hz:
             raise ApproxError("need 0 <= f_min < f_max")
+        set_field(self, "f_min_hz", f_min_hz)
+        set_field(self, "f_max_hz", f_max_hz)
 
 
 ApproxSpec = Conventional | Dilation | FreqAdaptiveWindow | Poorman | L1Energy | Cropping
@@ -118,7 +123,7 @@ def dilation_mask(n: int, bins: int, rate: int | None, per_bin_cap: bool) -> np.
 
 def _rewritten(bank: KernelBank, halves: np.ndarray) -> KernelBank:
     """`bank` with the new (2, K, N) kernels `halves`, stacked as a view."""
-    return dc_replace(bank, kernels=halves.reshape(bank.kernels.shape))
+    return bank._replace(kernels=halves.reshape(bank.kernels.shape))
 
 
 def dilation_kernels(bank: KernelBank, rate: int | None, per_bin_cap: bool = True) -> KernelBank:
@@ -182,7 +187,7 @@ def fd_kernels(cfg: StftConfig, window: np.ndarray, n_min: int) -> KernelBank:
     bank = stft_kernels(cfg, np.ones(n))  # bare complex coefficients
     halves = bank.halves
     halves *= windows
-    return dc_replace(bank, window=np.asarray(window, dtype=np.float64))
+    return bank._replace(window=np.asarray(window, dtype=np.float64))
 
 
 # Poorman ---------------------------------------------------------------------
@@ -216,29 +221,36 @@ def _project_grid(n: int, bins: int, roots: int) -> np.ndarray:
 
     Ties are detected in integer arithmetic (2 * (k*j*L mod N) == N) so the
     smaller-index rule is applied exactly regardless of float rounding.
+    The indices are computed a row block at a time, into one array of the
+    narrowest dtype that holds roots - 1.
     """
+    grid = np.empty((bins, n), dtype=np.min_scalar_type(roots - 1))
     k = np.arange(bins, dtype=np.int64)[:, None]
-    j = np.arange(n, dtype=np.int64)[None, :]
-    num = k * j * roots
-    lo = num // n
-    rem = num - lo * n
-    l = np.where(2 * rem > n, lo + 1, lo)
-    tie = 2 * rem == n
-    if np.any(tie):
-        la, lb = lo % roots, (lo + 1) % roots
-        l = np.where(tie, np.where(la <= lb, lo, lo + 1), l)
-    return l % roots
+    j = np.arange(n, dtype=np.int64)
+    for r in _row_blocks(bins, n):
+        num = k[r] * j * roots
+        lo = num // n
+        rem = num - lo * n
+        l = np.where(2 * rem > n, lo + 1, lo)
+        tie = 2 * rem == n
+        if np.any(tie):
+            la, lb = lo % roots, (lo + 1) % roots
+            l = np.where(tie, np.where(la <= lb, lo, lo + 1), l)
+        grid[r] = l % roots
+    return grid
 
 
 def poorman_kernels(cfg: StftConfig, window: np.ndarray, roots: int) -> KernelBank:
     """The window times each tap's projected root, gathered by index from
-    the `roots` distinct roots."""
+    the `roots` distinct roots, a row block at a time."""
     window = np.asarray(window, dtype=np.float64)
     l = _project_grid(cfg.window_length, cfg.bins, roots)
     root = poorman_root(np.arange(roots), roots)
     kernels = np.empty((2 * cfg.bins, cfg.window_length))
-    np.multiply(window, root.real[l], out=kernels[:cfg.bins])
-    np.multiply(window, root.imag[l], out=kernels[cfg.bins:])
+    re, im = kernels[:cfg.bins], kernels[cfg.bins:]
+    for r in _row_blocks(*l.shape):
+        np.multiply(window, root.real[l[r]], out=re[r])
+        np.multiply(window, root.imag[l[r]], out=im[r])
     return KernelBank(cfg=cfg, window=window, kernels=kernels)
 
 
@@ -281,8 +293,7 @@ def approx_kernels(spec: ApproxSpec, cfg: StftConfig, window: np.ndarray,
     raise ApproxError(f"unknown approximation spec: {spec!r}")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     bound: np.ndarray
     empirical: np.ndarray
 

@@ -23,13 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .approx import ApproxSpec, L1Energy, approx_kernels
 from .quant import BitWidthConfig, width_of
+from .record import Record, set_field
 from .transforms import (
     AudioBuffer,
     GammatoneSpec,
@@ -42,6 +43,7 @@ from .transforms import (
     mel_filterbank_matrix,
     MFCC_LOG_EPS,
     N_MFCC,
+    _row_blocks,
 )
 
 BUDGET_BITS = 16
@@ -89,8 +91,7 @@ def _round_in_place(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(NamedTuple):
     """Quantized edge: represented value is scale * v, v in [v_min, v_max]."""
 
     scale: float
@@ -143,8 +144,7 @@ class EdgeSpec:
                 "signed": self.signed}
 
 
-@dataclass(frozen=True)
-class RawSpec:
+class RawSpec(NamedTuple):
     """Un-requantized integer edge (accumulator output); value = scale * v."""
 
     scale: float
@@ -190,6 +190,7 @@ class Node:
     accumulator against its declared range and returns the value with its
     observed magnitude (None when nothing accumulates); `budget_entry()`
     and `describe()` feed the budget report and the JSON serialization.
+    Every `bind` returns a `_copy` of the node.
 
     Every value has a leading clip axis: the input is (B, L), a frame-wise
     value (B, T, C) or (B, T), a statistic over time (B, C) or (B,), and
@@ -202,6 +203,12 @@ class Node:
     @property
     def inputs(self) -> list:
         return [self.src]
+
+    def _copy(self, **changes):
+        """A copy of this node, sharing its attributes, with `changes` set."""
+        node = object.__new__(type(self))
+        node.__dict__.update(self.__dict__, **changes)
+        return node
 
     def step(self, *vs):
         return self.run_int(*vs), None
@@ -239,18 +246,6 @@ def _check_frames(node, v) -> None:
                            f"but the node was sized for fan_in={node.fan_in}")
 
 
-# A pass over a whole bank takes a block of whole rows, of about this many
-# elements, at a time, so its temporaries stay near 256 KB at any bank size.
-_BLOCK_ELEMENTS = 1 << 15
-
-
-def _row_blocks(rows: int, n: int) -> list:
-    """Slices of whole rows covering a (rows, n) matrix, each of about
-    `_BLOCK_ELEMENTS` elements and at least one row."""
-    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    return [slice(r, r + step) for r in range(0, rows, step)]
-
-
 def _max_row_nonzero(w: np.ndarray) -> int:
     return max(int(np.count_nonzero(w[r], axis=1).max()) for r in _row_blocks(*w.shape))
 
@@ -282,7 +277,6 @@ class WeightBank:
         self.nonzero_taps = _max_row_nonzero(codes)
 
 
-@dataclass
 class _DotNode(Node):
     """Integer dot products of the input with a fixed weight matrix.
 
@@ -310,14 +304,18 @@ class _DotNode(Node):
     in the budget report.
     """
 
-    name: str
-    src: str
-    weights_f: np.ndarray  # (C_out, C_in)
-    bank: WeightBank | None = None
-    w_scale: float | None = None
-    in_spec: EdgeSpec | None = None
-    out_spec: RawSpec | None = None
-    banks: dict = field(default_factory=dict, repr=False)
+    def __init__(self, name: str, src: str, weights_f: np.ndarray,
+                 bank: WeightBank | None = None, w_scale: float | None = None,
+                 in_spec: EdgeSpec | None = None, out_spec: RawSpec | None = None,
+                 banks: dict | None = None):
+        self.name = name
+        self.src = src
+        self.weights_f = weights_f  # (C_out, C_in)
+        self.bank = bank
+        self.w_scale = w_scale
+        self.in_spec = in_spec
+        self.out_spec = out_spec
+        self.banks = {} if banks is None else banks
 
     @property
     def weights_q(self) -> np.ndarray | None:
@@ -353,7 +351,7 @@ class _DotNode(Node):
             weights_q, w_scale = quantize_weights(self.weights_f, bits.weight_bits)
             entry = self.banks[bits.weight_bits] = (WeightBank(weights_q), w_scale)
         bank, w_scale = entry
-        node = replace(self, bank=bank, w_scale=w_scale, in_spec=specs[self.src])
+        node = self._copy(bank=bank, w_scale=w_scale, in_spec=specs[self.src])
         bound = node.partial_sum_bound
         if bound >= EXACT_FLOAT_BOUND:
             raise CircuitError(f"node {self.name}: partial sums may reach {bound}, "
@@ -373,13 +371,18 @@ class _DotNode(Node):
                 "weight_scale": self.w_scale}
 
 
-@dataclass
 class ConvNode(_DotNode):
     """Strided 1-D convolution of the signal with a fixed kernel bank
     (weights (C, N), one row per kernel)."""
 
-    stride: int = field(kw_only=True)
     kind = "conv"
+
+    def __init__(self, name: str, src: str, weights_f: np.ndarray,
+                 bank: WeightBank | None = None, w_scale: float | None = None,
+                 in_spec: EdgeSpec | None = None, out_spec: RawSpec | None = None,
+                 banks: dict | None = None, *, stride: int):
+        super().__init__(name, src, weights_f, bank, w_scale, in_spec, out_spec, banks)
+        self.stride = stride
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         return frame_signal(x, self.weights_f.shape[1], self.stride) @ self.weights_f.T
@@ -393,7 +396,6 @@ class ConvNode(_DotNode):
         return {**super().describe(), "stride": self.stride}
 
 
-@dataclass
 class MatmulNode(_DotNode):
     """Channel-mixing matrix applied per frame (mel filterbank, DCT)."""
 
@@ -407,7 +409,6 @@ class MatmulNode(_DotNode):
         return (v.astype(w.dtype) @ w.T).astype(np.int64)
 
 
-@dataclass
 class LutNode(Node):
     """Elementwise lookup keyed on the incoming integer value: `run_int`
     evaluates `clear` on the codes it gets.  A lookup-table FHE backend
@@ -420,13 +421,16 @@ class LutNode(Node):
     edge.  Unbound, 'normalize' is the identity calibration collects.
     """
 
-    name: str
-    src: str
-    semantic: str
-    norm_center: float = 0.0
-    norm_scale: float = 1.0
-    in_spec: EdgeSpec | RawSpec | None = None
-    out_spec: EdgeSpec | RawSpec | None = None
+    def __init__(self, name: str, src: str, semantic: str, norm_center: float = 0.0,
+                 norm_scale: float = 1.0, in_spec: EdgeSpec | RawSpec | None = None,
+                 out_spec: EdgeSpec | RawSpec | None = None):
+        self.name = name
+        self.src = src
+        self.semantic = semantic
+        self.norm_center = norm_center
+        self.norm_scale = norm_scale
+        self.in_spec = in_spec
+        self.out_spec = out_spec
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         if self.semantic == "square":
@@ -444,7 +448,7 @@ class LutNode(Node):
         raise CircuitError(f"unknown LUT semantic {self.semantic!r}")
 
     def bind(self, specs, bits, edge, normalization):
-        node = replace(self, in_spec=specs[self.src])
+        node = self._copy(in_spec=specs[self.src])
         if self.semantic in ("square", "abs"):
             # both are convex and the input edge holds 0, so the outputs
             # span 0 to the larger of the two endpoint values
@@ -475,17 +479,19 @@ class LutNode(Node):
                 "table_size": hi - lo + 1}
 
 
-@dataclass
 class ReduceNode(Node):
     """Integer sum (or mean, as a rescaled sum) over one axis."""
 
-    name: str
-    src: str
-    op: str  # 'sum' | 'mean'
-    axis: str  # 'pair' | 'channels' | 'time'
-    in_spec: EdgeSpec | RawSpec | None = None
-    out_spec: RawSpec | None = None
-    fan_in: int | None = None
+    def __init__(self, name: str, src: str, op: str, axis: str,
+                 in_spec: EdgeSpec | RawSpec | None = None,
+                 out_spec: RawSpec | None = None, fan_in: int | None = None):
+        self.name = name
+        self.src = src
+        self.op = op  # 'sum' | 'mean'
+        self.axis = axis  # 'pair' | 'channels' | 'time'
+        self.in_spec = in_spec
+        self.out_spec = out_spec
+        self.fan_in = fan_in
 
     def _split(self, x: np.ndarray):
         if self.axis == "pair":
@@ -507,8 +513,8 @@ class ReduceNode(Node):
         in_spec = specs[self.src]
         lo, hi = in_spec.bounds
         scale = in_spec.scale / fan if self.op == "mean" else in_spec.scale
-        return replace(self, in_spec=in_spec, fan_in=fan,
-                       out_spec=RawSpec(scale=scale, v_lo=fan * lo, v_hi=fan * hi))
+        return self._copy(in_spec=in_spec, fan_in=fan,
+                          out_spec=RawSpec(scale=scale, v_lo=fan * lo, v_hi=fan * hi))
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
         if self.axis == "time":
@@ -526,7 +532,6 @@ class ReduceNode(Node):
         return {**super().describe(), "op": self.op, "axis": self.axis}
 
 
-@dataclass
 class StdNode(Node):
     """Population standard deviation over time, via exact integer moments.
 
@@ -534,11 +539,13 @@ class StdNode(Node):
     exact integer L*S2 - S1^2 so no cancellation occurs before the sqrt.
     """
 
-    name: str
-    src: str
-    in_spec: EdgeSpec | None = None
-    out_spec: EdgeSpec | None = None
-    fan_in: int | None = None
+    def __init__(self, name: str, src: str, in_spec: EdgeSpec | None = None,
+                 out_spec: EdgeSpec | None = None, fan_in: int | None = None):
+        self.name = name
+        self.src = src
+        self.in_spec = in_spec
+        self.out_spec = out_spec
+        self.fan_in = fan_in
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         return x.std(axis=1)
@@ -549,7 +556,7 @@ class StdNode(Node):
         return t * m, t * m * m
 
     def bind(self, specs, bits, edge, normalization):
-        return replace(self, in_spec=specs[self.src], out_spec=edge(self.name))
+        return self._copy(in_spec=specs[self.src], out_spec=edge(self.name))
 
     def run_int(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _check_frames(self, v)
@@ -572,15 +579,16 @@ class StdNode(Node):
                            self.fan_in, observed_bits)
 
 
-@dataclass
 class ConcatNode(Node):
     """Stack per-clip scalar heads that share one set of output params
     along the last axis."""
 
-    name: str
-    srcs: list
-    in_spec: EdgeSpec | None = None
-    out_spec: EdgeSpec | None = None
+    def __init__(self, name: str, srcs: list, in_spec: EdgeSpec | None = None,
+                 out_spec: EdgeSpec | None = None):
+        self.name = name
+        self.srcs = srcs
+        self.in_spec = in_spec
+        self.out_spec = out_spec
 
     @property
     def inputs(self) -> list:
@@ -593,7 +601,7 @@ class ConcatNode(Node):
         in_spec = specs[self.srcs[0]]
         if any(specs[s] != in_spec for s in self.srcs):
             raise CircuitError("concat inputs must share output params")
-        return replace(self, in_spec=in_spec, out_spec=in_spec)
+        return self._copy(in_spec=in_spec, out_spec=in_spec)
 
     def run_int(self, *vs) -> np.ndarray:
         return np.stack(vs, axis=-1)
@@ -643,8 +651,7 @@ def quantize_weights(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
 
 # Graph -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BudgetEntry:
+class BudgetEntry(NamedTuple):
     node: str
     kind: str
     worst_case_bits: int
@@ -656,8 +663,7 @@ class BudgetEntry:
         return self.worst_case_bits > BUDGET_BITS
 
 
-@dataclass(frozen=True)
-class AccumulatorReport:
+class AccumulatorReport(NamedTuple):
     entries: list
 
     @property
@@ -672,41 +678,41 @@ class AccumulatorReport:
         return {
             "feasible": self.feasible,
             "budget_bits": BUDGET_BITS,
-            "nodes": [{**asdict(e), "violation": e.violation} for e in self.entries],
+            "nodes": [{**e._asdict(), "violation": e.violation} for e in self.entries],
         }
 
 
-@dataclass(frozen=True)
-class QuantizedTensor:
+class QuantizedTensor(Record):
     """Exported codes q = v - lift of the output edge `params`."""
 
-    data: np.ndarray
-    params: EdgeSpec
+    __slots__ = _fields = ("data", "params")
 
-    def __post_init__(self):
-        lo, hi = (b - self.params.lift for b in self.params.bounds)
-        if self.data.min(initial=0) < lo or self.data.max(initial=0) > hi:
+    def __init__(self, data: np.ndarray, params: EdgeSpec):
+        lo, hi = (b - params.lift for b in params.bounds)
+        if data.min(initial=0) < lo or data.max(initial=0) > hi:
             raise CircuitError("quantized data outside the range of its edge")
+        set_field(self, "data", data)
+        set_field(self, "params", params)
 
 
-@dataclass
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     output: QuantizedTensor
     dequantized: np.ndarray
     observed: dict  # node name -> max abs accumulator / value
 
 
-@dataclass
 class CircuitGraph:
     """Realized integer pipeline; immutable once built, reusable across inputs.
     `execute` and `run_clear` run `_forward` on a batch of one clip."""
 
-    kind: str
-    approx_label: str
-    bits: BitWidthConfig
-    input_spec: EdgeSpec
-    nodes: list
-    output_node: str
+    def __init__(self, kind: str, approx_label: str, bits: BitWidthConfig,
+                 input_spec: EdgeSpec, nodes: list, output_node: str):
+        self.kind = kind
+        self.approx_label = approx_label
+        self.bits = bits
+        self.input_spec = input_spec
+        self.nodes = nodes
+        self.output_node = output_node
 
     def node(self, name: str):
         for n in self.nodes:
@@ -758,13 +764,10 @@ class CircuitGraph:
 # Pipeline construction -------------------------------------------------------
 
 def approx_label(spec: ApproxSpec) -> str:
-    parts = [spec.kind]
-    for f in spec.__dataclass_fields__:
-        parts.append(str(getattr(spec, f)))
-    return ":".join(parts)
+    """The spec's kind and each of its fields, joined by ':'."""
+    return ":".join([spec.kind, *(str(getattr(spec, f)) for f in spec._fields)])
 
 
-@dataclass
 class PipelinePlan:
     """Structure plus calibration statistics; realize() binds bit widths.
 
@@ -772,13 +775,16 @@ class PipelinePlan:
     configurations afterwards is cheap, which is what the grid search needs.
     """
 
-    kind: str
-    approx: ApproxSpec
-    sample_rate_hz: int
-    nodes: list
-    output_node: str
-    normalization: dict | None = None  # node name -> (center, scale)
-    ranges: dict | None = None  # node name (and 'input') -> (lo, hi)
+    def __init__(self, kind: str, approx: ApproxSpec, sample_rate_hz: int, nodes: list,
+                 output_node: str, normalization: dict | None = None,
+                 ranges: dict | None = None):
+        self.kind = kind
+        self.approx = approx
+        self.sample_rate_hz = sample_rate_hz
+        self.nodes = nodes
+        self.output_node = output_node
+        self.normalization = normalization  # node name -> (center, scale)
+        self.ranges = ranges  # node name (and 'input') -> (lo, hi)
 
     def calibrate(self, calibration: list) -> "PipelinePlan":
         if not calibration:
@@ -843,14 +849,17 @@ class _ReadLog:
         return getattr(self._bits, name)
 
 
-@dataclass
 class _Slot:
     """What a sweep keeps of one node: its depth and what it bound."""
 
-    depth: int  # the SWEEP_ORDER prefix length holding every width the node reads
-    node: object  # the bound node; for 'input', the input edge
-    entry: BudgetEntry | None  # the bound node's budget entry
-    value: tuple | None = None  # (value, observed) over the sweep's clips
+    __slots__ = ("depth", "node", "entry", "value")
+
+    def __init__(self, depth: int, node, entry: BudgetEntry | None,
+                 value: tuple | None = None):
+        self.depth = depth  # the SWEEP_ORDER prefix length holding every width the node reads
+        self.node = node  # the bound node; for 'input', the input edge
+        self.entry = entry  # the bound node's budget entry
+        self.value = value  # (value, observed) over the sweep's clips
 
 
 class Sweep:

@@ -15,10 +15,8 @@ skipped files, 1 failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +68,8 @@ from .transforms import (
     AudioBuffer,
     GammatoneSpec,
     MelSpec,
+    N_GAMMATONE,
+    N_MELS,
     N_MFCC,
     SignalError,
     StftConfig,
@@ -98,9 +98,9 @@ SETTINGS = {
     "sample_rate": (int, 16000, None),
     "window": (int, 1024, "STFT window length N"),
     "hop": (int, 256, "STFT hop length"),
-    "n_mels": (int, MelSpec.n_mels, None),
+    "n_mels": (int, N_MELS, None),
     "n_mfcc": (int, N_MFCC, None),
-    "n_gammatone": (int, GammatoneSpec.n_filters, None),
+    "n_gammatone": (int, N_GAMMATONE, None),
     "alpha": (float, SIGNIFICANCE_LEVEL, "significance level"),
     "grid": (str, "full", "semicolon-separated Bi,Bo,Bw,Bm configs, or 'full'"),
 }
@@ -186,6 +186,8 @@ def resolve_settings(args) -> dict:
     """Merge built-in defaults, the optional config file, and flags (flags win)."""
     settings = {name: default for name, (_, default, _) in SETTINGS.items()}
     if args.config is not None:
+        import configparser  # on first use: most runs read no config file
+
         cp = configparser.ConfigParser()
         if not cp.read(args.config):
             raise CliError(f"cannot read config file {args.config}")
@@ -239,7 +241,7 @@ def gather_clips(settings) -> tuple[list, list, list]:
 def truncate_to_common_length(clips: list) -> list:
     """Trim all clips to the shortest so every clip yields the same frames."""
     n = min(len(c.buffer) for c in clips)
-    return [replace(c, buffer=AudioBuffer(c.buffer.samples[:n],
+    return [c._replace(buffer=AudioBuffer(c.buffer.samples[:n],
                                           c.buffer.sample_rate_hz))
             if len(c.buffer) > n else c
             for c in clips]

@@ -14,8 +14,8 @@ the clips.  There is no resampling or down-mixing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ class DatasetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Clip:
+class Clip(NamedTuple):
     """One labelled, decoded audio clip (a WAV file or a synthetic signal)."""
 
     file_id: str

@@ -15,8 +15,8 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .circuit import (
     Sweep,
 )
 from .quant import BitWidthConfig, accumulator_bits
+from .record import Record, set_field
 
 SIGNIFICANCE_LEVEL = 0.05
 EXACT_MW_POOLED_MAX = 20
@@ -196,8 +197,7 @@ def pearson(a, b):
 
 # Discovery errors -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairTestResult:
+class PairTestResult(NamedTuple):
     class_pair: tuple
     p_clear: float
     p_fhe: float
@@ -254,21 +254,25 @@ def pair_tests(labels, clear, fhe, alpha: float = SIGNIFICANCE_LEVEL) -> list:
 
 # Grid search ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSearchResult:
-    config: BitWidthConfig
-    per_descriptor_r: dict | None = None
-    reason: str | None = None
+class GridSearchResult(Record):
+    """One config's search outcome: its per-descriptor Pearson r when it
+    realized, else the reason it did not.  `mean_r`, the mean of the r
+    values (None without them), is computed once, here."""
+
+    __slots__ = ("config", "per_descriptor_r", "reason", "mean_r")
+    _fields = ("config", "per_descriptor_r", "reason")
+
+    def __init__(self, config: BitWidthConfig, per_descriptor_r: dict | None = None,
+                 reason: str | None = None):
+        set_field(self, "config", config)
+        set_field(self, "per_descriptor_r", per_descriptor_r)
+        set_field(self, "reason", reason)
+        set_field(self, "mean_r", None if per_descriptor_r is None
+                  else float(np.mean(list(per_descriptor_r.values()))))
 
     @property
     def feasible(self) -> bool:
         return self.per_descriptor_r is not None
-
-    @property
-    def mean_r(self) -> float | None:
-        if self.per_descriptor_r is None:
-            return None
-        return float(np.mean(list(self.per_descriptor_r.values())))
 
 
 def default_grid() -> list:

@@ -15,7 +15,7 @@ multiply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_BITS = 16
 
@@ -24,31 +24,41 @@ class QuantError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class BitWidthConfig:
-    """Bit widths for input, output, convolution weights and intermediates."""
-
+class _BitWidths(NamedTuple):
     input_bits: int
     output_bits: int
     weight_bits: int
     mid_bits: int
 
-    def __post_init__(self):
-        for name, b in self.as_dict().items():
-            low = 2 if name == "weight_bits" else 1  # a symmetric code needs a sign bit
-            if not (low <= b <= MAX_BITS):
-                raise QuantError(f"{name} must be in [{low}, {MAX_BITS}], got {b}")
+
+class BitWidthConfig(_BitWidths):
+    """Bit widths for input, output, convolution weights and intermediates.
+
+    A named tuple: configs compare, order and hash as their four widths.
+    Construction validates them, `_replace` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, input_bits: int, output_bits: int, weight_bits: int, mid_bits: int):
+        widths = (input_bits, output_bits, weight_bits, mid_bits)
+        # a symmetric weight code needs a sign bit
+        if not (1 <= input_bits <= MAX_BITS and 1 <= output_bits <= MAX_BITS
+                and 2 <= weight_bits <= MAX_BITS and 1 <= mid_bits <= MAX_BITS):
+            for name, b in zip(cls._fields, widths):
+                low = 2 if name == "weight_bits" else 1
+                if not (low <= b <= MAX_BITS):
+                    raise QuantError(f"{name} must be in [{low}, {MAX_BITS}], got {b}")
+        return tuple.__new__(cls, widths)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def as_dict(self) -> dict:
-        return {
-            "input_bits": self.input_bits,
-            "output_bits": self.output_bits,
-            "weight_bits": self.weight_bits,
-            "mid_bits": self.mid_bits,
-        }
+        return self._asdict()
 
     def as_tuple(self) -> tuple:
-        return (self.input_bits, self.output_bits, self.weight_bits, self.mid_bits)
+        return tuple(self)
 
 
 def accumulator_bits(l_taps: int, in_bits: int, w_bits: int) -> int:

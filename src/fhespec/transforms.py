@@ -11,46 +11,47 @@ Frames lie fully inside the signal (no padding): T = floor((M - N) / h) + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .record import Record, set_field
 
 
 class SignalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AudioBuffer:
-    """Mono signal samples plus sample rate."""
+class AudioBuffer(Record):
+    """Mono signal samples plus sample rate; its length is its sample count."""
 
-    samples: np.ndarray
-    sample_rate_hz: int
+    __slots__ = _fields = ("samples", "sample_rate_hz")
 
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", s)
+    def __init__(self, samples: np.ndarray, sample_rate_hz: int):
+        s = np.asarray(samples, dtype=np.float64)
         if s.ndim != 1 or s.size == 0:
             raise SignalError("AudioBuffer needs a nonempty 1-D sample array")
         if not np.all(np.isfinite(s)):
             raise SignalError("AudioBuffer samples must be finite")
-        if self.sample_rate_hz <= 0:
+        if sample_rate_hz <= 0:
             raise SignalError("sample rate must be positive")
+        set_field(self, "samples", s)
+        set_field(self, "sample_rate_hz", sample_rate_hz)
 
     def __len__(self) -> int:
         return self.samples.size
 
 
-@dataclass(frozen=True)
-class StftConfig:
-    window_length: int
-    hop: int
+class StftConfig(Record):
+    __slots__ = _fields = ("window_length", "hop")
 
-    def __post_init__(self):
-        if self.window_length < 2 or self.window_length % 2 != 0:
+    def __init__(self, window_length: int, hop: int):
+        if window_length < 2 or window_length % 2 != 0:
             raise SignalError("window length must be even and >= 2")
-        if not (1 <= self.hop <= self.window_length):
+        if not (1 <= hop <= window_length):
             raise SignalError("hop must satisfy 1 <= hop <= window length")
+        set_field(self, "window_length", window_length)
+        set_field(self, "hop", hop)
 
     @property
     def bins(self) -> int:
@@ -76,27 +77,31 @@ class StftConfig:
         return np.arange(self.bins) * sample_rate_hz / self.window_length
 
 
-@dataclass(frozen=True)
-class MelSpec:
-    n_mels: int = 64
+N_MELS = 64  # Mel filters by default
 
-    def __post_init__(self):
-        if self.n_mels < 1:
+
+class MelSpec(Record):
+    __slots__ = _fields = ("n_mels",)
+
+    def __init__(self, n_mels: int = N_MELS):
+        if n_mels < 1:
             raise SignalError("n_mels must be positive")
+        set_field(self, "n_mels", n_mels)
 
 
 # Gammatone filters are 4th order, with centers from 50 Hz to Nyquist.
 GAMMATONE_ORDER = 4
 GAMMATONE_F_LOW_HZ = 50.0
+N_GAMMATONE = 64  # gammatone filters by default
 
 
-@dataclass(frozen=True)
-class GammatoneSpec:
-    n_filters: int = 64
+class GammatoneSpec(Record):
+    __slots__ = _fields = ("n_filters",)
 
-    def __post_init__(self):
-        if self.n_filters < 1:
+    def __init__(self, n_filters: int = N_GAMMATONE):
+        if n_filters < 1:
             raise SignalError("gammatone spec needs n_filters >= 1")
+        set_field(self, "n_filters", n_filters)
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -120,6 +125,18 @@ def frame_signal(x: np.ndarray, n: int, hop: int) -> np.ndarray:
     )
 
 
+# A pass over a whole bank takes a block of whole rows, of about this many
+# elements, at a time, so its temporaries stay near 256 KB at any bank size.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _row_blocks(rows: int, n: int) -> list:
+    """Slices of whole rows covering a (rows, n) matrix, each of about
+    `_BLOCK_ELEMENTS` elements and at least one row."""
+    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    return [slice(r, r + step) for r in range(0, rows, step)]
+
+
 def stft_two_sided(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
                    tap_mask: np.ndarray | None = None) -> np.ndarray:
     """Full N-bin DFT per frame, for the dilation aliasing identity check.
@@ -133,8 +150,7 @@ def stft_two_sided(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
     return np.fft.fft(frames, axis=1)
 
 
-@dataclass(frozen=True)
-class KernelBank:
+class KernelBank(NamedTuple):
     """Fixed convolution kernels realizing a (possibly approximate) STFT.
 
     `kernels` is one (2K, N) array: the K real kernels, then the K

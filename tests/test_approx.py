@@ -288,13 +288,14 @@ def test_fd_kernels_use_narrow_windows():
 
 
 @pytest.mark.parametrize("spec, bound", [(FreqAdaptiveWindow(n_min=80), 2.1),
-                                         (Poorman(roots=4), 4.2)])
+                                         (Poorman(roots=4), 1.15)])
 def test_rewrites_without_a_base_bank_build_none(spec, bound):
     """At N=1024, with W the bytes of one (2K, N) float bank, building the
     frequency-adaptive bank peaks near 2 W (the bank and its windows) and
-    the poorman bank near 4 W (the bank, the root indices and the int64
-    temporaries of the projection grid): neither builds the conventional
-    bank, which took another W, nor poorman's complex (K, N) roots."""
+    the poorman bank near 1.1 W (the bank, its uint8 root indices and the
+    row-block temporaries of the projection and the gather): neither builds
+    the conventional bank, which took another W, nor poorman's complex
+    (K, N) roots or a full-size int64 index array."""
     import tracemalloc
 
     cfg = StftConfig(1024, 256)

@@ -647,21 +647,24 @@ def test_readme_library_example_runs(capsys):
 IMPORT_PROBE = """
 import sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def unwanted_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+                  or m in ("dataclasses", "configparser"))
 
 import fhespec.cli
-assert not scipy_modules(), ("import", scipy_modules())
+assert not unwanted_modules(), ("import", unwanted_modules())
 code = fhespec.cli.main(["budget", "--synthetic", "tones", "--clips", "4",
                          "--out", sys.argv[1]])
 assert code == 0, code
-assert not scipy_modules(), ("budget", scipy_modules())
+assert not unwanted_modules(), ("budget", unwanted_modules())
 """
 
 
 def test_cli_loads_no_scipy(tmp_path):
-    """Importing the CLI and running a synthetic command never loads SciPy:
-    it is imported on first use, by WAV I/O only."""
+    """Importing the CLI and running a synthetic command never loads SciPy,
+    `dataclasses` or `configparser`: SciPy is imported on first use, by WAV
+    I/O only, `configparser` only for `--config`, and no record is a
+    dataclass."""
     src = str(Path(sys.modules["fhespec"].__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -548,7 +547,7 @@ def test_sweep_equals_fresh_realizes(approx, widths, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(circuit.ConcatNode, "bind", failing)
         with pytest.raises(Injected):  # every node but the last one rebinds first
-            sweep.realize(replace(space[0], input_bits=space[0].input_bits + 1))
+            sweep.realize(space[0]._replace(input_bits=space[0].input_bits + 1))
     with pytest.raises(circuit.CircuitError, match="no realized graph"):
         sweep.execute()
     for i, bits in enumerate([space[0], *space]):
@@ -578,7 +577,7 @@ def test_sweep_visits_configs_in_field_order_of_first_read():
                                                      b.mid_bits, b.output_bits))
     # the sweep order covers the config; an output width is read by the
     # normalize tables and the concat alone
-    assert sorted(SWEEP_ORDER) == sorted(BitWidthConfig.__dataclass_fields__)
+    assert sorted(SWEEP_ORDER) == sorted(BitWidthConfig._fields)
     depth = {name: slot.depth for name, slot in sweep.slots.items()}
     assert (depth["input"], depth["stft_conv"], depth["mel_stds"]) == (1, 2, 3)
     assert {name for name, d in depth.items() if d == 4} == DEPTH_4
@@ -589,11 +588,11 @@ def test_sweep_rebinds_the_nodes_deeper_than_the_shared_prefix():
     a = BitWidthConfig(input_bits=4, output_bits=4, weight_bits=5, mid_bits=3)
     sweep.realize(a)
     before = {name: slot.node for name, slot in sweep.slots.items()}
-    sweep.realize(replace(a, output_bits=5))  # shares the first three widths
+    sweep.realize(a._replace(output_bits=5))  # shares the first three widths
     rebound = {name for name, slot in sweep.slots.items() if slot.node is not before[name]}
     assert rebound == DEPTH_4
     before = {name: slot.node for name, slot in sweep.slots.items()}
-    sweep.realize(replace(a, input_bits=5, output_bits=5))  # shares no prefix
+    sweep.realize(a._replace(input_bits=5, output_bits=5))  # shares no prefix
     assert all(slot.node is not before[name] for name, slot in sweep.slots.items())
 
 
@@ -714,10 +713,17 @@ _json_floats = st.one_of(
                                   -math.inf]))
 _configs = st.builds(BitWidthConfig, st.integers(1, 16), st.integers(1, 16),
                      st.integers(2, 16), st.integers(1, 16))
+
+
+def _grid_result(*args, **kwargs) -> GridSearchResult:
+    with np.errstate(over="ignore", invalid="ignore"):  # mean_r of huge or +-inf values
+        return GridSearchResult(*args, **kwargs)
+
+
 _grid_results = st.lists(st.one_of(
-    st.builds(GridSearchResult, _configs, per_descriptor_r=st.fixed_dictionaries(
+    st.builds(_grid_result, _configs, per_descriptor_r=st.fixed_dictionaries(
         {name: _json_floats for name in DESCRIPTOR_NAMES})),
-    st.builds(GridSearchResult, _configs, reason=st.none() | st.text() | st.sampled_from(
+    st.builds(_grid_result, _configs, reason=st.none() | st.text() | st.sampled_from(
         ['"quoted" \\ back\\slash', "tab\tnew\nline\x00\x1f\x7f", "accumulé 16 → 17 bits"]))),
     max_size=6)
 
@@ -726,12 +732,11 @@ _grid_results = st.lists(st.one_of(
 @given(results=_grid_results)
 def test_write_grid_json_bytes_equal_the_indent_encoder(results, tmp_path_factory):
     path = tmp_path_factory.mktemp("grid") / "gridsearch.json"
-    with np.errstate(over="ignore", invalid="ignore"):  # mean_r of huge or +-inf values
-        write_grid_json(path, results)
-        doc = {"format_version": 1, "results": [
-            {"config": r.config.as_dict(), "feasible": r.feasible,
-             "per_descriptor_r": r.per_descriptor_r, "mean_r": r.mean_r,
-             "reason": r.reason} for r in results]}
+    write_grid_json(path, results)
+    doc = {"format_version": 1, "results": [
+        {"config": r.config.as_dict(), "feasible": r.feasible,
+         "per_descriptor_r": r.per_descriptor_r, "mean_r": r.mean_r,
+         "reason": r.reason} for r in results]}
     want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == want.encode("ascii")
 
