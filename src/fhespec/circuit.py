@@ -48,13 +48,11 @@ from .transforms import (
 
 BUDGET_BITS = 16
 
-# A float type holds every integer below its bound exactly, and so every
-# sum of such integers that stays below it: 2^24 in float32, 2^53 in
-# float64.  The integer dot products run in float32 BLAS when no partial sum
-# can reach the first and in float64 when none can reach the second; `bind`
-# refuses the rest (see `_DotNode`).
+# float32 holds every integer below 2^24 exactly, and so every sum of such
+# integers that stays below it.  The integer dot products run in float32
+# BLAS, and a node whose partial sums could reach 2^24 refuses to run (see
+# `_DotNode`); no node the budget accepts comes near it.
 EXACT_FLOAT32_BOUND = 1 << 24
-EXACT_FLOAT_BOUND = 1 << 53
 
 TRANSFORMS = ("stft", "mel", "mfcc", "gammatone")
 
@@ -176,21 +174,22 @@ class RawSpec(NamedTuple):
 class Node:
     """The node protocol, with the defaults node types override.
 
-    A node is built with structure and float weights only.
-    `bind(specs, bits, edge, normalization)` returns a copy bound to one
-    bit-width configuration, sharing the float weights, so the plan's own
-    nodes are never modified (beyond the weight banks a conv or matmul node
-    caches per width): `specs` maps every name bound so far to its
-    output edge, `edge(name)` is the plan's quantized edge for a node and
-    `normalization` the plan's z-score constants.  A bind reads widths
-    from `bits` and `edge` alone; that is how a `Sweep` learns a node's
-    depth in `SWEEP_ORDER`.  `clear()` never touches
+    A node is built from its structure alone: name, inputs, float weights
+    or semantic, stride, op, axis and fan-in.  Its edges `in_spec` and
+    `out_spec` (and a dot node's `bank`) are class defaults of None that
+    only `bind(specs, bits, edge, normalization)` sets: it returns a
+    `_copy` bound to one bit-width configuration, sharing the float
+    weights, so the plan's own nodes are never modified (beyond the weight
+    banks a conv or matmul node caches per width): `specs` maps every name
+    bound so far to its output edge, `edge(name)` is the plan's quantized
+    edge for a node and `normalization` the plan's z-score constants.  A
+    bind reads widths from `bits` and `edge` alone; that is how a `Sweep`
+    learns a node's depth in `SWEEP_ORDER`.  `clear()` never touches
     quantization and is what calibration runs.  A bound node executes as
     it is, with nothing left to build: `step()` runs `run_int`, checks any
     accumulator against its declared range and returns the value with its
     observed magnitude (None when nothing accumulates); `budget_entry()`
     and `describe()` feed the budget report and the JSON serialization.
-    Every `bind` returns a `_copy` of the node.
 
     Every value has a leading clip axis: the input is (B, L), a frame-wise
     value (B, T, C) or (B, T), a statistic over time (B, C) or (B,), and
@@ -199,6 +198,8 @@ class Node:
     `_forward` is the one loop that runs nodes, `clear` or `step` on a
     batch, for calibration, both arms of a graph and the sweep alike.
     """
+
+    in_spec = out_spec = None
 
     @property
     def inputs(self) -> list:
@@ -256,18 +257,19 @@ def _describe_weights(w: np.ndarray) -> dict:
 
 
 class WeightBank:
-    """A kernel bank quantized at one weight width.
+    """A kernel bank quantized at one weight width: its codes and `scale`.
 
     `codes` holds the integer codes as float32, which holds every code
     exactly (|q| <= 2^15 < 2^24), and is the bank's only array of its
-    size: a float32 kernel multiplies it as it is (see `_DotNode`).  The
+    size: the float32 kernel multiplies it as it is (see `_DotNode`).  The
     bank also holds the positive and negative row sums `acc_range` reads,
     the largest row sum of |q| and the largest nonzero count of a row, all
     derived once, here, a row block at a time.
     """
 
-    def __init__(self, codes: np.ndarray):
+    def __init__(self, codes: np.ndarray, scale: float):
         self.codes = codes
+        self.scale = scale
         self.pos, self.neg = (np.empty(codes.shape[0], dtype=np.int64) for _ in range(2))
         for r in _row_blocks(*codes.shape):
             # float64 sums of integers stay exact below 2^53
@@ -280,50 +282,38 @@ class WeightBank:
 class _DotNode(Node):
     """Integer dot products of the input with a fixed weight matrix.
 
-    The products run in float BLAS and are cast back to int64.  That is
-    exact: inputs and weights are integers, and no partial sum exceeds
-    `partial_sum_bound` = max_row(sum |w_q|) * max |v| in magnitude, so as
-    long as the float holds every integer up to it no summation order can
-    round.  `dtype` is float32 below 2^24 and float64 otherwise; `bind`
-    refuses a bound of 2^53 or above.  The bound is per output element, so
-    it covers a batch of any size unchanged.  A float32 node multiplies the
-    bank's float32 codes themselves; a float64 node casts them for each
-    call, so a realized node holds its float kernel `weights_f` and the
+    The products run in float32 BLAS on the bank's codes and are cast back
+    to int64.  That is exact: inputs and weights are integers, and no
+    partial sum exceeds `partial_sum_bound` = max_row(sum |w_q|) * max |v|
+    in magnitude, so while it stays below 2^24 no summation order can
+    round.  The bound is per output element, so it covers a batch of any
+    size.  A realized node holds its float kernel `weights_f` and the
     bank's codes, and no other array of the bank's size.
 
-    Every node the budget accepts runs in float32, with partial sums below
-    2^17: row r spans hi_r - lo_r = l1_r * (v_max - v_min), at least
-    l1_r * max |v| because the input edge holds 0, and a width within the
-    16-bit budget puts hi_r and lo_r inside +-2^16.
+    Every node the budget accepts has partial sums of at most 2^17: row r
+    spans hi_r - lo_r = l1_r * (v_max - v_min), at least l1_r * max |v|
+    because the input edge holds 0, and a width within the 16-bit budget
+    puts hi_r and lo_r inside +-2^16.  A wider node binds with its exact
+    range, which the budget refuses; run by hand, it raises `CircuitError`
+    once its bound reaches 2^24.
 
-    `banks` maps a weight width to its `(WeightBank, w_scale)`; it is
-    filled lazily by `bind` and shared with every bound copy, so each
-    width quantizes the float weights once.  `weights_q` reads the codes
-    as int64, cast afresh on each read; setting it by hand builds a fresh
-    bank from integer codes below 2^24 in magnitude.  `kind` names the node
-    in the budget report.
+    `banks` maps a weight width to its `WeightBank`, filled lazily by
+    `bind` and shared with every bound copy, so each width quantizes the
+    float weights once.  `weights_q` reads the bound codes as int64, cast
+    afresh on each read.  `kind` names the node in the budget report.
     """
 
-    def __init__(self, name: str, src: str, weights_f: np.ndarray,
-                 bank: WeightBank | None = None, w_scale: float | None = None,
-                 in_spec: EdgeSpec | None = None, out_spec: RawSpec | None = None,
-                 banks: dict | None = None):
+    bank = None
+
+    def __init__(self, name: str, src: str, weights_f: np.ndarray):
         self.name = name
         self.src = src
         self.weights_f = weights_f  # (C_out, C_in)
-        self.bank = bank
-        self.w_scale = w_scale
-        self.in_spec = in_spec
-        self.out_spec = out_spec
-        self.banks = {} if banks is None else banks
+        self.banks = {}
 
     @property
     def weights_q(self) -> np.ndarray | None:
         return None if self.bank is None else self.bank.codes.astype(np.int64)
-
-    @weights_q.setter
-    def weights_q(self, q: np.ndarray) -> None:
-        self.bank = WeightBank(np.asarray(q, dtype=np.float32))
 
     def nonzero_taps(self) -> int:
         if self.bank is None:
@@ -334,10 +324,6 @@ class _DotNode(Node):
     def partial_sum_bound(self) -> int:
         return self.bank.max_row_l1 * self.in_spec.max_abs
 
-    @property
-    def dtype(self) -> type:
-        return np.float32 if self.partial_sum_bound < EXACT_FLOAT32_BOUND else np.float64
-
     def acc_range(self) -> tuple[int, int]:
         pos, neg = self.bank.pos, self.bank.neg
         a, b = self.in_spec.v_min, self.in_spec.v_max
@@ -346,19 +332,22 @@ class _DotNode(Node):
         return lo, hi
 
     def bind(self, specs, bits, edge, normalization):
-        entry = self.banks.get(bits.weight_bits)
-        if entry is None:
-            weights_q, w_scale = quantize_weights(self.weights_f, bits.weight_bits)
-            entry = self.banks[bits.weight_bits] = (WeightBank(weights_q), w_scale)
-        bank, w_scale = entry
-        node = self._copy(bank=bank, w_scale=w_scale, in_spec=specs[self.src])
-        bound = node.partial_sum_bound
-        if bound >= EXACT_FLOAT_BOUND:
-            raise CircuitError(f"node {self.name}: partial sums may reach {bound}, "
-                               f"which float64 does not hold exactly (limit 2^53)")
+        bank = self.banks.get(bits.weight_bits)
+        if bank is None:
+            bank = self.banks[bits.weight_bits] = WeightBank(
+                *quantize_weights(self.weights_f, bits.weight_bits))
+        node = self._copy(bank=bank, in_spec=specs[self.src])
         lo, hi = node.acc_range()
-        node.out_spec = RawSpec(scale=node.in_spec.scale * w_scale, v_lo=lo, v_hi=hi)
+        node.out_spec = RawSpec(scale=node.in_spec.scale * bank.scale, v_lo=lo, v_hi=hi)
         return node
+
+    def _dot(self, x: np.ndarray) -> np.ndarray:
+        """x @ codes.T as int64, for `x` float32 integers of the input edge."""
+        bound = self.partial_sum_bound
+        if bound >= EXACT_FLOAT32_BOUND:
+            raise CircuitError(f"node {self.name}: partial sums may reach {bound}, "
+                               f"which float32 does not hold exactly (limit 2^24)")
+        return (x @ self.bank.codes.T).astype(np.int64)
 
     step = _accumulate
 
@@ -368,7 +357,7 @@ class _DotNode(Node):
 
     def describe(self) -> dict:
         return {**super().describe(), "weights": _describe_weights(self.weights_q),
-                "weight_scale": self.w_scale}
+                "weight_scale": self.bank.scale}
 
 
 class ConvNode(_DotNode):
@@ -377,20 +366,16 @@ class ConvNode(_DotNode):
 
     kind = "conv"
 
-    def __init__(self, name: str, src: str, weights_f: np.ndarray,
-                 bank: WeightBank | None = None, w_scale: float | None = None,
-                 in_spec: EdgeSpec | None = None, out_spec: RawSpec | None = None,
-                 banks: dict | None = None, *, stride: int):
-        super().__init__(name, src, weights_f, bank, w_scale, in_spec, out_spec, banks)
+    def __init__(self, name: str, src: str, weights_f: np.ndarray, *, stride: int):
+        super().__init__(name, src, weights_f)
         self.stride = stride
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         return frame_signal(x, self.weights_f.shape[1], self.stride) @ self.weights_f.T
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        w = self.bank.codes.astype(self.dtype, copy=False)
-        frames = frame_signal(v.astype(w.dtype), w.shape[1], self.stride)
-        return (frames @ w.T).astype(np.int64)  # (B, T, C)
+        frames = frame_signal(v.astype(np.float32), self.weights_f.shape[1], self.stride)
+        return self._dot(frames)  # (B, T, C)
 
     def describe(self) -> dict:
         return {**super().describe(), "stride": self.stride}
@@ -405,8 +390,7 @@ class MatmulNode(_DotNode):
         return x @ self.weights_f.T
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        w = self.bank.codes.astype(self.dtype, copy=False)
-        return (v.astype(w.dtype) @ w.T).astype(np.int64)
+        return self._dot(v.astype(np.float32))
 
 
 class LutNode(Node):
@@ -422,15 +406,12 @@ class LutNode(Node):
     """
 
     def __init__(self, name: str, src: str, semantic: str, norm_center: float = 0.0,
-                 norm_scale: float = 1.0, in_spec: EdgeSpec | RawSpec | None = None,
-                 out_spec: EdgeSpec | RawSpec | None = None):
+                 norm_scale: float = 1.0):
         self.name = name
         self.src = src
         self.semantic = semantic
         self.norm_center = norm_center
         self.norm_scale = norm_scale
-        self.in_spec = in_spec
-        self.out_spec = out_spec
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         if self.semantic == "square":
@@ -482,15 +463,11 @@ class LutNode(Node):
 class ReduceNode(Node):
     """Integer sum (or mean, as a rescaled sum) over one axis."""
 
-    def __init__(self, name: str, src: str, op: str, axis: str,
-                 in_spec: EdgeSpec | RawSpec | None = None,
-                 out_spec: RawSpec | None = None, fan_in: int | None = None):
+    def __init__(self, name: str, src: str, op: str, axis: str, fan_in: int | None = None):
         self.name = name
         self.src = src
         self.op = op  # 'sum' | 'mean'
         self.axis = axis  # 'pair' | 'channels' | 'time'
-        self.in_spec = in_spec
-        self.out_spec = out_spec
         self.fan_in = fan_in
 
     def _split(self, x: np.ndarray):
@@ -539,12 +516,9 @@ class StdNode(Node):
     exact integer L*S2 - S1^2 so no cancellation occurs before the sqrt.
     """
 
-    def __init__(self, name: str, src: str, in_spec: EdgeSpec | None = None,
-                 out_spec: EdgeSpec | None = None, fan_in: int | None = None):
+    def __init__(self, name: str, src: str, fan_in: int):
         self.name = name
         self.src = src
-        self.in_spec = in_spec
-        self.out_spec = out_spec
         self.fan_in = fan_in
 
     def clear(self, x: np.ndarray) -> np.ndarray:
@@ -583,12 +557,9 @@ class ConcatNode(Node):
     """Stack per-clip scalar heads that share one set of output params
     along the last axis."""
 
-    def __init__(self, name: str, srcs: list, in_spec: EdgeSpec | None = None,
-                 out_spec: EdgeSpec | None = None):
+    def __init__(self, name: str, srcs: list):
         self.name = name
         self.srcs = srcs
-        self.in_spec = in_spec
-        self.out_spec = out_spec
 
     @property
     def inputs(self) -> list:

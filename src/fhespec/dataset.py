@@ -150,12 +150,17 @@ def synthetic_clips(kind: str, count: int, seed: int,
     'tones': sine clips in two amplitude classes, 1.0 ('tone_soft') and
     1.5 ('tone_loud'), split evenly.  'noise': white noise ('noise').
     'chirps': linear frequency sweeps ('chirp').  Comma-separated kinds
-    combine, each receiving `count` clips.
+    combine, each named once and receiving `count` clips.
     """
     kinds = [k.strip() for k in kind.split(",") if k.strip()]
+    if not kinds:
+        raise DatasetError(f"no synthetic kind in {kind!r}")
     unknown = [k for k in kinds if k not in SYNTHETIC_KINDS]
     if unknown:
         raise DatasetError(f"unknown synthetic kind(s): {', '.join(unknown)}")
+    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        raise DatasetError(f"synthetic kind(s) named more than once: {', '.join(repeated)}")
     if count < 1:
         raise DatasetError("synthetic clip count must be >= 1")
     for k in kinds:

@@ -38,6 +38,7 @@ from fhespec.circuit import (
     LutNode,
     RawSpec,
     ReduceNode,
+    WeightBank,
     build_transform_plan,
 )
 from fhespec.cli import main
@@ -122,8 +123,7 @@ def test_accumulator_width_achieved_by_adversarial_input():
         m = int(rng.integers(1, 6))
         node = ConvNode(name="acc", src="input",
                         weights_f=np.ones((1, l)), stride=l)
-        node.weights_q = np.full((1, l), (1 << m) - 1, dtype=np.int64)
-        node.w_scale = 1.0
+        node.bank = WeightBank(np.full((1, l), (1 << m) - 1, dtype=np.float32), 1.0)
         node.in_spec = EdgeSpec(scale=1.0, v_min=0, v_max=(1 << n) - 1,
                                 bits=n, signed=False)
         lo, hi = node.acc_range()

@@ -44,6 +44,7 @@ from fhespec.circuit import (
     MatmulNode,
     RawSpec,
     Sweep,
+    WeightBank,
     _row_blocks,
     approx_label,
     build_descriptor_plan,
@@ -264,7 +265,16 @@ def worst_case_frames(q, in_spec):
     return np.concatenate([hi, lo])
 
 
+def assert_refuses_to_run(node, *args):
+    """`run_int` of a node whose partial sums may reach 2^24 raises
+    instead of rounding in float32."""
+    with pytest.raises(CircuitError, match=r"float32 .*\(limit 2\^24\)"):
+        node.run_int(*args)
+
+
 def test_conv_kernel_exact_at_max_bits():
+    """At 16 bits everywhere a conv binds with its exact accumulator range,
+    far beyond float32 and over the budget, and refuses to run."""
     n, c = 1024, 4
     rng = np.random.default_rng(50)
     w = rng.uniform(0.5, 1.0, (c, n)) * rng.choice([-1.0, 1.0], (c, n))
@@ -272,12 +282,11 @@ def test_conv_kernel_exact_at_max_bits():
     node = bound_conv(w, in_spec, BitWidthConfig(*[MAX_BITS] * 4))
     q = node.weights_q
     frames = worst_case_frames(q, in_spec)
-    got = node.run_int(frames.ravel()[None])  # a batch of one clip
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.einsum("tn,cn->tc", frames, q)[None])
-    assert (got.min(), got.max()) == node.acc_range()
+    exact = np.einsum("tn,cn->tc", frames, q)
+    assert (exact.min(), exact.max()) == node.acc_range() == node.out_spec.bounds
     assert node.out_spec.max_abs > 1 << 39  # far beyond float32's 2^24
-    assert node.dtype is np.float64
+    assert node.budget_entry().worst_case_bits == node.out_spec.width > BUDGET_BITS
+    assert_refuses_to_run(node, frames.ravel()[None])
 
 
 # At 13 weight bits q_max is 4095, and a bank whose largest weight is 4095
@@ -285,19 +294,18 @@ def test_conv_kernel_exact_at_max_bits():
 # the magnitude whose product is the bound: 23205 * 723 = 2^24 - 1 and
 # 16384 * 1024 = 2^24.
 KERNEL_BOUNDS = [
-    ((1 << 24) - 1, [4095] * 5 + [2730], 723, np.float32),
-    (1 << 24, [4095] * 4 + [4], 1024, np.float64),
+    ((1 << 24) - 1, [4095] * 5 + [2730], 723),
+    (1 << 24, [4095] * 4 + [4], 1024),
 ]
 
 
 @pytest.mark.parametrize("kind", ["conv", "matmul"])
-@pytest.mark.parametrize("bound, row0, max_abs, dtype", KERNEL_BOUNDS,
-                         ids=["float32", "float64"])
-def test_kernels_exact_at_the_float32_boundary(kind, bound, row0, max_abs, dtype):
+@pytest.mark.parametrize("bound, row0, max_abs", KERNEL_BOUNDS, ids=["float32", "refused"])
+def test_kernels_exact_at_the_float32_boundary(kind, bound, row0, max_abs):
     """A dot node multiplies in float32 while its partial sums stay below
-    2^24 and in float64 from there, exact on the worst-case input either
-    way, and its bank keeps the float32 codes as its only array of the
-    bank's size at either dtype."""
+    2^24, exact on the worst-case input, and refuses to run from there,
+    with its exact range still bound.  Its bank keeps the float32 codes
+    as its only array of the bank's size."""
     n, c = 8, 4
     rng = np.random.default_rng(51)
     q = rng.integers(-2000, 2001, (c, n))
@@ -308,19 +316,25 @@ def test_kernels_exact_at_the_float32_boundary(kind, bound, row0, max_abs, dtype
     frames = worst_case_frames(q, in_spec)
     if kind == "conv":
         node = bound_conv(q.astype(np.float64), in_spec, bits)
-        got = node.run_int(frames.ravel()[None])
+        args = frames.ravel()[None]
     else:
         node = MatmulNode(name="matmul", src="src", weights_f=q.astype(np.float64))
         node = node.bind({"src": in_spec}, bits, None, None)
-        got = node.run_int(frames[None])
+        args = frames[None]
     assert np.array_equal(node.weights_q, q)
     assert node.partial_sum_bound == bound
-    assert node.dtype is dtype and node.bank.codes.dtype == np.float32
+    assert node.bank.codes.dtype == np.float32
     assert [k for k, a in vars(node.bank).items()
             if isinstance(a, np.ndarray) and a.size == q.size] == ["codes"]
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.einsum("tn,cn->tc", frames, q)[None])
-    assert (got.min(), got.max()) == node.acc_range() == (-bound, bound)
+    assert node.acc_range() == node.out_spec.bounds == (-bound, bound)
+    if bound < 1 << 24:
+        got = node.run_int(args)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.einsum("tn,cn->tc", frames, q)[None])
+        assert (got.min(), got.max()) == (-bound, bound)
+    else:
+        assert node.budget_entry().worst_case_bits == width_of(bound) > BUDGET_BITS
+        assert_refuses_to_run(node, args)
 
 
 def test_weight_bank_row_sums_exact_beyond_float32():
@@ -330,27 +344,25 @@ def test_weight_bank_row_sums_exact_beyond_float32():
     q = rng.integers(1 << 14, 1 << 15, (4, 1024))
     q[1] *= -1
     node = ConvNode(name="conv", src="input", weights_f=np.ones(q.shape), stride=q.shape[1])
-    node.weights_q = q
+    node.bank = WeightBank(q.astype(np.float32), 1.0)
     assert node.bank.pos.tolist() == np.maximum(q, 0).sum(axis=1).tolist()
     assert node.bank.neg.tolist() == np.minimum(q, 0).sum(axis=1).tolist()
     assert node.bank.max_row_l1 == np.abs(q).sum(axis=1).max() > 1 << 24
 
 
-def test_bind_refuses_partial_sums_beyond_float64():
+def test_bind_accepts_partial_sums_beyond_float64():
+    """`bind` never refuses: at a bound of 2^53, which float64 no longer
+    holds exactly, the accumulator range stays exact in integers, reports
+    its over-budget width, and the node refuses to run."""
     q_max = (1 << (MAX_BITS - 1)) - 1
     w = np.array([[1.0, 1.0 / q_max]])  # quantizes to [q_max, 1]: sum 2^15
     bits = BitWidthConfig(*[MAX_BITS] * 4)
-
-    def edge(max_abs):
-        return EdgeSpec(scale=1.0, v_min=-max_abs, v_max=max_abs, bits=MAX_BITS,
-                        signed=True)
-
-    # max_row(sum |w_q|) * max |v| just below 2^53 binds, and reaching it refuses
-    node = bound_conv(w, edge((1 << 38) - 1), bits)
+    edge = EdgeSpec(scale=1.0, v_min=-(1 << 38), v_max=1 << 38, bits=MAX_BITS, signed=True)
+    node = bound_conv(w, edge, bits)
     assert node.weights_q.tolist() == [[q_max, 1]]
-    assert node.out_spec.max_abs == (1 << 53) - (1 << 15)
-    with pytest.raises(CircuitError, match="2\\^53"):
-        bound_conv(w, edge(1 << 38), bits)
+    assert node.acc_range() == node.out_spec.bounds == (-(1 << 53), 1 << 53)
+    assert node.budget_entry().worst_case_bits == width_of(1 << 53) > BUDGET_BITS
+    assert_refuses_to_run(node, np.zeros((1, 2), dtype=np.int64))
 
 
 THREAD_PROBE = """
@@ -792,6 +804,29 @@ def realize_or_none(plan, bits):
         return None
 
 
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+def test_realize_leaves_the_plan_nodes_as_they_were(kind):
+    """Realizing binds copies: after configs that fit and configs over
+    budget, every attribute of a plan node is the object it was, a dot
+    node's `banks` only gains the weight widths realized, and no plan node
+    holds an edge or a bank."""
+    plan = calibrated_plan(kind, Conventional())
+    dot_nodes = [n for n in plan.nodes if isinstance(n, (ConvNode, MatmulNode))]
+    before = [dict(vars(n)) for n in plan.nodes]
+    plan.realize(DBITS)
+    first = [dict(n.banks) for n in dot_nodes]
+    configs = [BitWidthConfig(4, 3, 3, 5), DBITS, BitWidthConfig(*[MAX_BITS] * 4)]
+    assert [realize_or_none(plan, b) is None for b in configs] == [False, False, True]
+    for node, attrs in zip(plan.nodes, before):
+        assert vars(node).keys() == attrs.keys(), node.name
+        assert all(vars(node)[k] is a for k, a in attrs.items()), node.name
+        assert node.in_spec is None and node.out_spec is None, node.name
+    for node, banks in zip(dot_nodes, first):
+        assert node.bank is None and list(banks) == [DBITS.weight_bits]
+        assert all(node.banks[w] is bank for w, bank in banks.items())
+        assert sorted(node.banks) == [3, DBITS.weight_bits, MAX_BITS]
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
        cfg=STFT_CONFIGS, n_frames=st.integers(2, 40), a=BITS_ST, b=BITS_ST)
@@ -930,8 +965,8 @@ def test_budget_violations_persist_under_wider_widths(kind, approx, cfg, configs
                         min_size=1, max_size=8))
 def test_realized_dot_products_run_in_float32(kind, approx, cfg, configs):
     """Every conv and matmul of a config the budget accepts keeps its
-    partial sums within its accumulator's span, at most 2^17, so it
-    multiplies in float32."""
+    partial sums within its accumulator's span, at most 2^17, so its
+    float32 kernel is exact and never meets the 2^24 refusal."""
     plan = calibrated_plan(kind, approx, cfg)
     for bits in configs:
         graph = realize_or_none(plan, bits)
@@ -939,7 +974,6 @@ def test_realized_dot_products_run_in_float32(kind, approx, cfg, configs):
             if isinstance(node, (ConvNode, MatmulNode)):
                 lo, hi = node.out_spec.bounds
                 assert node.partial_sum_bound <= hi - lo <= 1 << 17
-                assert node.dtype is np.float32
 
 
 LUT_SEMANTICS = ("requant", "log", "sqrt", "normalize", "square", "abs")

@@ -527,6 +527,8 @@ MFCC = ["--transform", "mfcc", "--window", "256", "--hop", "128", "--n-mels", "1
     ("gridsearch", ["--grid", "4,4,1,4;5,5,4,5"], ["--grid", "'4,4,1,4'", "weight_bits",
                                                    "[2, 16], got 1"]),
     ("descriptors", ["--bits", "5,8,1,5"], ["--bits", "weight_bits", "[2, 16], got 1"]),
+    ("validate-bounds", ["--synthetic", ","], ["no synthetic kind", "','"]),
+    ("spectrogram", ["--synthetic", "tones,tones"], ["named more than once: tones"]),
 ])
 def test_cli_out_of_range_value_is_an_error(tmp_path, capsys, command, extra, names):
     code, _ = run_cli(tmp_path, command, *extra)
