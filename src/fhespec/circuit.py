@@ -12,10 +12,15 @@ declared ranges instead of ever wrapping silently.
 This module holds the package's only quantizers.  A quantized edge
 (`EdgeSpec`) is zero-aligned: it represents scale * v, with v an integer in
 a B-bit range [v_min, v_max] that contains 0 and covers the calibrated
-range; floats round half away from zero and clamp to it.  Weights quantize
-symmetrically (`quantize_weights`), to float32 codes.  Outputs export the
-codes q = v - lift, in [0, 2^B - 1], or [-2^(B-1), 2^(B-1) - 1] on a
-signed edge.
+range; floats round half away from zero and clamp to it (four passes and
+an int64 cast), and codes go back to floats in one multiply.  Weights
+quantize symmetrically (`quantize_weights`), to float32 codes.  Outputs
+export the codes q = v - lift, in [0, 2^B - 1], or [-2^(B-1), 2^(B-1) - 1]
+on a signed edge.
+
+A `Sweep` realizes one plan at many configurations: with each node's depth
+learned once, a config rebinds only the nodes deeper than the prefix it
+shares with the last one, and the budget verdict is kept up to date.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from functools import partial
+from functools import cached_property, partial
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -80,13 +86,15 @@ class CircuitOverflow(CircuitError):
 
 def _round_in_place(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Round the float64 array `t` to the nearest integer, halves away from
-    zero (np.round is half-even), clamp it to [lo, hi] and return it.
-    Overwrites `t`.  trunc(t + copysign(0.5, t)) is
-    sign(t) * floor(|t| + 0.5) for every float, ties and -0.0 included."""
+    zero (np.round is half-even), clamp it to [lo, hi] and return it as
+    int64.  Overwrites `t`.  The cast truncates toward zero, and
+    trunc(t + copysign(0.5, t)) is sign(t) * floor(|t| + 0.5) for every
+    float, ties and -0.0 included; clamping to integer bounds commutes with
+    truncation, so it runs first and keeps the cast inside int64."""
     t += np.copysign(0.5, t)
-    np.trunc(t, out=t)
-    np.clip(t, lo, hi, out=t)
-    return t
+    np.maximum(t, lo, out=t)
+    np.minimum(t, hi, out=t)
+    return t.astype(np.int64)
 
 
 class EdgeSpec(NamedTuple):
@@ -131,10 +139,10 @@ class EdgeSpec(NamedTuple):
     def to_v_in_place(self, t: np.ndarray) -> np.ndarray:
         """`to_v` of a float64 array the caller hands over: overwrites `t`."""
         t /= self.scale
-        return _round_in_place(t, self.v_min, self.v_max).astype(np.int64)
+        return _round_in_place(t, self.v_min, self.v_max)
 
     def to_float(self, v) -> np.ndarray:
-        return np.asarray(v, dtype=np.float64) * self.scale
+        return np.multiply(v, self.scale, dtype=np.float64)
 
     def describe(self) -> dict:
         return {"raw": False, "alpha": self.scale * self.v_min,
@@ -162,7 +170,7 @@ class RawSpec(NamedTuple):
         return width_of(self.max_abs)
 
     def to_float(self, v) -> np.ndarray:
-        return np.asarray(v, dtype=np.float64) * self.scale
+        return np.multiply(v, self.scale, dtype=np.float64)
 
     def describe(self) -> dict:
         return {"raw": True, "scale": self.scale, "v_lo": self.v_lo,
@@ -578,20 +586,29 @@ class ConcatNode(Node):
         return np.stack(vs, axis=-1)
 
 
-def _forward(nodes: list, values: dict, clear: bool):
+def _drop_lists(nodes: list) -> list:
+    """For each node of `nodes`, the names of the values it is the last
+    reader of: what `_forward` drops once the node ran."""
+    last_read = {s: k for k, n in enumerate(nodes) for s in n.inputs}
+    drops = [[] for _ in nodes]
+    for s, k in last_read.items():
+        drops[k].append(s)
+    return drops
+
+
+def _forward(nodes: list, drops: list, values: dict, clear: bool):
     """Run, in order, each node of `nodes` whose value `values` lacks on the
     batch in `values` (name -> value, 'input' included): `clear()` if
     `clear`, else `step()`.  Yields (name, value, observed) for each node
-    run and drops a value from `values` once its last reader ran."""
-    last_read = {s: k for k, n in enumerate(nodes) for s in n.inputs}
-    for k, n in enumerate(nodes):
+    run and, after running node k, drops from `values` the values named
+    by `drops[k]` (`_drop_lists(nodes)`)."""
+    for n, dead in zip(nodes, drops):
         if n.name in values:
             continue
         args = (values[s] for s in n.inputs)
         values[n.name], obs = (n.clear(*args), None) if clear else n.step(*args)
-        for s in n.inputs:
-            if last_read[s] == k:
-                values.pop(s, None)
+        for s in dead:
+            values.pop(s, None)
         yield n.name, values[n.name], obs
 
 
@@ -672,9 +689,19 @@ class ExecutionResult(NamedTuple):
     observed: dict  # node name -> max abs accumulator / value
 
 
+def _result(spec: EdgeSpec, v: np.ndarray, observed: dict) -> ExecutionResult:
+    """The result of a forward whose output `v` lies on the edge `spec`."""
+    return ExecutionResult(
+        output=QuantizedTensor(data=v - spec.lift, params=spec),
+        dequantized=spec.to_float(v),
+        observed=observed,
+    )
+
+
 class CircuitGraph:
     """Realized integer pipeline; immutable once built, reusable across inputs.
-    `execute` and `run_clear` run `_forward` on a batch of one clip."""
+    `execute` and `run_clear` run `_forward` on a batch of one clip.  The
+    name index and the drop lists are built on first use, once per graph."""
 
     def __init__(self, kind: str, approx_label: str, bits: BitWidthConfig,
                  input_spec: EdgeSpec, nodes: list, output_node: str):
@@ -685,32 +712,31 @@ class CircuitGraph:
         self.nodes = nodes
         self.output_node = output_node
 
+    @cached_property
+    def _by_name(self) -> dict:
+        return {n.name: n for n in self.nodes}
+
+    @cached_property
+    def _drops(self) -> list:
+        return _drop_lists(self.nodes)
+
     def node(self, name: str):
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
+        return self._by_name[name]
 
     def execute(self, buf: AudioBuffer) -> ExecutionResult:
         """Integer forward of one clip: a batch of one, returned without
         the clip axis."""
         values = {"input": self.input_spec.to_v(buf.samples[None])}
-        observed = {name: obs for name, _, obs in _forward(self.nodes, values, clear=False)
+        observed = {name: obs for name, _, obs
+                    in _forward(self.nodes, self._drops, values, clear=False)
                     if obs is not None}
-        return self._result(values[self.output_node][0], observed)
-
-    def _result(self, v: np.ndarray, observed: dict) -> ExecutionResult:
-        spec = self.node(self.output_node).out_spec
-        return ExecutionResult(
-            output=QuantizedTensor(data=v - spec.lift, params=spec),
-            dequantized=spec.to_float(v),
-            observed=observed,
-        )
+        return _result(self.node(self.output_node).out_spec,
+                       values[self.output_node][0], observed)
 
     def run_clear(self, buf: AudioBuffer) -> dict:
         """Float forward of the same structure (no quantization anywhere) on
         one clip: every value by name, 'input' included, without the clip axis."""
-        values = _forward(self.nodes, {"input": buf.samples[None]}, clear=True)
+        values = _forward(self.nodes, self._drops, {"input": buf.samples[None]}, clear=True)
         return {"input": buf.samples, **{name: v[0] for name, v, _ in values}}
 
     def check_budget(self, observed: dict | None = None) -> AccumulatorReport:
@@ -767,11 +793,13 @@ class PipelinePlan:
             ranges[name] = (min(float(arr.min()), lo), max(float(arr.max()), hi))
 
         collected: dict = {name: [] for name in (self.normalization or {})}
+        drops = _drop_lists(self.nodes)
         for buf in calibration:
             if buf.sample_rate_hz != self.sample_rate_hz:
                 raise CircuitError("calibration buffer sample rate mismatch")
             widen("input", buf.samples)
-            for name, v, _ in _forward(self.nodes, {"input": buf.samples[None]}, clear=True):
+            values = {"input": buf.samples[None]}
+            for name, v, _ in _forward(self.nodes, drops, values, clear=True):
                 widen(name, v)
                 if name in collected:
                     collected[name].append(v.ravel())
@@ -803,6 +831,7 @@ class PipelinePlan:
 # node depends on, so configs sorted by it share the most bound nodes and
 # kept values.
 SWEEP_ORDER = ("input_bits", "weight_bits", "mid_bits", "output_bits")
+_sweep_key = attrgetter(*SWEEP_ORDER)
 
 
 class _ReadLog:
@@ -821,16 +850,20 @@ class _ReadLog:
 
 
 class _Slot:
-    """What a sweep keeps of one node: its depth and what it bound."""
+    """What a sweep keeps of one node: its depth, what it bound and what it
+    ran.  Everything but the name and the plan node is None until learned,
+    bound or run."""
 
-    __slots__ = ("depth", "node", "entry", "value")
+    __slots__ = ("name", "plan_node", "depth", "keep", "node", "entry", "value")
 
-    def __init__(self, depth: int, node, entry: BudgetEntry | None,
-                 value: tuple | None = None):
-        self.depth = depth  # the SWEEP_ORDER prefix length holding every width the node reads
-        self.node = node  # the bound node; for 'input', the input edge
-        self.entry = entry  # the bound node's budget entry
-        self.value = value  # (value, observed) over the sweep's clips
+    def __init__(self, name: str, plan_node):
+        self.name = name
+        self.plan_node = plan_node  # the plan's node; None for 'input'
+        self.depth = None  # the SWEEP_ORDER prefix length holding every width the node reads
+        self.keep = None  # whether `execute` keeps the value itself, not only observed
+        self.node = None  # the bound node; for 'input', the input edge
+        self.entry = None  # the bound node's budget entry
+        self.value = None  # (value, observed) over the sweep's clips
 
 
 class Sweep:
@@ -842,21 +875,27 @@ class Sweep:
 
     A node's depth is the deepest `SWEEP_ORDER` position (from 1) that its
     `bind` reads, through `bits` or the plan's `edge(name)`, or that its
-    inputs have, whichever is deeper.  Each node has one slot: its depth,
-    the bound node, its budget entry and, once executed, its batched
-    (value, observed) (see `execute` for the values it drops).
+    inputs have, whichever is deeper.  Which widths a bind reads is a
+    property of the plan, so the sweep learns every depth once, from the
+    first realize whose binds all complete, through a recording `_ReadLog`.
+    From the depths it builds, once, the list of slots deeper than each
+    prefix length and the keep flags `execute` reads.  Each node has one
+    slot: its depth, the bound node, its budget entry and, once executed,
+    its batched (value, observed) (see `execute` for the values it drops).
 
     One rule decides reuse: `realize` keeps a slot iff its depth is at
     most the length of the `SWEEP_ORDER` prefix the config shares with
     `realized`, the last config whose binds all completed, and rebinds the
-    node, dropping its value, otherwise.  A kept node was bound at the same
-    first `depth` widths, so a reused value was range-checked by the same
-    bound node on the same input; after a failed bind every node rebinds.
-    A config costs what its changed nodes cost: the verdict comes from the
-    kept budget entries, `execute` seeds `_forward` with the kept values so
-    that it runs only the slots with no value, and each quantized edge is
-    computed once per range and width.  `clear_output` runs the clear arm
-    over all clips in one `_forward`.
+    node in place, dropping its value, otherwise.  A kept node was bound at
+    the same first `depth` widths, so a reused value was range-checked by
+    the same bound node on the same input; after a failed bind every node
+    rebinds.  A config costs what its changed nodes cost: `realize` walks
+    only the list of slots deeper than the shared prefix, the verdict is
+    the set of slots whose current entry violates the budget (the report
+    is built only for a refusal), `execute` seeds `_forward` with the kept
+    values so that it runs only the slots with no value, and each quantized
+    edge is computed once per range and width.  `clear_output` runs the
+    clear arm over all clips in one `_forward`.
 
     `visit` realizes configs sorted by the fields in `SWEEP_ORDER`, so
     consecutive configs share the longest prefix.  `PipelinePlan.realize`
@@ -869,7 +908,12 @@ class Sweep:
             raise CircuitError(f"sweep clips must have one length, got lengths {lengths}")
         self.plan = plan
         self.samples = np.stack([c.samples for c in clips]) if lengths else None  # (B, L)
-        self.slots: dict = {}
+        self.slots = {"input": _Slot("input", None),
+                      **{n.name: _Slot(n.name, n) for n in plan.nodes}}
+        self.node_slots = [self.slots[n.name] for n in plan.nodes]
+        self.drops = _drop_lists(plan.nodes)
+        self.rebind: list | None = None  # prefix length -> the slots deeper than it
+        self.violating: set = set()  # names of the slots whose entry violates the budget
         self.specs: dict = {}  # name -> the output edge of the node in its slot
         self.edges: dict = {}  # (group of node names, width) -> EdgeSpec
         self.realized: tuple | None = None  # the last config whose binds all completed
@@ -879,18 +923,13 @@ class Sweep:
         # on one shared quantized edge, so their ranges are pooled.
         self.pooled = frozenset(s for n in plan.nodes if len(n.inputs) > 1
                                 for s in n.inputs)
-        self.readers: dict = {}  # name -> the nodes that read its value
-        for n in plan.nodes:
-            for s in n.inputs:
-                self.readers.setdefault(s, []).append(n.name)
-        self.order = [("input", None), *((n.name, n) for n in plan.nodes)]
 
-    def _edge(self, log: _ReadLog, name: str) -> EdgeSpec:
+    def _edge(self, widths, name: str) -> EdgeSpec:
         """The plan's quantized edge for node `name`, at the width read
-        through `log`."""
+        from `widths`."""
         plan = self.plan
         pooled = name in self.pooled
-        b = log.output_bits if pooled or name == plan.output_node else log.mid_bits
+        b = widths.output_bits if pooled or name == plan.output_node else widths.mid_bits
         group = self.pooled if pooled else (name,)
         spec = self.edges.get((group, b))
         if spec is None:
@@ -900,6 +939,20 @@ class Sweep:
                                                               signed=lo < 0.0)
         return spec
 
+    def _learn(self) -> None:
+        """With every depth known: the slots deeper than each prefix length,
+        and each slot's keep flag.  A slot keeps its value for the output,
+        and for a node with a deeper reader, since only such a reader can
+        run again while the node is reused."""
+        slots = self.slots
+        self.rebind = [[s for s in slots.values() if s.depth > k]
+                       for k in range(len(SWEEP_ORDER) + 1)]
+        for slot in slots.values():
+            slot.keep = slot.name == self.plan.output_node
+        for n in self.plan.nodes:
+            for s in n.inputs:
+                slots[s].keep = slots[s].keep or slots[n.name].depth > slots[s].depth
+
     def realize(self, bits: BitWidthConfig) -> CircuitGraph:
         """Bind `bits`, reusing every node whose depth lies in the prefix it
         shares with the last realized config; raises `BudgetViolation` for
@@ -908,52 +961,49 @@ class Sweep:
         if plan.ranges is None:
             raise CircuitError("plan must be calibrated before realization")
         self.graph = None
-        config = tuple(getattr(bits, f) for f in SWEEP_ORDER)
+        config = _sweep_key(bits)
         last, self.realized = self.realized, None  # None stays if a bind raises
         shared = 0 if last is None else next(
             (i for i, (a, b) in enumerate(zip(config, last)) if a != b), len(config))
-        log = _ReadLog(bits)
-        edge = partial(self._edge, log)
-        slots, specs = self.slots, self.specs
-        for name, n in self.order:
-            slot = slots.get(name)
-            if slot is not None and slot.depth <= shared:
-                continue
-            log.depth = 0
+        learning = self.rebind is None
+        widths = _ReadLog(bits) if learning else bits
+        edge = partial(self._edge, widths)
+        slots, specs, violating = self.slots, self.specs, self.violating
+        for slot in slots.values() if learning else self.rebind[shared]:
+            n = slot.plan_node
+            if learning:
+                widths.depth = 0
             if n is None:
-                node = spec = EdgeSpec.from_range(*plan.ranges["input"],
-                                                  bits=log.input_bits, signed=False)
-                entry, depth = None, log.depth
+                slot.node = spec = EdgeSpec.from_range(*plan.ranges["input"],
+                                                       bits=widths.input_bits, signed=False)
+                inputs = ()
             else:
-                node = n.bind(specs, log, edge, plan.normalization)
-                spec, entry = node.out_spec, node.budget_entry()
-                depth = max(log.depth, *(slots[s].depth for s in n.inputs))
-            slots[name] = _Slot(depth, node, entry)
-            specs[name] = spec
+                slot.node = node = n.bind(specs, widths, edge, plan.normalization)
+                spec, slot.entry, inputs = node.out_spec, node.budget_entry(), n.inputs
+            if learning:
+                slot.depth = max([widths.depth, *(slots[s].depth for s in inputs)])
+            slot.value = None
+            specs[slot.name] = spec
+            if slot.entry is not None and slot.entry.violation:
+                violating.add(slot.name)
+            else:
+                violating.discard(slot.name)
+        if learning:
+            self._learn()
         self.realized = config
 
-        kept = [slots[n.name] for n in plan.nodes]
-        report = AccumulatorReport(entries=[s.entry for s in kept if s.entry is not None])
-        if not report.feasible:
-            raise BudgetViolation(report)
-        graph = CircuitGraph(
+        if violating:
+            raise BudgetViolation(AccumulatorReport(
+                entries=[s.entry for s in self.node_slots if s.entry is not None]))
+        self.graph = CircuitGraph(
             kind=plan.kind,
             approx_label=self.label,
             bits=bits,
             input_spec=slots["input"].node,
-            nodes=[s.node for s in kept],
+            nodes=[s.node for s in self.node_slots],
             output_node=plan.output_node,
         )
-        self.graph = graph
-        return graph
-
-    def _keeps_value(self, name: str) -> bool:
-        """Whether the slot of `name` keeps the value itself: for the output,
-        and for a node with a deeper reader, since only such a reader can
-        run again while the node is reused."""
-        depth = self.slots[name].depth
-        return name == self.plan.output_node or any(
-            self.slots[r].depth > depth for r in self.readers.get(name, ()))
+        return self.graph
 
     def _graph(self) -> CircuitGraph:
         if self.graph is None:
@@ -968,8 +1018,8 @@ class Sweep:
         clip axis, and `observed` holds the maximum over the clips.
 
         The forward starts from what the slots hold: the value, or None
-        where `_keeps_value` kept the observed magnitude alone, which no
-        reader that runs needs.  What a run computes is stored once the
+        where the slot's keep flag kept the observed magnitude alone, which
+        no reader that runs needs.  What a run computes is stored once the
         whole run succeeded, so a failed run leaves every slot as it was."""
         graph = self._graph()
         slots = self.slots
@@ -977,20 +1027,21 @@ class Sweep:
         computed: dict = {}  # name -> what its slot keeps of this run
         if "input" not in values:
             v = values["input"] = graph.input_spec.to_v(self.samples)
-            computed["input"] = (v if self._keeps_value("input") else None), None
-        for name, v, obs in _forward(graph.nodes, values, clear=False):
-            computed[name] = (v if self._keeps_value(name) else None), obs
+            computed["input"] = (v if slots["input"].keep else None), None
+        for name, v, obs in _forward(graph.nodes, self.drops, values, clear=False):
+            computed[name] = (v if slots[name].keep else None), obs
         for name, kept in computed.items():
             slots[name].value = kept
-        observed = {n.name: slots[n.name].value[1] for n in graph.nodes
-                    if slots[n.name].value[1] is not None}
-        return graph._result(slots[graph.output_node].value[0], observed)
+        observed = {s.name: s.value[1] for s in self.node_slots if s.value[1] is not None}
+        out = slots[self.plan.output_node]
+        return _result(out.node.out_spec, out.value[0], observed)
 
     def clear_output(self) -> np.ndarray:
         """The clear output of the graph realized last, over all clips at
         once, leading with the clip axis: row b equals `run_clear` of clip b."""
         graph = self._graph()
-        for name, v, _ in _forward(graph.nodes, {"input": self.samples}, clear=True):
+        values = {"input": self.samples}
+        for name, v, _ in _forward(graph.nodes, self.drops, values, clear=True):
             if name == graph.output_node:
                 return v
 
@@ -998,8 +1049,7 @@ class Sweep:
         """Realize the distinct configs of `configs` sorted by the fields in
         `SWEEP_ORDER`, yielding (bits, graph, None), or (bits, None,
         violation) for one over budget."""
-        for bits in sorted(set(configs),
-                           key=lambda b: tuple(getattr(b, f) for f in SWEEP_ORDER)):
+        for bits in sorted(set(configs), key=_sweep_key):
             try:
                 graph, violation = self.realize(bits), None
             except BudgetViolation as exc:

@@ -239,8 +239,15 @@ def gather_clips(settings) -> tuple[list, list, list]:
 
 
 def truncate_to_common_length(clips: list) -> list:
-    """Trim all clips to the shortest so every clip yields the same frames."""
+    """Trim all clips to the shortest so every clip yields the same frames.
+
+    Trimming any clip prints one warning to stderr, naming how many clips
+    were trimmed and to how many samples."""
     n = min(len(c.buffer) for c in clips)
+    trimmed = sum(len(c.buffer) > n for c in clips)
+    if trimmed:
+        print(f"warning: trimmed {trimmed} of {len(clips)} clips to {n} samples, "
+              f"the length of the shortest", file=sys.stderr)
     return [c._replace(buffer=AudioBuffer(c.buffer.samples[:n],
                                           c.buffer.sample_rate_hz))
             if len(c.buffer) > n else c

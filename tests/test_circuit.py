@@ -159,19 +159,25 @@ ROUNDING_VALUES = st.one_of(
 def edges_and_inputs(draw):
     """A quantized edge of 1-16 bits, signed or not, over a random range
     (with a power-of-two scale half the time, where x / scale is exact), and
-    floats to quantize as a Python float, a 0-d array or a 1-d or 2-d array."""
+    floats to quantize as a Python float, a 0-d array or a 1-d or 2-d array.
+    On a power-of-two scale some values sit just outside the edge, within
+    half a step of it, where clamping and rounding meet."""
     bits, signed = draw(st.integers(1, 16)), draw(st.booleans())
     levels = (1 << bits) - 1
+    values = ROUNDING_VALUES
     if draw(st.booleans()):
         step = 2.0 ** draw(st.integers(-30, 30))
         m = draw(st.integers(0, levels)) if signed else 0
         spec = EdgeSpec.from_range(-m * step, (levels - m) * step, bits=bits, signed=signed)
         assert spec.scale == step
+        values = st.one_of(values, st.sampled_from((
+            spec.v_max + 0.49999999999999994, spec.v_max + 0.5,
+            spec.v_min - 0.5, spec.v_min - 0.5000000000000001)))
     else:
         magnitude = st.floats(1e-6, 1e6)
         spec = EdgeSpec.from_range(-draw(magnitude) if signed else draw(magnitude) / 4,
                                    draw(magnitude), bits=bits, signed=signed)
-    ts = draw(st.lists(ROUNDING_VALUES, min_size=1, max_size=24))
+    ts = draw(st.lists(values, min_size=1, max_size=24))
     x = np.array(ts) * spec.scale
     form = draw(st.sampled_from(("python", "0-d", "1-d", "2-d")))
     if form == "python":

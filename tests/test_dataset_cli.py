@@ -196,12 +196,36 @@ def test_split_clips_stratified():
             split_clips(clips, bad, seed=5)
 
 
-def test_truncate_to_common_length():
+def test_truncate_to_common_length(capsys):
     clips = synthetic_clips("noise", 2, seed=6, duration_s=0.1)
     short = synthetic_clips("noise", 1, seed=7, duration_s=0.05)
     out = truncate_to_common_length(clips + short)
     n = len(short[0].buffer)
     assert all(len(c.buffer) == n for c in out)
+    assert capsys.readouterr().err == (
+        f"warning: trimmed 2 of 3 clips to {n} samples, the length of the shortest\n")
+    again = truncate_to_common_length(out)  # nothing to trim, no word
+    assert all(a is b for a, b in zip(again, out))
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_warns_when_it_trims_clips(tmp_path, capsys):
+    """A descriptor command on WAVs of unequal length names the trim once;
+    file ids are unique across classes, so `ingest` keeps every file."""
+    root = tmp_path / "data"
+    rng = np.random.default_rng(2)
+    for label, lengths in (("alpha", (992, 1100, 992)), ("beta", (1200, 992, 992))):
+        (root / label).mkdir(parents=True)
+        for i, n in enumerate(lengths):
+            write_wav(root / label / f"{label}_{i}.wav",
+                      AudioBuffer(rng.standard_normal(n) * 0.3, FS))
+    code = main(["descriptors", "--dataset", str(root), "--window", "64",
+                 "--hop", "32", "--n-mels", "8", "--n-gammatone", "8",
+                 "--bits", "5,6,4,5", "--calib-fraction", "0.3",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: trimmed 2 of 6 clips to 992 samples, the length of the shortest\n")
 
 
 # CLI argument parsing ---------------------------------------------------------

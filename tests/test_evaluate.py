@@ -596,6 +596,105 @@ def test_sweep_rebinds_the_nodes_deeper_than_the_shared_prefix():
     assert all(slot.node is not before[name] for name, slot in sweep.slots.items())
 
 
+# every slot's depth in the descriptor plan: the input edge, the two convs
+# (weight width), the nodes on an intermediate edge and those of DEPTH_4
+DEPTHS = {"input": 1, "stft_conv": 2, "gamma_conv": 2,
+          **{name: 4 for name in DEPTH_4},
+          **{name: 3 for name in (
+              "stft_conv_requant", "stft_energy", "stft_energy_sum", "stft_power",
+              "rms_mean_power", "rms", "mean_rms_sum", "std_rms_val", "mel_matmul",
+              "mel_spec", "mel_stds", "m_mstds_sum", "gamma_conv_requant",
+              "gamma_energy", "gamma_spec", "gamma_stds", "m_gstds_sum")}}
+
+
+def _shared_prefix(a, b) -> int:
+    if a is None:
+        return 0
+    fields = [getattr(a, f) == getattr(b, f) for f in SWEEP_ORDER]
+    return fields.index(False) if False in fields else len(fields)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_sweep_binds_and_runs_only_the_changed_nodes(data):
+    """Each node's `bind` and `step` calls, counted per config over a
+    shuffled subspace, visited and then realized in a drawn order: a config
+    binds exactly the slots deeper than the prefix it shares with the last
+    realized config (refused ones included), and every slot after a failed
+    bind; a feasible config runs exactly the nodes bound since they last
+    ran, which are the ones it rebound plus those a refused config before
+    it rebound.  Every config with 8 intermediate bits is refused, so
+    refusals and feasible configs alternate."""
+    configs = subspace([(3, 5), (3, 4), (3, 8), (4, 8)])
+    calib, evalu = eval_clips(3, 30), eval_clips(2, 31)
+    bound, ran = [], []  # node names, in call order
+
+    def counting(method, calls):
+        def counted(node, *args):
+            calls.append(node.name)
+            return method(node, *args)
+        return counted
+
+    class Injected(RuntimeError):
+        pass
+
+    def failing(node, *args):
+        raise Injected
+
+    def expect(sweep, last, bits, stale, step):
+        """Run `step` (a realize or visit step) and check its binds and runs."""
+        before = {name: slot.node for name, slot in sweep.slots.items()}
+        bound.clear()
+        graph, violation = step()
+        deeper = {name for name, d in DEPTHS.items() if d > _shared_prefix(last, bits)}
+        assert sorted(bound) == sorted(deeper - {"input"})
+        assert {n for n, s in sweep.slots.items() if s.node is not before[n]} == deeper
+        assert (violation is not None) == (bits.mid_bits == 8)
+        assert (graph is None) == (violation is not None)
+        stale |= deeper
+        if graph is not None:
+            ran.clear()
+            sweep.execute()
+            assert sorted(ran) == sorted(stale - {"input"})
+            stale.clear()
+
+    def realize(sweep, bits):
+        try:
+            return sweep.realize(bits), None
+        except BudgetViolation as exc:
+            return None, exc
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (circuit.ConvNode, circuit.MatmulNode, circuit.LutNode,
+                    circuit.ReduceNode, circuit.StdNode, circuit.ConcatNode):
+            mp.setattr(cls, "bind", counting(cls.bind, bound))
+            mp.setattr(cls, "step", counting(cls.step, ran))
+
+        sweep, last, stale = Sweep(descriptor_plan(calib), evalu), None, set()
+        steps = sweep.visit(data.draw(st.permutations(configs)))
+        for bits in sorted(configs, key=lambda b: [getattr(b, f) for f in SWEEP_ORDER]):
+            expect(sweep, last, bits, stale, lambda: next(steps)[1:])
+            last = bits
+        assert {n: s.depth for n, s in sweep.slots.items()} == DEPTHS
+
+        # a fresh sweep in a drawn order, with repeats, and the last bind
+        # failing at a drawn config that rebinds the concat: any but a
+        # repeat, the first one (before any depth is learned) included
+        order = data.draw(st.permutations(configs + configs[:4]))
+        fail_at = data.draw(st.sampled_from(
+            [i for i, bits in enumerate(order) if i == 0 or bits != order[i - 1]]))
+        sweep, last, stale = Sweep(descriptor_plan(calib), evalu), None, set()
+        for i, bits in enumerate(order):
+            if i == fail_at:
+                with pytest.MonkeyPatch.context() as inject:
+                    inject.setattr(circuit.ConcatNode, "bind", failing)
+                    with pytest.raises(Injected):
+                        sweep.realize(bits)
+                last = None  # the next config rebinds every slot
+            expect(sweep, last, bits, stale, lambda: realize(sweep, bits))
+            last = bits
+
+
 def test_transform_distance_search_runs_the_clear_arm_once_per_clip(monkeypatch):
     """A search runs its clear arm once, over all evaluation clips as one
     batch: the plan's convolution runs one clear call on a (B, L) batch,
