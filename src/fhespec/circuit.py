@@ -183,21 +183,21 @@ class Node:
     """The node protocol, with the defaults node types override.
 
     A node is built from its structure alone: name, inputs, float weights
-    or semantic, stride, op, axis and fan-in.  Its edges `in_spec` and
-    `out_spec` (and a dot node's `bank`) are class defaults of None that
-    only `bind(specs, bits, edge, normalization)` sets: it returns a
-    `_copy` bound to one bit-width configuration, sharing the float
-    weights, so the plan's own nodes are never modified (beyond the weight
-    banks a conv or matmul node caches per width): `specs` maps every name
-    bound so far to its output edge, `edge(name)` is the plan's quantized
-    edge for a node and `normalization` the plan's z-score constants.  A
-    bind reads widths from `bits` and `edge` alone; that is how a `Sweep`
-    learns a node's depth in `SWEEP_ORDER`.  `clear()` never touches
-    quantization and is what calibration runs.  A bound node executes as
-    it is, with nothing left to build: `step()` runs `run_int`, checks any
-    accumulator against its declared range and returns the value with its
-    observed magnitude (None when nothing accumulates); `budget_entry()`
-    and `describe()` feed the budget report and the JSON serialization.
+    or semantic, stride, op, axis and fan-in; calibration sets a
+    `normalize` lookup's constants.  Its edges `in_spec` and `out_spec`
+    (and a dot node's `bank`) are class defaults of None that only
+    `bind(specs, bits, edge)` sets: it returns a `_copy` bound to one
+    bit-width configuration, sharing the float weights and constants, so
+    the plan's own nodes are never modified (beyond the weight banks a conv
+    or matmul node caches per width): `specs` maps every name bound so far
+    to its output edge and `edge(name)` is the plan's quantized edge for a
+    node.  A bind reads widths from `bits` and `edge` alone; that is how a
+    `Sweep` learns a node's depth in `SWEEP_ORDER`.  `clear()` never touches
+    quantization: a plan's own nodes run the clear arm.  A bound node
+    executes as it is: `step()` runs `run_int`, checks any accumulator
+    against its declared range and returns the value with its observed
+    magnitude (None when nothing accumulates); `budget_entry()` and
+    `describe()` feed the budget report and the JSON serialization.
 
     Every value has a leading clip axis: the input is (B, L), a frame-wise
     value (B, T, C) or (B, T), a statistic over time (B, C) or (B,), and
@@ -339,7 +339,7 @@ class _DotNode(Node):
         lo = int((pos * a + neg * b).min())
         return lo, hi
 
-    def bind(self, specs, bits, edge, normalization):
+    def bind(self, specs, bits, edge):
         bank = self.banks.get(bits.weight_bits)
         if bank is None:
             bank = self.banks[bits.weight_bits] = WeightBank(
@@ -410,7 +410,8 @@ class LutNode(Node):
     'square' and 'abs' emit raw (un-requantized) integers so the cost
     contrast between l1 and squared energy is visible in the budget report;
     'requant', 'log', 'sqrt' and 'normalize' emit values on a quantized
-    edge.  Unbound, 'normalize' is the identity calibration collects.
+    edge.  'normalize' z-scores with the constants calibration sets on the
+    plan's node, which its bound copies share; the identity until then.
     """
 
     def __init__(self, name: str, src: str, semantic: str, norm_center: float = 0.0,
@@ -436,7 +437,7 @@ class LutNode(Node):
             return (x - self.norm_center) / self.norm_scale
         raise CircuitError(f"unknown LUT semantic {self.semantic!r}")
 
-    def bind(self, specs, bits, edge, normalization):
+    def bind(self, specs, bits, edge):
         node = self._copy(in_spec=specs[self.src])
         if self.semantic in ("square", "abs"):
             # both are convex and the input edge holds 0, so the outputs
@@ -446,8 +447,6 @@ class LutNode(Node):
             node.out_spec = RawSpec(scale=scale**2 if self.semantic == "square" else scale,
                                     v_lo=0, v_hi=int(max(self.clear(lo), self.clear(hi))))
             return node
-        if self.semantic == "normalize":
-            node.norm_center, node.norm_scale = normalization[self.name]
         node.out_spec = edge(self.name)
         return node
 
@@ -491,7 +490,7 @@ class ReduceNode(Node):
         arr, ax = self._split(x)
         return arr.sum(axis=ax) if self.op == "sum" else arr.mean(axis=ax)
 
-    def bind(self, specs, bits, edge, normalization):
+    def bind(self, specs, bits, edge):
         fan = 2 if self.axis == "pair" else self.fan_in
         if fan is None:
             raise CircuitError(f"reduce node {self.name} needs fan_in")
@@ -537,7 +536,7 @@ class StdNode(Node):
         m = self.in_spec.max_abs
         return t * m, t * m * m
 
-    def bind(self, specs, bits, edge, normalization):
+    def bind(self, specs, bits, edge):
         return self._copy(in_spec=specs[self.src], out_spec=edge(self.name))
 
     def run_int(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -576,7 +575,7 @@ class ConcatNode(Node):
     def clear(self, *xs) -> np.ndarray:
         return np.stack(xs, axis=-1)
 
-    def bind(self, specs, bits, edge, normalization):
+    def bind(self, specs, bits, edge):
         in_spec = specs[self.srcs[0]]
         if any(specs[s] != in_spec for s in self.srcs):
             raise CircuitError("concat inputs must share output params")
@@ -689,15 +688,6 @@ class ExecutionResult(NamedTuple):
     observed: dict  # node name -> max abs accumulator / value
 
 
-def _result(spec: EdgeSpec, v: np.ndarray, observed: dict) -> ExecutionResult:
-    """The result of a forward whose output `v` lies on the edge `spec`."""
-    return ExecutionResult(
-        output=QuantizedTensor(data=v - spec.lift, params=spec),
-        dequantized=spec.to_float(v),
-        observed=observed,
-    )
-
-
 class CircuitGraph:
     """Realized integer pipeline; immutable once built, reusable across inputs.
     `execute` and `run_clear` run `_forward` on a batch of one clip.  The
@@ -730,8 +720,9 @@ class CircuitGraph:
         observed = {name: obs for name, _, obs
                     in _forward(self.nodes, self._drops, values, clear=False)
                     if obs is not None}
-        return _result(self.node(self.output_node).out_spec,
-                       values[self.output_node][0], observed)
+        spec, v = self.node(self.output_node).out_spec, values[self.output_node][0]
+        return ExecutionResult(output=QuantizedTensor(data=v - spec.lift, params=spec),
+                               dequantized=spec.to_float(v), observed=observed)
 
     def run_clear(self, buf: AudioBuffer) -> dict:
         """Float forward of the same structure (no quantization anywhere) on
@@ -773,48 +764,49 @@ class PipelinePlan:
     """
 
     def __init__(self, kind: str, approx: ApproxSpec, sample_rate_hz: int, nodes: list,
-                 output_node: str, normalization: dict | None = None,
-                 ranges: dict | None = None):
+                 output_node: str):
         self.kind = kind
         self.approx = approx
         self.sample_rate_hz = sample_rate_hz
         self.nodes = nodes
         self.output_node = output_node
-        self.normalization = normalization  # node name -> (center, scale)
-        self.ranges = ranges  # node name (and 'input') -> (lo, hi)
+        self.ranges: dict | None = None  # node name (and 'input') -> (lo, hi), calibrated
 
     def calibrate(self, calibration: list) -> "PipelinePlan":
+        """Set `ranges` and each `normalize` head's z-score constants from a
+        clear forward of `calibration` on identity copies of the heads.
+        Nothing is written before the whole forward succeeded, so a failed
+        calibration leaves the plan as it was and a repeated one gives the
+        same plan."""
         if not calibration:
             raise CircuitError("calibration set is empty")
+        heads = {n.name: n for n in self.nodes
+                 if isinstance(n, LutNode) and n.semantic == "normalize"}
+        nodes = [n._copy(norm_center=0.0, norm_scale=1.0) if n.name in heads else n
+                 for n in self.nodes]
         ranges: dict = {}
 
         def widen(name, arr):
             lo, hi = ranges.get(name, (math.inf, -math.inf))
             ranges[name] = (min(float(arr.min()), lo), max(float(arr.max()), hi))
 
-        collected: dict = {name: [] for name in (self.normalization or {})}
-        drops = _drop_lists(self.nodes)
+        collected: dict = {name: [] for name in heads}
+        drops = _drop_lists(nodes)
         for buf in calibration:
             if buf.sample_rate_hz != self.sample_rate_hz:
                 raise CircuitError("calibration buffer sample rate mismatch")
             widen("input", buf.samples)
             values = {"input": buf.samples[None]}
-            for name, v, _ in _forward(self.nodes, drops, values, clear=True):
+            for name, v, _ in _forward(nodes, drops, values, clear=True):
                 widen(name, v)
                 if name in collected:
                     collected[name].append(v.ravel())
-        if self.normalization is not None:
-            norm = {}
-            for name, vals in collected.items():
-                flat = np.concatenate(vals)
-                center = float(flat.mean())
-                scale = float(flat.std())
-                if scale <= 0.0:
-                    scale = 1.0
-                norm[name] = (center, scale)
-                lo, hi = ranges[name]
-                ranges[name] = ((lo - center) / scale, (hi - center) / scale)
-            self.normalization = norm
+        for name, head in heads.items():
+            flat = np.concatenate(collected[name])
+            center, scale = float(flat.mean()), float(flat.std()) or 1.0
+            head.norm_center, head.norm_scale = center, scale
+            lo, hi = ranges[name]
+            ranges[name] = ((lo - center) / scale, (hi - center) / scale)
         self.ranges = ranges
         return self
 
@@ -855,47 +847,46 @@ class _Slot:
     bound or run."""
 
     __slots__ = ("name", "plan_node", "depth", "keep", "node", "entry", "value")
+    DROPPED = "dropped"  # what `value` holds once the node ran and its value was let go
 
     def __init__(self, name: str, plan_node):
         self.name = name
         self.plan_node = plan_node  # the plan's node; None for 'input'
         self.depth = None  # the SWEEP_ORDER prefix length holding every width the node reads
-        self.keep = None  # whether `execute` keeps the value itself, not only observed
+        self.keep = None  # whether `execute` keeps the value, not only `DROPPED`
         self.node = None  # the bound node; for 'input', the input edge
         self.entry = None  # the bound node's budget entry
-        self.value = None  # (value, observed) over the sweep's clips
+        self.value = None  # the value over the sweep's clips, or `DROPPED`
 
 
 class Sweep:
     """Realizes and executes one calibrated plan at many configurations,
     rebinding and rerunning only the nodes whose widths changed.
 
-    The clips must have equal lengths: every execution runs the graph once
-    over all of them, stacked into one (B, L) batch.
+    The clips must have equal lengths: `execute` runs the graph realized
+    last once over all of them, stacked into one (B, L) batch, and
+    `clear_output` so runs the plan's own nodes, before or after any realize.
 
     A node's depth is the deepest `SWEEP_ORDER` position (from 1) that its
     `bind` reads, through `bits` or the plan's `edge(name)`, or that its
     inputs have, whichever is deeper.  Which widths a bind reads is a
     property of the plan, so the sweep learns every depth once, from the
-    first realize whose binds all complete, through a recording `_ReadLog`.
-    From the depths it builds, once, the list of slots deeper than each
-    prefix length and the keep flags `execute` reads.  Each node has one
-    slot: its depth, the bound node, its budget entry and, once executed,
-    its batched (value, observed) (see `execute` for the values it drops).
+    first realize whose binds all complete, through a recording `_ReadLog`,
+    and from the depths, the slots deeper than each prefix length and the
+    keep flags `execute` reads.  Each node has one slot: its depth, the
+    bound node, its budget entry and, once executed, its batched value.
 
     One rule decides reuse: `realize` keeps a slot iff its depth is at
     most the length of the `SWEEP_ORDER` prefix the config shares with
     `realized`, the last config whose binds all completed, and rebinds the
-    node in place, dropping its value, otherwise.  A kept node was bound at
-    the same first `depth` widths, so a reused value was range-checked by
-    the same bound node on the same input; after a failed bind every node
-    rebinds.  A config costs what its changed nodes cost: `realize` walks
-    only the list of slots deeper than the shared prefix, the verdict is
-    the set of slots whose current entry violates the budget (the report
-    is built only for a refusal), `execute` seeds `_forward` with the kept
-    values so that it runs only the slots with no value, and each quantized
-    edge is computed once per range and width.  `clear_output` runs the
-    clear arm over all clips in one `_forward`.
+    node in place, dropping its value, otherwise; after a failed bind every
+    node rebinds.  A kept node was bound at the same first `depth` widths,
+    so a reused value was range-checked by the same bound node on the same
+    input.  A config costs what its changed nodes cost: `realize` walks
+    only the slots deeper than the shared prefix, the verdict is the set
+    of slots whose entry violates the budget (the report is built only for
+    a refusal), `execute` runs only the slots with no value, and each
+    quantized edge is computed once per range and width.
 
     `visit` realizes configs sorted by the fields in `SWEEP_ORDER`, so
     consecutive configs share the longest prefix.  `PipelinePlan.realize`
@@ -978,7 +969,7 @@ class Sweep:
                                                        bits=widths.input_bits, signed=False)
                 inputs = ()
             else:
-                slot.node = node = n.bind(specs, widths, edge, plan.normalization)
+                slot.node = node = n.bind(specs, widths, edge)
                 spec, slot.entry, inputs = node.out_spec, node.budget_entry(), n.inputs
             if learning:
                 slot.depth = max([widths.depth, *(slots[s].depth for s in inputs)])
@@ -1005,44 +996,42 @@ class Sweep:
         )
         return self.graph
 
-    def _graph(self) -> CircuitGraph:
-        if self.graph is None:
-            raise CircuitError("the sweep has no realized graph to execute")
+    def _samples(self) -> np.ndarray:
         if self.samples is None:
             raise CircuitError("the sweep has no clips to execute on")
-        return self.graph
+        return self.samples
 
-    def execute(self) -> ExecutionResult:
-        """Run the graph realized last once over all clips, running only the
-        nodes whose slot holds no value.  The result's arrays lead with the
-        clip axis, and `observed` holds the maximum over the clips.
-
-        The forward starts from what the slots hold: the value, or None
-        where the slot's keep flag kept the observed magnitude alone, which
-        no reader that runs needs.  What a run computes is stored once the
-        whole run succeeded, so a failed run leaves every slot as it was."""
-        graph = self._graph()
-        slots = self.slots
-        values = {name: s.value[0] for name, s in slots.items() if s.value is not None}
-        computed: dict = {}  # name -> what its slot keeps of this run
+    def execute(self) -> np.ndarray:
+        """The dequantized output of the graph realized last over all clips,
+        leading with the clip axis.  The forward runs only the nodes whose
+        slot is empty: a slot holds the value, or `DROPPED` where the keep
+        flag let it go, which no reader that runs needs.  What a run
+        computes is stored once the whole run succeeded, so a failed run
+        leaves every slot as it was."""
+        graph, slots = self.graph, self.slots
+        if graph is None:
+            raise CircuitError("the sweep has no realized graph to execute")
+        values = {name: s.value for name, s in slots.items() if s.value is not None}
+        computed: dict = {}  # name -> its value in this run
         if "input" not in values:
-            v = values["input"] = graph.input_spec.to_v(self.samples)
-            computed["input"] = (v if slots["input"].keep else None), None
-        for name, v, obs in _forward(graph.nodes, self.drops, values, clear=False):
-            computed[name] = (v if slots[name].keep else None), obs
-        for name, kept in computed.items():
-            slots[name].value = kept
-        observed = {s.name: s.value[1] for s in self.node_slots if s.value[1] is not None}
+            values["input"] = computed["input"] = graph.input_spec.to_v(self._samples())
+        for name, v, _ in _forward(graph.nodes, self.drops, values, clear=False):
+            computed[name] = v
+        for name, v in computed.items():
+            slots[name].value = v if slots[name].keep else _Slot.DROPPED
         out = slots[self.plan.output_node]
-        return _result(out.node.out_spec, out.value[0], observed)
+        return out.node.out_spec.to_float(out.value)
 
     def clear_output(self) -> np.ndarray:
-        """The clear output of the graph realized last, over all clips at
-        once, leading with the clip axis: row b equals `run_clear` of clip b."""
-        graph = self._graph()
-        values = {"input": self.samples}
-        for name, v, _ in _forward(graph.nodes, self.drops, values, clear=True):
-            if name == graph.output_node:
+        """The clear output of the calibrated plan over all clips, leading
+        with the clip axis: row b is `run_clear` of clip b on any graph the
+        plan realizes."""
+        plan = self.plan
+        if plan.ranges is None:
+            raise CircuitError("plan must be calibrated before its clear output")
+        values = {"input": self._samples()}
+        for name, v, _ in _forward(plan.nodes, self.drops, values, clear=True):
+            if name == plan.output_node:
                 return v
 
     def visit(self, configs: list):
@@ -1181,5 +1170,4 @@ def build_descriptor_plan(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: i
                             srcs=list(DESCRIPTOR_NAMES)))
     return PipelinePlan(kind="descriptors", approx=approx,
                         sample_rate_hz=sample_rate_hz, nodes=nodes,
-                        output_node="descriptor_vector",
-                        normalization={name: None for name in DESCRIPTOR_NAMES})
+                        output_node="descriptor_vector")

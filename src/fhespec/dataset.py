@@ -14,6 +14,8 @@ the clips.  There is no resampling or down-mixing.
 from __future__ import annotations
 
 import math
+import struct
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,6 +26,9 @@ from .transforms import AudioBuffer
 
 class DatasetError(ValueError):
     pass
+
+
+PREMATURE_EOF = "Reached EOF prematurely"  # how SciPy's warning of cut data starts
 
 
 class Clip(NamedTuple):
@@ -37,11 +42,18 @@ class Clip(NamedTuple):
 def read_wav(path, expected_rate_hz: int | None = None) -> AudioBuffer:
     """Load a mono WAV file: 16-bit PCM (scaled by 2^15) or 32/64-bit float.
 
-    A `DatasetError` says what is wrong with the file but not its path,
-    which the caller holds."""
+    A `DatasetError` says what is wrong with the file, one cut short
+    included, but not its path, which the caller holds."""
     from scipy.io import wavfile  # on first use: most commands read no WAV
 
-    rate, data = wavfile.read(path)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", PREMATURE_EOF, wavfile.WavFileWarning)
+        try:
+            rate, data = wavfile.read(path)
+        except (struct.error, wavfile.WavFileWarning) as exc:
+            if isinstance(exc, Warning) and not str(exc).startswith(PREMATURE_EOF):
+                raise  # another warning, which an outer filter made an error
+            raise DatasetError(f"file cut short: {exc}") from None
     if data.ndim != 1:
         raise DatasetError("only mono files are supported")
     if data.dtype == np.int16:

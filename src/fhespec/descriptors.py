@@ -6,8 +6,8 @@ channels of the per-channel std over time of the Mel spectrogram, and the
 same statistic on the gammatone spectrogram.  One graph,
 `circuit.build_descriptor_plan`, computes both arms: `run_clear` is the float
 forward pass and `execute` the integer circuit.  Both z-score with the
-constants the plan froze from its calibration clips, so the clear and the
-simulated encrypted descriptors normalize identically.  Each arm is an
+constants calibration froze into the plan's `normalize` lookups, so the
+clear and the simulated encrypted descriptors normalize identically.  Each arm is an
 (n, 4) float array, one row per clip, columns in `DESCRIPTOR_NAMES` order.
 """
 

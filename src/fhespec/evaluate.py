@@ -302,13 +302,14 @@ def _search(plan, space: list, evaluation: list):
     One `Sweep` realizes and executes the configs the prune keeps, in its
     traversal order, each config once over all evaluation clips (which
     must have equal lengths).  The clear arm does not depend on the bit
-    widths, so it runs once, over all evaluation clips as one batch, on
-    the first graph that realizes.  Yields (config, None, reason) for each config the prune
-    rejects, then, in the sweep's order, (config, (clear, fhe), None) for
-    a realized config, its clear and dequantized outputs stacked along a
-    leading clip axis, and (config, None, reason) for one over budget.
-    The outputs are yielded before the next config executes, so the
-    caller decides what it keeps of them."""
+    widths, so it comes from the calibrated plan, once, over all
+    evaluation clips as one batch, before any config realizes.  Yields
+    (config, None, reason) for each config the prune rejects, then, in
+    the sweep's order, (config, (clear, fhe), None) for a realized config,
+    its clear and dequantized outputs stacked along a leading clip axis,
+    and (config, None, reason) for one over budget.  The outputs are
+    yielded before the next config executes, so the caller decides what
+    it keeps of them."""
     if not evaluation:
         raise EvalError("a search needs evaluation clips")
     max_taps = _plan_max_taps(plan)
@@ -317,14 +318,12 @@ def _search(plan, space: list, evaluation: list):
     for bits in pruned:
         yield bits, None, "accumulator bound"
     sweep = Sweep(plan, evaluation)
-    clear = None
+    clear = sweep.clear_output()
     for bits, graph, violation in sweep.visit(configs - pruned):
         if graph is None:
             yield bits, None, str(violation)
-            continue
-        if clear is None:
-            clear = sweep.clear_output()
-        yield bits, (clear, sweep.execute().dequantized), None
+        else:
+            yield bits, (clear, sweep.execute()), None
 
 
 def grid_search(space: list, plan: PipelinePlan, evaluation: list) -> list:

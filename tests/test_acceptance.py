@@ -305,7 +305,7 @@ def test_l1_saves_accumulator_bits_versus_square():
         nodes = []
         for sem in ("abs", "square"):
             lut = LutNode(name=f"{sem}_lut", src="input", semantic=sem).bind(
-                {"input": edge}, None, None, None)
+                {"input": edge}, None, None)
             red = ReduceNode(name=f"{sem}_sum", src=f"{sem}_lut",
                              op="sum", axis="pair", fan_in=2)
             red.in_spec = lut.out_spec

@@ -259,7 +259,7 @@ def bound_conv(weights_f, in_spec, bits):
     """A hand-built conv node bound to `in_spec`, one frame per kernel length."""
     node = ConvNode(name="conv", src="input", weights_f=weights_f,
                     stride=weights_f.shape[1])
-    return node.bind({"input": in_spec}, bits, None, None)
+    return node.bind({"input": in_spec}, bits, None)
 
 
 def worst_case_frames(q, in_spec):
@@ -325,7 +325,7 @@ def test_kernels_exact_at_the_float32_boundary(kind, bound, row0, max_abs):
         args = frames.ravel()[None]
     else:
         node = MatmulNode(name="matmul", src="src", weights_f=q.astype(np.float64))
-        node = node.bind({"src": in_spec}, bits, None, None)
+        node = node.bind({"src": in_spec}, bits, None)
         args = frames[None]
     assert np.array_equal(node.weights_q, q)
     assert node.partial_sum_bound == bound
@@ -379,7 +379,7 @@ h = hashlib.sha256()
 for graph in graphs:
     for buf in bufs:
         h.update(graph.execute(buf).output.data.tobytes())
-h.update(sweep.execute().output.data.tobytes())
+h.update(sweep.execute().tobytes())
 print(h.hexdigest())
 """
 
@@ -412,7 +412,7 @@ def test_integer_path_independent_of_blas_threads(tmp_path):
     for graph in graphs:
         for buf in evalu:
             want.update(graph.execute(buf).output.data.tobytes())
-    want.update(sweep.execute().output.data.tobytes())
+    want.update(sweep.execute().tobytes())
     src = str(Path(sys.modules["fhespec"].__file__).parents[1])
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
@@ -874,12 +874,13 @@ def test_realize_properties_over_random_configs(kind, approx, cfg, n_frames, a, 
 def test_sweep_batch_equals_per_clip_execution(kind, approx, cfg, n_frames, n_clips,
                                                configs):
     """One batched run of a sweep gives, row by row, what each clip gives on
-    its own, and observes the maximum of the per-clip magnitudes, for
-    configs visited in sorted order and then realized in the drawn order;
-    so does the batched clear arm."""
+    its own, for configs visited in sorted order and then realized in the
+    drawn order; so does the batched clear arm, which needs no realized
+    graph and which no realize, refused or not, changes."""
     plan = calibrated_plan(kind, approx, cfg, n_frames)
     evalu = clips(n_clips, seed=42, n=clip_length(cfg, n_frames))
     sweep = Sweep(plan, evalu)
+    batched = sweep.clear_output()
 
     def graphs():
         yield from (graph for _, graph, _ in sweep.visit(configs))
@@ -890,20 +891,20 @@ def test_sweep_batch_equals_per_clip_execution(kind, approx, cfg, n_frames, n_cl
                 yield None
 
     for graph in graphs():
+        assert sweep.clear_output().tobytes() == batched.tobytes()
         if graph is None:
             continue
         got = sweep.execute()
         refs = [graph.execute(buf) for buf in evalu]
-        assert len(got.output.data) == n_clips
-        for row, ref, buf in zip(got.output.data, refs, evalu):
-            assert np.array_equal(row, ref.output.data)
-            assert np.array_equal(row, fake_quant_reference(graph, buf))
-        assert np.array_equal(got.dequantized, np.stack([r.dequantized for r in refs]))
-        assert got.observed == {name: max(r.observed[name] for r in refs)
-                                for name in refs[0].observed}
+        spec = graph.node(graph.output_node).out_spec
+        assert len(got) == n_clips
+        for row, ref, buf in zip(got, refs, evalu):
+            assert np.array_equal(row, ref.dequantized)
+            assert np.array_equal(row, spec.to_float(fake_quant_reference(graph, buf)
+                                                     + spec.lift))
+        assert np.array_equal(got, np.stack([r.dequantized for r in refs]))
         # the batched clear arm is each clip's own clear forward, bit for bit
         clear = np.stack([graph.run_clear(buf)[graph.output_node] for buf in evalu])
-        batched = sweep.clear_output()
         assert batched.shape == clear.shape
         assert batched.tobytes() == clear.tobytes()
     # depth never falls along an edge, so a node rebinds whenever an input does
@@ -928,19 +929,18 @@ def test_calibration_equals_the_per_clip_clear_forwards(kind, approx, cfg, n_fra
     runs = [unbound.run_clear(buf) for buf in calib]
     ranges = {name: (min(float(r[name].min()) for r in runs),
                      max(float(r[name].max()) for r in runs)) for name in runs[0]}
-    normalization = None
-    if plan.normalization is not None:
-        normalization = {}
-        for name in plan.normalization:
-            flat = np.concatenate([r[name].ravel() for r in runs])
-            center, scale = float(flat.mean()), float(flat.std()) or 1.0
-            normalization[name] = (center, scale)
-            lo, hi = ranges[name]
-            ranges[name] = ((lo - center) / scale, (hi - center) / scale)
+    heads = [n for n in plan.nodes if isinstance(n, LutNode) and n.semantic == "normalize"]
+    normalization = {}
+    for head in heads:
+        flat = np.concatenate([r[head.name].ravel() for r in runs])
+        center, scale = float(flat.mean()), float(flat.std()) or 1.0
+        normalization[head.name] = (center, scale)
+        lo, hi = ranges[head.name]
+        ranges[head.name] = ((lo - center) / scale, (hi - center) / scale)
     plan.calibrate(calib)
     assert list(plan.ranges) == ["input", *(n.name for n in plan.nodes)]
     assert plan.ranges == ranges
-    assert plan.normalization == normalization
+    assert {n.name: (n.norm_center, n.norm_scale) for n in heads} == normalization
 
 
 def test_sweep_refuses_clips_of_unequal_length():
@@ -1006,7 +1006,7 @@ def bound_luts(draw):
         out_lo, out_hi = f.min() * draw(stretch), f.max() * draw(stretch)
         out_spec = EdgeSpec.from_range(out_lo, out_hi, bits=draw(st.integers(1, 16)),
                                        signed=out_lo < 0.0)
-    node = node.bind({"src": in_spec}, None, lambda name: out_spec, {"lut": norm})
+    node = node.bind({"src": in_spec}, None, lambda name: out_spec)
 
     b, c = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     t = -(-(hi - lo + 1) // (b * c))

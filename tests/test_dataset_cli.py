@@ -597,6 +597,31 @@ def test_cli_dataset_skips_exit_code(tmp_path, capsys):
         "alpha/alpha_1.wav\n")
 
 
+@pytest.mark.parametrize("name, size, reason", [
+    ("broken", 30, "file cut short: unpack requires a buffer of 16 bytes"),
+    ("cut", 50, "file cut short: Reached EOF prematurely; finished at 50 bytes, "
+                "expected 2028 bytes from header."),
+], ids=["cut-header", "cut-data"])
+def test_cli_dataset_skips_a_truncated_wav(tmp_path, capsys, name, size, reason):
+    """A WAV cut short in its header or its data is skipped with one line,
+    neither aborting the run nor joining it as a clip of a few samples."""
+    root = tmp_path / "data"
+    make_dataset(root, per_class=4)
+    good = tmp_path / "good.wav"
+    wavfile.write(good, FS, np.ones(992, dtype=np.int16))
+    path = root / "alpha" / f"{name}.wav"
+    path.write_bytes(good.read_bytes()[:size])
+    out = tmp_path / "out"
+    code = main(["descriptors", "--dataset", str(root), "--window", "64",
+                 "--hop", "32", "--n-mels", "8", "--n-gammatone", "8",
+                 "--bits", "5,6,4,5", "--calib-fraction", "0.25",
+                 "--out", str(out)])
+    assert capsys.readouterr().err == f"skipped: {path}: {reason}\n"
+    assert code == EXIT_SKIPS
+    rows = (out / "descriptors.csv").read_text().splitlines()[1:]
+    assert name not in {r.split(",")[0] for r in rows}
+
+
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

@@ -47,6 +47,12 @@ def descriptor_graph(approx=Conventional(), calib=None):
     return plan, plan.realize(DBITS)
 
 
+def head_constants(plan) -> dict:
+    """Each normalize head's (center, scale), as calibration set them."""
+    return {n.name: (n.norm_center, n.norm_scale) for n in plan.nodes
+            if n.name in DESCRIPTOR_NAMES}
+
+
 def raw_descriptors(graph, values) -> dict:
     """Un-normalized descriptors: the inputs of the normalize lookups."""
     return {n: float(values[graph.node(n).src]) for n in DESCRIPTOR_NAMES}
@@ -104,7 +110,7 @@ def test_normalization_constants():
     runs = [graph.run_clear(b) for b in calib]
     for name in DESCRIPTOR_NAMES:
         raw = np.array([raw_descriptors(graph, v)[name] for v in runs])
-        center, scale = plan.normalization[name]
+        center, scale = head_constants(plan)[name]
         assert center == pytest.approx(raw.mean(), rel=1e-12)
         assert scale == pytest.approx(raw.std(), rel=1e-12)
         z = np.array([float(v[name]) for v in runs])
@@ -112,7 +118,7 @@ def test_normalization_constants():
         assert z.std() == pytest.approx(1.0, rel=1e-12)
     # constant descriptor: scale falls back to 1 instead of dividing by zero
     flat, _ = descriptor_graph(calib=[AudioBuffer(np.zeros(992), FS)] * 3)
-    assert flat.normalization == {n: (0.0, 1.0) for n in DESCRIPTOR_NAMES}
+    assert head_constants(flat) == {n: (0.0, 1.0) for n in DESCRIPTOR_NAMES}
 
 
 def test_fit_normalization_matches_manual():
@@ -121,15 +127,39 @@ def test_fit_normalization_matches_manual():
     bufs = [noise_buf(s, scale=0.2 + 0.1 * s) for s in range(4)]
     plan, graph = descriptor_graph(calib=bufs)
     raws = [raw_descriptors(graph, graph.run_clear(b)) for b in bufs]
+    constants = head_constants(plan)
     for name in DESCRIPTOR_NAMES:
         vals = np.array([r[name] for r in raws], dtype=np.float64)
-        assert plan.normalization[name] == (float(vals.mean()), float(vals.std()))
+        assert constants[name] == (float(vals.mean()), float(vals.std()))
         lut = graph.node(name)
-        assert (lut.norm_center, lut.norm_scale) == plan.normalization[name]
+        assert (lut.norm_center, lut.norm_scale) == constants[name]
     z = graph.run_clear(bufs[0])["descriptor_vector"]
-    want = [(raws[0][n] - plan.normalization[n][0]) / plan.normalization[n][1]
+    want = [(raws[0][n] - constants[n][0]) / constants[n][1]
             for n in DESCRIPTOR_NAMES]
     assert np.array_equal(z, want)
+
+
+def test_calibration_is_repeatable_and_all_or_nothing():
+    """Calibrating again on the same clips gives the same plan, and a
+    calibration that fails part-way leaves the plan as it was."""
+    calib = [noise_buf(s, scale=0.2 + 0.1 * s) for s in range(4)]
+    evalu = [noise_buf(10 + s) for s in range(3)]
+    plan, _ = descriptor_graph(calib=calib)
+
+    def state():
+        graph = plan.realize(DBITS)
+        return (dict(plan.ranges), head_constants(plan), graph.to_json(),
+                [graph.execute(b).output.data.tobytes() for b in evalu],
+                [graph.run_clear(b)["descriptor_vector"].tobytes() for b in evalu])
+
+    before = state()
+    assert plan.calibrate(calib) is plan
+    assert state() == before
+    # a louder clip would widen every range, had the failed forward kept it
+    wrong_rate = AudioBuffer(calib[0].samples, FS // 2)
+    with pytest.raises(CircuitError, match="sample rate mismatch"):
+        plan.calibrate([noise_buf(20, scale=2.0), wrong_rate])
+    assert state() == before
 
 
 def test_descriptor_graph_refuses_another_frame_count():
@@ -142,7 +172,7 @@ def test_descriptor_graph_refuses_another_frame_count():
         sweep = Sweep(plan, [buf])
         sweep.realize(DBITS)
         if frames == N_FRAMES:
-            assert np.array_equal(sweep.execute().dequantized[0],
+            assert np.array_equal(sweep.execute()[0],
                                   graph.execute(buf).dequantized)
             continue
         for run in (lambda: graph.execute(buf), sweep.execute):

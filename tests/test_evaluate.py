@@ -504,10 +504,7 @@ def test_sweep_equals_fresh_realizes(approx, widths, data):
         assert graph.check_budget().as_dict() == want_report
         got = sweep.execute()
         for i, ref in enumerate(refs):
-            assert np.array_equal(got.output.data[i], ref.output.data)
-            assert np.array_equal(got.dequantized[i], ref.dequantized)
-        assert got.observed == {name: max(ref.observed[name] for ref in refs)
-                                for name in refs[0].observed}
+            assert np.array_equal(got[i], ref.dequantized)
 
     sweep = Sweep(descriptor_plan(calib, approx), evalu)
     visited = []
@@ -521,8 +518,8 @@ def test_sweep_equals_fresh_realizes(approx, widths, data):
                    for n in sweep.plan.nodes for s in n.inputs)
         for slot in slots.values():
             # a kept value spans the whole batch of evaluation clips
-            if slot.value is not None and slot.value[0] is not None:
-                assert len(slot.value[0]) == len(evalu)
+            if isinstance(slot.value, np.ndarray):
+                assert len(slot.value) == len(evalu)
         check(bits, graph, violation, sweep)
     assert sorted(visited) == configs
 
