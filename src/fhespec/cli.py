@@ -107,6 +107,9 @@ SETTINGS = {
 
 # The commands that score clips of the evaluation split.
 EVALUATING = ("spectrogram", "descriptors", "stattest", "gridsearch")
+# The commands whose descriptors take statistics over time, which need two
+# frames of each clip (see `build_descriptor_plan`); the others need one.
+DESCRIBING = ("descriptors", "stattest", "gridsearch")
 
 
 class CliError(ValueError):
@@ -208,8 +211,11 @@ def resolve_settings(args) -> dict:
     settings["bits_config"] = parse_bits(settings["bits"])
     if args.command == "gridsearch":  # the only command that reads the grid
         settings["grid_configs"] = parse_grid(settings["grid"])
-    settings["stft_config"] = StftConfig(window_length=settings["window"],
-                                         hop=settings["hop"])
+    cfg = settings["stft_config"] = StftConfig(window_length=settings["window"],
+                                               hop=settings["hop"])
+    # a dataset file shorter than this is skipped
+    settings["min_samples"] = cfg.window_length + (
+        cfg.hop if args.command in DESCRIBING else 0)
     settings["mel_spec"] = MelSpec(n_mels=settings["n_mels"])
     settings["gamma_spec"] = GammatoneSpec(n_filters=settings["n_gammatone"])
     return settings
@@ -218,7 +224,9 @@ def resolve_settings(args) -> dict:
 def gather_clips(settings) -> tuple[list, list, list]:
     """Return (calibration clips, evaluation clips, skip messages).
 
-    Single-file-class warnings from the split are printed to stderr.
+    A dataset file shorter than the command can use (`min_samples`) is
+    skipped.  Single-file-class warnings from the split are printed to
+    stderr.
     """
     if settings.get("synthetic"):
         items = synthetic_clips(str(settings["synthetic"]), settings["clips"],
@@ -226,13 +234,15 @@ def gather_clips(settings) -> tuple[list, list, list]:
                                 settings["duration"])
         skips = []
     elif settings.get("dataset"):
-        items, skips = ingest(settings["dataset"], settings["sample_rate"])
-        if not items:
-            raise CliError("all dataset files were skipped")
+        items, skips = ingest(settings["dataset"], settings["sample_rate"],
+                              settings["min_samples"])
     else:
         raise CliError("need either --dataset or --synthetic")
+    # the split refuses a bad fraction or seed first, even with no clips
     calib, evalu, warnings = split_clips(items, settings["calib_fraction"],
                                          settings["seed"])
+    if not items:
+        raise CliError("all dataset files were skipped")
     for msg in warnings:
         print(f"warning: {msg}", file=sys.stderr)
     return calib, evalu, skips

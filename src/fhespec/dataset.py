@@ -6,9 +6,10 @@ one more level of sub-class directories, which share their class's label);
 `ingest` decodes each file once and keeps the buffer.  A clip's file id is
 its file name without the extension, so it must be unique across classes.
 A file that cannot be decoded, whose sample rate differs from the
-configured rate or whose id an earlier file took is skipped instead of
-aborting the run: `ingest` returns one "path: reason" line for it next to
-the clips.  There is no resampling or down-mixing.
+configured rate, that is shorter than the run can use or whose id an
+earlier file took is skipped instead of aborting the run: `ingest` returns
+one "path: reason" line for it next to the clips.  There is no resampling
+or down-mixing.
 """
 
 from __future__ import annotations
@@ -74,8 +75,10 @@ def write_wav(path, buf: AudioBuffer) -> None:
                   buf.samples.astype(np.float32))
 
 
-def ingest(root, sample_rate_hz: int) -> tuple[list, list]:
-    """Decode a directory-per-class tree: (clips, "path: reason" skip lines)."""
+def ingest(root, sample_rate_hz: int, min_samples: int = 1) -> tuple[list, list]:
+    """Decode a directory-per-class tree: (clips, "path: reason" skip lines).
+
+    A file of fewer than `min_samples` samples is skipped."""
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
@@ -94,6 +97,10 @@ def ingest(root, sample_rate_hz: int) -> tuple[list, list]:
             buf = read_wav(wav_path, expected_rate_hz=sample_rate_hz)
         except ValueError as exc:  # DatasetError, SignalError or undecodable
             skips.append(f"{wav_path}: {exc}")
+            continue
+        if len(buf) < min_samples:
+            skips.append(f"{wav_path}: {len(buf)} samples, fewer than the "
+                         f"{min_samples} a clip needs")
             continue
         used[wav_path.stem] = rel.as_posix()
         clips.append(Clip(file_id=wav_path.stem, label=rel.parts[0], buffer=buf))

@@ -43,7 +43,7 @@ from fhespec.dataset import (
 )
 from fhespec.quant import BitWidthConfig
 from fhespec.evaluate import SIGNIFICANCE_LEVEL
-from fhespec.transforms import N_MFCC, AudioBuffer, GammatoneSpec, MelSpec
+from fhespec.transforms import N_MFCC, AudioBuffer, GammatoneSpec, MelSpec, StftConfig
 
 FS = 16000
 
@@ -620,6 +620,46 @@ def test_cli_dataset_skips_a_truncated_wav(tmp_path, capsys, name, size, reason)
     assert code == EXIT_SKIPS
     rows = (out / "descriptors.csv").read_text().splitlines()[1:]
     assert name not in {r.split(",")[0] for r in rows}
+
+
+@pytest.mark.parametrize("command, need", [("descriptors", 256 + 128),
+                                           ("spectrogram", 256)])
+def test_cli_dataset_skips_a_wav_shorter_than_the_command_uses(
+        tmp_path, capsys, command, need):
+    """A complete WAV of 3 samples next to 0.5 s clips is skipped with one
+    line, and the run goes on over the other clips at their own length
+    (the descriptors need two frames, a spectrogram one), where it used to
+    trim every clip to 3 samples and fail."""
+    root = tmp_path / "data"
+    make_dataset(root, per_class=4, n=FS // 2)
+    short = root / "beta" / "short.wav"
+    wavfile.write(short, FS, np.array([1, -2, 3], dtype=np.int16))
+    out = tmp_path / "out"
+    code = main([command, "--dataset", str(root), "--window", "256", "--hop", "128",
+                 "--n-mels", "32", "--n-gammatone", "32", "--out", str(out)])
+    assert capsys.readouterr().err == (
+        f"skipped: {short}: 3 samples, fewer than the {need} a clip needs\n")
+    assert code == EXIT_SKIPS
+    if command == "descriptors":
+        rows = (out / "descriptors.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 6  # 8 clips, one of each class calibrates
+    else:
+        frames = StftConfig(256, 128).frame_count(FS // 2)
+        written = [p for p in out.glob("*_fhe.csv")]
+        assert len(written) == 6
+        assert all(len(p.read_text().splitlines()) == frames for p in written)
+
+
+def test_ingest_skips_files_shorter_than_min_samples(tmp_path):
+    root = tmp_path / "data"
+    (root / "alpha").mkdir(parents=True)
+    for n in (383, 384, 385):
+        write_wav(root / "alpha" / f"n{n}.wav", AudioBuffer(np.zeros(n), FS))
+    clips, skips = ingest(root, FS, min_samples=384)
+    assert [c.file_id for c in clips] == ["n384", "n385"]
+    assert skips == [f"{root / 'alpha' / 'n383.wav'}: 383 samples, fewer than "
+                     "the 384 a clip needs"]
+    assert len(ingest(root, FS)[0]) == 3
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):

@@ -869,3 +869,85 @@ def test_write_matrix_csv_bytes_equal_savetxt(rows, cols, values, exponent, spec
     want = io.BytesIO()
     np.savetxt(want, x, fmt="%.9e", delimiter=",")
     assert path.read_bytes() == want.getvalue()
+
+
+def _assert_written_like_savetxt(tmp_path, x):
+    path = tmp_path / "matrix.csv"
+    write_matrix_csv(path, x)
+    want = io.BytesIO()
+    np.savetxt(want, x, fmt="%.9e", delimiter=",")
+    assert path.read_bytes() == want.getvalue()
+
+
+def _with_neighbours(x, ulps=3):
+    """`x`, the floats 1..`ulps` steps above and below each value, and all
+    of them negated, as one 16-column matrix (padded with zeros)."""
+    up = down = np.asarray(x, dtype=np.float64)
+    ring = [up]
+    with np.errstate(over="ignore"):  # the largest float's next is inf
+        for _ in range(ulps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            ring += [up, down]
+    v = np.concatenate(ring)
+    v = np.concatenate([v, -v])
+    return np.concatenate([v, np.zeros(-v.size % 16)]).reshape(-1, 16)
+
+
+@pytest.mark.parametrize("x", [
+    np.zeros((0, 3)),
+    np.zeros((3, 0)),
+    np.random.default_rng(0).standard_normal((5, 7)).astype(np.float32),
+    np.array([[0, 1, -7, 123456789012], [2**53 + 1, -2**63, 2**63 - 1, 5]], dtype=np.int64),
+], ids=["rows-0", "cols-0", "float32", "int64"])
+def test_write_matrix_csv_edge_shapes_and_dtypes(x, tmp_path):
+    """An empty (0, k) matrix writes an empty file, a (k, 0) one k newlines,
+    and float32 and int64 values the text of their float64 values."""
+    _assert_written_like_savetxt(tmp_path, x)
+
+
+def test_write_matrix_csv_exact_at_ties(tmp_path):
+    """Floats at or next to a tie of the 10th digit: the nearest float to a
+    random 11-digit decimal ending in 5, at every exponent the fast path
+    writes and some it does not, the floats that are exact ties, and 1..3
+    ulps around each."""
+    rng = np.random.default_rng(7)
+    mantissas = rng.integers(10**9, 10**10, 4000).tolist()
+    exponents = rng.integers(-110, 110, 4000).tolist()
+    nearest = [float(f"{m}5e{k - 10}") for m, k in zip(mantissas, exponents)]
+    exact = [1.0029296875, 12345678905.0, 1234567890.5, 9999999999.5, 0.0029296875]
+    _assert_written_like_savetxt(tmp_path, _with_neighbours(nearest + exact))
+
+
+def test_write_matrix_csv_exact_at_powers_of_ten(tmp_path):
+    """Each 10^k for |k| <= 290, where log10 may be off by one, and the
+    mantissas that carry into the next power, 9.9999999995e k, with the
+    floats around them."""
+    powers = [float(f"1e{k}") for k in range(-290, 291)]
+    carries = [float(f"9.9999999995e{k}") for k in range(-290, 291)]
+    _assert_written_like_savetxt(tmp_path, _with_neighbours(powers + carries))
+
+
+def test_write_matrix_csv_exact_at_the_ends_of_the_range(tmp_path):
+    """The ends of the 2-digit exponents, the largest and smallest normals,
+    subnormals, zeros, nan and the infinities."""
+    info = np.finfo(np.float64)
+    ends = [1e99, 1e100, 1e-99, 1e-100, 9.9999999995e99, 9.9999999995e-100,
+            info.max, info.tiny, info.tiny / 2, info.smallest_subnormal,
+            123 * info.smallest_subnormal, 0.0, np.nan, np.inf]
+    _assert_written_like_savetxt(tmp_path, _with_neighbours(ends, ulps=1))
+
+
+def test_write_matrix_csv_exact_on_random_bit_patterns(tmp_path):
+    """float64 views of random 64-bit patterns: every sign, exponent and
+    class of value, nan payloads included."""
+    bits = np.random.default_rng(11).integers(0, 2**64, 2**16, dtype=np.uint64,
+                                              endpoint=False)
+    _assert_written_like_savetxt(tmp_path, bits.view(np.float64).reshape(-1, 32))
+
+
+def test_write_matrix_csv_formats_normal_values_in_numpy():
+    """All but a tiny share of ordinary values take the fast path: those
+    within 1e-5 of a tie, about 2 in 10^5."""
+    x = np.random.default_rng(5).standard_normal(10**5) * 10.0 ** np.arange(-50, 50).repeat(1000)
+    _, _, fast = evaluate._mantissas(np.abs(x))
+    assert fast.mean() >= 0.999
