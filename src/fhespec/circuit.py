@@ -20,7 +20,8 @@ on a signed edge.
 
 A `Sweep` realizes one plan at many configurations: with each node's depth
 learned once, a config rebinds only the nodes deeper than the prefix it
-shares with the last one, and the budget verdict is kept up to date.
+shares with the last one, the budget verdict is kept up to date, and an
+execution runs only the nodes rebound since the last one.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ class Node:
     the descriptor vector (B, 4).  `clear` and `run_int` treat the clips
     independently, so an observed magnitude is the maximum over the batch.
     `_forward` is the one loop that runs nodes, `clear` or `step` on a
-    batch, for calibration, both arms of a graph and the sweep alike.
+    batch, for calibration, both arms of a graph and the sweep's run lists
+    alike.
     """
 
     in_spec = out_spec = None
@@ -596,18 +598,16 @@ def _drop_lists(nodes: list) -> list:
 
 
 def _forward(nodes: list, drops: list, values: dict, clear: bool):
-    """Run, in order, each node of `nodes` whose value `values` lacks on the
-    batch in `values` (name -> value, 'input' included): `clear()` if
-    `clear`, else `step()`.  Yields (name, value, observed) for each node
-    run and, after running node k, drops from `values` the values named
-    by `drops[k]` (`_drop_lists(nodes)`)."""
+    """Run each node of `nodes`, in order, on the batch in `values` (name
+    -> value: 'input', or what the nodes read from outside `nodes`):
+    `clear()` if `clear`, else `step()`.  Yields (name, value, observed)
+    for each node and, after running node k, drops from `values` the
+    values named by `drops[k]` (`_drop_lists(nodes)`)."""
     for n, dead in zip(nodes, drops):
-        if n.name in values:
-            continue
         args = (values[s] for s in n.inputs)
         values[n.name], obs = (n.clear(*args), None) if clear else n.step(*args)
         for s in dead:
-            values.pop(s, None)
+            del values[s]
         yield n.name, values[n.name], obs
 
 
@@ -847,16 +847,25 @@ class _Slot:
     bound or run."""
 
     __slots__ = ("name", "plan_node", "depth", "keep", "node", "entry", "value")
-    DROPPED = "dropped"  # what `value` holds once the node ran and its value was let go
 
     def __init__(self, name: str, plan_node):
         self.name = name
         self.plan_node = plan_node  # the plan's node; None for 'input'
         self.depth = None  # the SWEEP_ORDER prefix length holding every width the node reads
-        self.keep = None  # whether `execute` keeps the value, not only `DROPPED`
+        self.keep = None  # whether `execute` keeps the value
         self.node = None  # the bound node; for 'input', the input edge
         self.entry = None  # the bound node's budget entry
-        self.value = None  # the value over the sweep's clips, or `DROPPED`
+        self.value = None  # the kept value over the sweep's clips
+
+
+class _RunList(NamedTuple):
+    """What `Sweep.execute` runs once every slot deeper than a prefix
+    length k was rebound: the nodes deeper than k, in plan order."""
+
+    nodes: list  # the nodes' indices in the plan
+    drops: list  # `_drop_lists` of those nodes
+    reads: list  # the names of the kept values they read, no deeper than k
+    input: bool  # whether the input edge reruns (k = 0)
 
 
 class Sweep:
@@ -872,9 +881,10 @@ class Sweep:
     inputs have, whichever is deeper.  Which widths a bind reads is a
     property of the plan, so the sweep learns every depth once, from the
     first realize whose binds all complete, through a recording `_ReadLog`,
-    and from the depths, the slots deeper than each prefix length and the
-    keep flags `execute` reads.  Each node has one slot: its depth, the
-    bound node, its budget entry and, once executed, its batched value.
+    and from the depths, for each prefix length, the slots deeper than it
+    (`rebind`) and the `_RunList` that reruns their nodes (`runs`), and the
+    keep flags.  Each node has one slot: its depth, the bound node, its
+    budget entry and, once executed, its batched value if it is kept.
 
     One rule decides reuse: `realize` keeps a slot iff its depth is at
     most the length of the `SWEEP_ORDER` prefix the config shares with
@@ -885,8 +895,11 @@ class Sweep:
     input.  A config costs what its changed nodes cost: `realize` walks
     only the slots deeper than the shared prefix, the verdict is the set
     of slots whose entry violates the budget (the report is built only for
-    a refusal), `execute` runs only the slots with no value, and each
-    quantized edge is computed once per range and width.
+    a refusal), `execute` runs only the run list of `pending`, and each
+    quantized edge is computed once per range and width.  `pending` is
+    the shortest prefix shared by a realize since the last execution; the
+    `rebind` lists are nested, so its list holds every slot rebound since
+    then, those of refused configs and failed binds included.
 
     `visit` realizes configs sorted by the fields in `SWEEP_ORDER`, so
     consecutive configs share the longest prefix.  `PipelinePlan.realize`
@@ -904,6 +917,8 @@ class Sweep:
         self.node_slots = [self.slots[n.name] for n in plan.nodes]
         self.drops = _drop_lists(plan.nodes)
         self.rebind: list | None = None  # prefix length -> the slots deeper than it
+        self.runs: list | None = None  # prefix length -> its `_RunList`
+        self.pending = 0  # the shortest prefix shared by a realize since the last execute
         self.violating: set = set()  # names of the slots whose entry violates the budget
         self.specs: dict = {}  # name -> the output edge of the node in its slot
         self.edges: dict = {}  # (group of node names, width) -> EdgeSpec
@@ -932,15 +947,22 @@ class Sweep:
 
     def _learn(self) -> None:
         """With every depth known: the slots deeper than each prefix length,
-        and each slot's keep flag.  A slot keeps its value for the output,
-        and for a node with a deeper reader, since only such a reader can
-        run again while the node is reused."""
-        slots = self.slots
-        self.rebind = [[s for s in slots.values() if s.depth > k]
-                       for k in range(len(SWEEP_ORDER) + 1)]
+        their run list, and each slot's keep flag.  A slot keeps its value
+        for the output, and for a node with a deeper reader, since only
+        such a reader can run again while the node is reused; so what a run
+        list reads from outside it is kept."""
+        slots, nodes = self.slots, self.plan.nodes
+        self.rebind, self.runs = [], []
+        for k in range(len(SWEEP_ORDER) + 1):
+            self.rebind.append([s for s in slots.values() if s.depth > k])
+            run = [i for i, s in enumerate(self.node_slots) if s.depth > k]
+            reads = dict.fromkeys(s for i in run for s in nodes[i].inputs
+                                  if slots[s].depth <= k)
+            self.runs.append(_RunList(run, _drop_lists([nodes[i] for i in run]),
+                                      list(reads), slots["input"].depth > k))
         for slot in slots.values():
             slot.keep = slot.name == self.plan.output_node
-        for n in self.plan.nodes:
+        for n in nodes:
             for s in n.inputs:
                 slots[s].keep = slots[s].keep or slots[n.name].depth > slots[s].depth
 
@@ -956,6 +978,7 @@ class Sweep:
         last, self.realized = self.realized, None  # None stays if a bind raises
         shared = 0 if last is None else next(
             (i for i, (a, b) in enumerate(zip(config, last)) if a != b), len(config))
+        self.pending = min(self.pending, shared)
         learning = self.rebind is None
         widths = _ReadLog(bits) if learning else bits
         edge = partial(self._edge, widths)
@@ -1003,22 +1026,26 @@ class Sweep:
 
     def execute(self) -> np.ndarray:
         """The dequantized output of the graph realized last over all clips,
-        leading with the clip axis.  The forward runs only the nodes whose
-        slot is empty: a slot holds the value, or `DROPPED` where the keep
-        flag let it go, which no reader that runs needs.  What a run
-        computes is stored once the whole run succeeded, so a failed run
-        leaves every slot as it was."""
+        leading with the clip axis.  The forward runs the run list of
+        `pending`, the nodes rebound since the last execution, on the kept
+        values it reads.  The values a run computes and keeps are stored
+        once the whole run succeeded, so a failed run leaves every slot and
+        `pending` as they were."""
         graph, slots = self.graph, self.slots
         if graph is None:
             raise CircuitError("the sweep has no realized graph to execute")
-        values = {name: s.value for name, s in slots.items() if s.value is not None}
-        computed: dict = {}  # name -> its value in this run
-        if "input" not in values:
-            values["input"] = computed["input"] = graph.input_spec.to_v(self._samples())
-        for name, v, _ in _forward(graph.nodes, self.drops, values, clear=False):
-            computed[name] = v
-        for name, v in computed.items():
-            slots[name].value = v if slots[name].keep else _Slot.DROPPED
+        run = self.runs[self.pending]
+        values = {s: slots[s].value for s in run.reads}
+        kept: dict = {}  # name -> its value in this run, for the slots that keep it
+        if run.input:
+            values["input"] = kept["input"] = graph.input_spec.to_v(self._samples())
+        nodes = [graph.nodes[i] for i in run.nodes]
+        for name, v, _ in _forward(nodes, run.drops, values, clear=False):
+            if slots[name].keep:
+                kept[name] = v
+        for name, v in kept.items():
+            slots[name].value = v
+        self.pending = len(SWEEP_ORDER)
         out = slots[self.plan.output_node]
         return out.node.out_spec.to_float(out.value)
 

@@ -15,6 +15,7 @@ skipped files, 1 failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -110,6 +111,35 @@ EVALUATING = ("spectrogram", "descriptors", "stattest", "gridsearch")
 # The commands whose descriptors take statistics over time, which need two
 # frames of each clip (see `build_descriptor_plan`); the others need one.
 DESCRIBING = ("descriptors", "stattest", "gridsearch")
+
+
+# glibc's malloc serves a request at or above its mmap threshold with a
+# fresh mapping, and gives the freed top of its heap back to the kernel once
+# it exceeds the trim threshold.  By default both move: freeing a mapped
+# chunk raises the mmap threshold to that chunk's size and sets the trim
+# threshold to twice it.  A sweep step frees several same-size arrays at
+# once (on `grid`, (5, 30, 258) int64 arrays, 309,600 B), which crosses the
+# moving trim threshold, so the heap shrinks and the next step faults the
+# same pages in again.  Fixed thresholds keep the heap between steps;
+# setting either one alone turns off the adjustment of both, and each alone
+# faults more than the defaults.
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 256 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def fix_allocator_thresholds() -> None:
+    """Set the C allocator's mmap and trim thresholds to the fixed values
+    above, through glibc's `mallopt`; where the C library has none, do
+    nothing.  Only the CLI process calls it: it owns its allocator, and a
+    program importing `fhespec` keeps its own."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 class CliError(ValueError):
@@ -420,6 +450,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    fix_allocator_thresholds()
     args = build_parser().parse_args(argv)
     try:
         settings = resolve_settings(args)

@@ -195,19 +195,18 @@ def stft_kernels(cfg: StftConfig, window: np.ndarray) -> KernelBank:
     """Kernel bank for the conventional STFT.
 
     kernel_re[k, j] = w(j) * cos(2*pi*k*j/N); kernel_im[k, j] = -w(j) * sin(...).
-    Both halves are written into the one (2K, N) array in place.
+    The phases 2*pi*k*j/N are computed in the imaginary half, and both
+    halves are written in place, so the (2K, N) bank is the only array of
+    its size this allocates.
     """
     n, bins = cfg.window_length, cfg.bins
     window = np.asarray(window, dtype=np.float64)
-    # The phases could go in the imaginary half, but freeing this temporary
-    # raises glibc's dynamic mmap threshold: without it, the later per-clip
-    # arrays are mapped afresh each time, and `stattest` takes 2.5x the
-    # page faults and 10% more time.
-    phase = 2.0 * np.pi * np.arange(bins)[:, None] * np.arange(n) / n
     kernels = np.empty((2 * bins, n))
     re, im = kernels[:bins], kernels[bins:]
-    np.cos(phase, out=re)
-    np.sin(phase, out=im)
+    np.multiply(2.0 * np.pi * np.arange(bins)[:, None], np.arange(n), out=im)
+    im /= n
+    np.cos(im, out=re)
+    np.sin(im, out=im)
     re *= window
     im *= -window
     return KernelBank(cfg=cfg, window=window, kernels=kernels)

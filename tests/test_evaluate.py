@@ -1,10 +1,15 @@
 """Evaluation tests: distance, rank test vs scipy, discovery, grid search."""
 
+import ctypes
 import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu, rankdata
 
 from fhespec.approx import Conventional, Dilation, L1Energy, Poorman
-from fhespec import circuit, evaluate
+from fhespec import circuit, cli, evaluate
 from fhespec.circuit import (
     DESCRIPTOR_NAMES,
     BudgetViolation,
@@ -799,6 +804,72 @@ def test_transform_distance_search_scores_each_config_before_the_next_executes(
     scored = transform_distance_search(space, plan, evalu)
     assert len(scored) == len(space)
     assert events == (["execute"] + ["distance"] * len(evalu)) * len(space)
+
+
+# Allocator policy -------------------------------------------------------------
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# The `grid` workload's setup (see perfbench/workloads.py), searched twice in
+# one process under the CLI's allocator policy: prints the minor page faults
+# of each pass.
+FAULT_PROBE = """
+import resource, sys
+from fhespec import cli
+from fhespec.evaluate import grid_search
+cli.fix_allocator_thresholds()
+settings = cli.resolve_settings(cli.build_parser().parse_args(sys.argv[1:]))
+calib, evalu, _ = cli.gather_clips(settings)
+plan, evalu = cli._descriptor_plan(settings, calib, evalu)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    grid_search(settings["grid_configs"], plan, [c.buffer for c in evalu])
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+GRID_ARGV = ("gridsearch", "--grid", "full", "--synthetic", "tones,noise",
+             "--clips", "4", "--duration", "0.25", "--window", "256", "--hop", "128",
+             "--n-mels", "32", "--n-gammatone", "32", "--seed", "3")
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_warm_grid_search_faults_no_pages_in(tmp_path):
+    """Under the CLI's fixed allocator thresholds, a second search over the
+    `grid` workload keeps the heap the first one grew: its steps fault
+    (almost) no pages in.  Under glibc's moving thresholds each step that
+    frees its intermediate-width arrays gives the heap top back, and the
+    second pass faults about 9K pages.  It runs in a fresh interpreter, so
+    no earlier test has moved the thresholds."""
+    src = str(Path(sys.modules["fhespec"].__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE, *GRID_ARGV,
+                          "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    first, second = map(int, out.stdout.split())
+    assert second <= 256, (first, second)
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
+                         ids=["no-mallopt", "no-libc"])
+def test_allocator_policy_is_skipped_without_mallopt(monkeypatch, tmp_path, cdll):
+    """Where the C library has no `mallopt`, or none can be loaded, the
+    policy helper returns quietly and the CLI runs as before."""
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli.fix_allocator_thresholds() is None
+    code = cli.main(["budget", "--synthetic", "tones", "--clips", "4",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "budget.json").is_file()
 
 
 # Report emission --------------------------------------------------------------
