@@ -24,8 +24,8 @@ from .transforms import (
     StftConfig,
     _row_blocks,
     frame_signal,
+    hann_window,
     stft_kernels,
-    stft_two_sided,
 )
 
 
@@ -131,21 +131,21 @@ def dilation_kernels(bank: KernelBank, rate: int | None, per_bin_cap: bool = Tru
     return _rewritten(bank, bank.halves * mask)
 
 
-def dilation_aliasing_residual(buf: AudioBuffer, cfg: StftConfig,
-                               window: np.ndarray, rate: int) -> float:
+def dilation_aliasing_residual(buf: AudioBuffer, cfg: StftConfig, rate: int) -> float:
     """Max deviation from the aliasing identity for a uniform dilation rate.
 
-    On the two-sided DFT, keeping every `rate`-th tap (rate dividing N, no
-    per-bin cap) equals the average of the full spectrum over `rate` copies
-    shifted by N/rate bins: X_d[m, k] = (1/d) * sum_j X[m, k - j*N/d].
-    Returns the maximum absolute difference between the two sides.
+    On the two-sided DFT of the Hann-windowed frames, keeping every
+    `rate`-th tap (rate dividing N, no per-bin cap) equals the average of
+    the full spectrum over `rate` copies shifted by N/rate bins:
+    X_d[m, k] = (1/d) * sum_j X[m, k - j*N/d].  Returns the maximum
+    absolute difference between the two sides.
     """
     n = cfg.window_length
     if rate < 1 or n % rate != 0:
         raise ApproxError("aliasing identity needs a rate dividing N")
-    mask = (np.arange(n) % rate == 0).astype(np.float64)
-    dilated = stft_two_sided(buf, cfg, window, tap_mask=mask)
-    full = stft_two_sided(buf, cfg, window)
+    frames = frame_signal(buf.samples, n, cfg.hop) * hann_window(n)
+    dilated = np.fft.fft(frames * dilation_mask(n, 1, rate, per_bin_cap=False)[0], axis=1)
+    full = np.fft.fft(frames, axis=1)
     shift = n // rate
     predicted = sum(np.roll(full, j * shift, axis=1) for j in range(rate)) / rate
     return float(np.max(np.abs(dilated - predicted)))
@@ -179,15 +179,14 @@ def fd_window(k: int, n: int, n_min: int) -> np.ndarray:
     return w
 
 
-def fd_kernels(cfg: StftConfig, window: np.ndarray, n_min: int) -> KernelBank:
-    """Each bin's bare complex coefficients under its own `fd_window`;
-    `window` is the bank's nominal window."""
+def fd_kernels(cfg: StftConfig, n_min: int) -> KernelBank:
+    """Each bin's bare complex coefficients under its own `fd_window`."""
     n = cfg.window_length
     windows = np.vstack([fd_window(k, n, n_min) for k in range(cfg.bins)])
     bank = stft_kernels(cfg, np.ones(n))  # bare complex coefficients
     halves = bank.halves
     halves *= windows
-    return bank._replace(window=np.asarray(window, dtype=np.float64))
+    return bank
 
 
 # Poorman ---------------------------------------------------------------------
@@ -240,10 +239,10 @@ def _project_grid(n: int, bins: int, roots: int) -> np.ndarray:
     return grid
 
 
-def poorman_kernels(cfg: StftConfig, window: np.ndarray, roots: int) -> KernelBank:
-    """The window times each tap's projected root, gathered by index from
-    the `roots` distinct roots, a row block at a time."""
-    window = np.asarray(window, dtype=np.float64)
+def poorman_kernels(cfg: StftConfig, roots: int) -> KernelBank:
+    """The Hann window times each tap's projected root, gathered by index
+    from the `roots` distinct roots, a row block at a time."""
+    window = hann_window(cfg.window_length)
     l = _project_grid(cfg.window_length, cfg.bins, roots)
     root = poorman_root(np.arange(roots), roots)
     kernels = np.empty((2 * cfg.bins, cfg.window_length))
@@ -251,7 +250,7 @@ def poorman_kernels(cfg: StftConfig, window: np.ndarray, roots: int) -> KernelBa
     for r in _row_blocks(*l.shape):
         np.multiply(window, root.real[l[r]], out=re[r])
         np.multiply(window, root.imag[l[r]], out=im[r])
-    return KernelBank(cfg=cfg, window=window, kernels=kernels)
+    return KernelBank(cfg=cfg, kernels=kernels)
 
 
 # Cropping --------------------------------------------------------------------
@@ -275,15 +274,15 @@ def crop_kernels(bank: KernelBank, sample_rate_hz: int, f_min: float,
 
 # Kernel bank dispatch --------------------------------------------------------
 
-def approx_kernels(spec: ApproxSpec, cfg: StftConfig, window: np.ndarray,
-                   sample_rate_hz: int) -> KernelBank:
-    """Kernel bank implementing the requested STFT formulation.  The
-    conventional bank is built only for the rewrites that start from it."""
+def approx_kernels(spec: ApproxSpec, cfg: StftConfig, sample_rate_hz: int) -> KernelBank:
+    """Kernel bank implementing the requested STFT formulation on Hann
+    windows.  The conventional bank is built only for the rewrites that
+    start from it."""
     if isinstance(spec, FreqAdaptiveWindow):
-        return fd_kernels(cfg, window, spec.n_min)
+        return fd_kernels(cfg, spec.n_min)
     if isinstance(spec, Poorman):
-        return poorman_kernels(cfg, window, spec.roots)
-    base = stft_kernels(cfg, window)
+        return poorman_kernels(cfg, spec.roots)
+    base = stft_kernels(cfg, hann_window(cfg.window_length))
     if isinstance(spec, (Conventional, L1Energy)):
         return base
     if isinstance(spec, Dilation):
@@ -306,8 +305,7 @@ class BoundReport(NamedTuple):
         return bool(np.all(self.satisfied))
 
 
-def poorman_bound_report(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
-                         roots: int) -> BoundReport:
+def poorman_bound_report(buf: AudioBuffer, cfg: StftConfig, roots: int) -> BoundReport:
     """Per-(m, k) poorman error against the k-independent per-frame bound.
 
     The bound is 2*|sin(pi/2L)| * ||x_frame||_2 * ||w||_2.  Each projected
@@ -317,13 +315,14 @@ def poorman_bound_report(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
     The norms factor separately; bounding the windowed product's norm alone
     would not survive the worst case.
     """
+    window = hann_window(cfg.window_length)
     base = stft_kernels(cfg, window)
-    poor = poorman_kernels(cfg, window, roots)
+    poor = poorman_kernels(cfg, roots)
     exact = base.apply(buf)
     approx = poor.apply(buf)
     err = np.hypot(exact.real - approx.real, exact.imag - approx.imag)
     frames = frame_signal(buf.samples, cfg.window_length, cfg.hop)
     energy = np.sqrt(np.sum(frames**2, axis=1))
-    w_norm = np.sqrt(np.sum(np.asarray(window) ** 2))
+    w_norm = np.sqrt(np.sum(window**2))
     bound = 2.0 * abs(np.sin(np.pi / (2.0 * roots))) * energy * w_norm
     return BoundReport(bound=np.broadcast_to(bound[:, None], err.shape).copy(), empirical=err)

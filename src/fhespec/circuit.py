@@ -46,7 +46,6 @@ from .transforms import (
     dct_matrix,
     frame_signal,
     gammatone_kernels,
-    hann_window,
     mel_filterbank_matrix,
     MFCC_LOG_EPS,
     N_MFCC,
@@ -403,6 +402,9 @@ class MatmulNode(_DotNode):
         return self._dot(v.astype(np.float32))
 
 
+LUT_SEMANTICS = ("requant", "log", "sqrt", "normalize", "square", "abs")
+
+
 class LutNode(Node):
     """Elementwise lookup keyed on the incoming integer value: `run_int`
     evaluates `clear` on the codes it gets.  A lookup-table FHE backend
@@ -412,17 +414,19 @@ class LutNode(Node):
     'square' and 'abs' emit raw (un-requantized) integers so the cost
     contrast between l1 and squared energy is visible in the budget report;
     'requant', 'log', 'sqrt' and 'normalize' emit values on a quantized
-    edge.  'normalize' z-scores with the constants calibration sets on the
-    plan's node, which its bound copies share; the identity until then.
+    edge.  'normalize' z-scores with `norm_center` and `norm_scale`, class
+    defaults of the identity that only calibration sets on the plan's node,
+    which its bound copies share.
     """
 
-    def __init__(self, name: str, src: str, semantic: str, norm_center: float = 0.0,
-                 norm_scale: float = 1.0):
+    norm_center, norm_scale = 0.0, 1.0
+
+    def __init__(self, name: str, src: str, semantic: str):
+        if semantic not in LUT_SEMANTICS:
+            raise CircuitError(f"unknown LUT semantic {semantic!r}")
         self.name = name
         self.src = src
         self.semantic = semantic
-        self.norm_center = norm_center
-        self.norm_scale = norm_scale
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         if self.semantic == "square":
@@ -435,9 +439,7 @@ class LutNode(Node):
             return np.log(np.maximum(x, 0.0) + MFCC_LOG_EPS)
         if self.semantic == "sqrt":
             return np.sqrt(np.maximum(x, 0.0))
-        if self.semantic == "normalize":
-            return (x - self.norm_center) / self.norm_scale
-        raise CircuitError(f"unknown LUT semantic {self.semantic!r}")
+        return (x - self.norm_center) / self.norm_scale  # normalize
 
     def bind(self, specs, bits, edge):
         node = self._copy(in_spec=specs[self.src])
@@ -473,10 +475,14 @@ class ReduceNode(Node):
     """Integer sum (or mean, as a rescaled sum) over one axis."""
 
     def __init__(self, name: str, src: str, op: str, axis: str, fan_in: int | None = None):
+        if op not in ("sum", "mean"):
+            raise CircuitError(f"unknown reduce op {op!r}")
+        if axis not in ("pair", "channels", "time"):
+            raise CircuitError(f"unknown reduce axis {axis!r}")
         self.name = name
         self.src = src
-        self.op = op  # 'sum' | 'mean'
-        self.axis = axis  # 'pair' | 'channels' | 'time'
+        self.op = op
+        self.axis = axis
         self.fan_in = fan_in
 
     def _split(self, x: np.ndarray):
@@ -484,9 +490,7 @@ class ReduceNode(Node):
             return x.reshape(*x.shape[:-1], 2, x.shape[-1] // 2), -2
         if self.axis == "channels":
             return x, -1
-        if self.axis == "time":
-            return x, 1
-        raise CircuitError(f"unknown reduce axis {self.axis!r}")
+        return x, 1  # time
 
     def clear(self, x: np.ndarray) -> np.ndarray:
         arr, ax = self._split(x)
@@ -1088,7 +1092,7 @@ def _energy_head(nodes: list, src: str, approx: ApproxSpec, prefix: str,
 
 def _stft_power_nodes(approx: ApproxSpec, cfg: StftConfig,
                       sample_rate_hz: int) -> tuple[list, str]:
-    bank = approx_kernels(approx, cfg, hann_window(cfg.window_length), sample_rate_hz)
+    bank = approx_kernels(approx, cfg, sample_rate_hz)
     nodes = [
         ConvNode(name="stft_conv", src="input", weights_f=bank.kernels,
                  stride=cfg.hop),

@@ -42,6 +42,7 @@ from .circuit import (
 )
 from .dataset import (
     DatasetError,
+    SAMPLE_RATE_HZ,
     SYNTHETIC_KINDS,
     ingest,
     split_clips,
@@ -75,7 +76,6 @@ from .transforms import (
     SignalError,
     StftConfig,
     gammatone_center_freqs,
-    hann_window,
 )
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ SETTINGS = {
     "synthetic": (str, None, "|".join(SYNTHETIC_KINDS) + " (comma-combinable)"),
     "clips": (int, 30, "synthetic clips per kind"),
     "duration": (float, 1.0, "synthetic clip seconds"),
-    "sample_rate": (int, 16000, None),
+    "sample_rate": (int, SAMPLE_RATE_HZ, None),
     "window": (int, 1024, "STFT window length N"),
     "hop": (int, 256, "STFT hop length"),
     "n_mels": (int, N_MELS, None),
@@ -397,12 +397,10 @@ def cmd_gridsearch(settings, calib, evalu, out: Path) -> None:
 
 def cmd_validate_bounds(settings, calib, evalu, out: Path) -> None:
     cfg = settings["stft_config"]
-    window = hann_window(cfg.window_length)
     clips = (calib + evalu)[:20]
     poorman_ok = {}
     for roots in (2, 4, 6, 8, 16):
-        reports = [poorman_bound_report(c.buffer, cfg, window, roots)
-                   for c in clips]
+        reports = [poorman_bound_report(c.buffer, cfg, roots) for c in clips]
         poorman_ok[str(roots)] = {
             "all_satisfied": bool(all(r.all_satisfied for r in reports)),
             "max_ratio": float(max(np.max(r.empirical / np.maximum(r.bound, 1e-300))
@@ -412,8 +410,7 @@ def cmd_validate_bounds(settings, calib, evalu, out: Path) -> None:
     for rate in (2, 4, 8):
         if cfg.window_length % rate:
             continue
-        residual = max(dilation_aliasing_residual(c.buffer, cfg, window, rate)
-                       for c in clips)
+        residual = max(dilation_aliasing_residual(c.buffer, cfg, rate) for c in clips)
         aliasing[str(rate)] = {"max_residual": residual,
                                "satisfied": bool(residual < 1e-9)}
     doc = {"format_version": 1, "clips": len(clips),

@@ -148,21 +148,27 @@ def split_clips(items: list, fraction: float, seed: int) -> tuple[list, list, li
 # Synthetic corpora ------------------------------------------------------------
 
 SYNTHETIC_KINDS = ("tones", "noise", "chirps")
+SAMPLE_RATE_HZ = 16000  # the default rate of a synthetic corpus and of a run
+NYQUIST_FRACTION = 0.8  # synthetic frequencies are drawn up to this share of Nyquist
+TONE_LOW_HZ = 100.0  # lowest frequency of a tone
+CHIRP_END_LOW_HZ = 1000.0  # lowest end frequency of a chirp
 
-# Lowest sample rate of each kind: a tone's frequency is drawn from
-# [100 Hz, 0.4 * rate] and a chirp's end frequency from [1000 Hz, 0.4 * rate].
-MIN_SAMPLE_RATE_HZ = {"tones": 250, "noise": 1, "chirps": 2500}
+# Lowest sample rate of each kind: the one whose `rate / 2.0 * NYQUIST_FRACTION`
+# reaches the low end of the kind's frequency draw (250 and 2500 Hz at 0.8).
+MIN_SAMPLE_RATE_HZ = {"tones": math.ceil(TONE_LOW_HZ * 2.0 / NYQUIST_FRACTION),
+                      "noise": 1,
+                      "chirps": math.ceil(CHIRP_END_LOW_HZ * 2.0 / NYQUIST_FRACTION)}
 
 
 def _tone(rng, n, rate, amplitude):
-    freq = rng.uniform(100.0, rate / 2.0 * 0.8)
+    freq = rng.uniform(TONE_LOW_HZ, rate / 2.0 * NYQUIST_FRACTION)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     t = np.arange(n) / rate
     return amplitude * np.sin(2.0 * np.pi * freq * t + phase)
 
 
 def synthetic_clips(kind: str, count: int, seed: int,
-                    sample_rate_hz: int = 16000,
+                    sample_rate_hz: int = SAMPLE_RATE_HZ,
                     duration_s: float = 1.0) -> list:
     """Deterministic labelled synthetic audio.
 
@@ -205,7 +211,7 @@ def synthetic_clips(kind: str, count: int, seed: int,
             else:
                 label = "chirp"
                 f0 = rng.uniform(50.0, 500.0)
-                f1 = rng.uniform(1000.0, sample_rate_hz / 2.0 * 0.8)
+                f1 = rng.uniform(CHIRP_END_LOW_HZ, sample_rate_hz / 2.0 * NYQUIST_FRACTION)
                 x = np.sin(2.0 * np.pi * (f0 * t + (f1 - f0) * t**2 / (2.0 * duration_s)))
             clips.append(Clip(
                 file_id=f"{k}_{i:04d}", label=label,

@@ -137,19 +137,6 @@ def _row_blocks(rows: int, n: int) -> list:
     return [slice(r, r + step) for r in range(0, rows, step)]
 
 
-def stft_two_sided(buf: AudioBuffer, cfg: StftConfig, window: np.ndarray,
-                   tap_mask: np.ndarray | None = None) -> np.ndarray:
-    """Full N-bin DFT per frame, for the dilation aliasing identity check.
-
-    `tap_mask` optionally zeroes frame samples before the transform, which is
-    how the dilated formulation reads on the frame index.
-    """
-    frames = frame_signal(buf.samples, cfg.window_length, cfg.hop) * window
-    if tap_mask is not None:
-        frames = frames * tap_mask
-    return np.fft.fft(frames, axis=1)
-
-
 class KernelBank(NamedTuple):
     """Fixed convolution kernels realizing a (possibly approximate) STFT.
 
@@ -161,7 +148,6 @@ class KernelBank(NamedTuple):
     """
 
     cfg: StftConfig
-    window: np.ndarray
     kernels: np.ndarray
 
     @property
@@ -209,7 +195,7 @@ def stft_kernels(cfg: StftConfig, window: np.ndarray) -> KernelBank:
     np.sin(im, out=im)
     re *= window
     im *= -window
-    return KernelBank(cfg=cfg, window=window, kernels=kernels)
+    return KernelBank(cfg=cfg, kernels=kernels)
 
 
 # Mel scale (HTK formula) -----------------------------------------------------

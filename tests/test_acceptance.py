@@ -56,7 +56,6 @@ from fhespec.transforms import (
     GammatoneSpec,
     MelSpec,
     StftConfig,
-    hann_window,
 )
 
 FS = 16000
@@ -76,12 +75,11 @@ def test_phase_projection_error_bound_everywhere():
     that provably dominates the projection chords via Cauchy-Schwarz.)
     """
     cfg = StftConfig(256, 64)
-    window = hann_window(256)
     bufs = random_buffers(100, 4096, seed=100)
     worst = 0.0
     for roots in (2, 4, 6, 8, 16):
         for buf in bufs:
-            rep = poorman_bound_report(buf, cfg, window, roots)
+            rep = poorman_bound_report(buf, cfg, roots)
             assert rep.all_satisfied
             worst = max(worst, float(np.max(rep.empirical / rep.bound)))
     assert worst <= 1.0 + 1e-9
@@ -97,12 +95,10 @@ def test_uniform_dilation_aliasing_identity():
     random signals.
     """
     cfg = StftConfig(256, 64)
-    window = hann_window(256)
     worst = 0.0
     for buf in random_buffers(20, 2048, seed=101):
         for rate in (2, 4, 8):
-            worst = max(worst,
-                        dilation_aliasing_residual(buf, cfg, window, rate))
+            worst = max(worst, dilation_aliasing_residual(buf, cfg, rate))
     assert worst < 1e-9
     print(f"PASS: aliasing identity for d in (2,4,8); "
           f"max residual {worst:.3e}")

@@ -38,6 +38,7 @@ from fhespec.approx import (
 from fhespec.transforms import (
     AudioBuffer,
     StftConfig,
+    frame_signal,
     hann_window,
     stft_kernels,
 )
@@ -92,8 +93,15 @@ def test_dilation_per_bin_cap():
 
 def test_dilation_aliasing_identity_library_and_inline():
     buf = noise_buf(seed=11)
+    frames = frame_signal(buf.samples, 256, 64) * hann_window(256)
+    full = np.fft.fft(frames, axis=1)
     for rate in (2, 4, 8):
-        assert dilation_aliasing_residual(buf, CFG, WINDOW, rate) < 1e-9
+        residual = dilation_aliasing_residual(buf, CFG, rate)
+        assert residual < 1e-9
+        # the library runs the identity on the Hann window, bit for bit
+        lhs = np.fft.fft(frames * (np.arange(256) % rate == 0), axis=1)
+        rhs = sum(np.roll(full, j * 256 // rate, axis=1) for j in range(rate)) / rate
+        assert residual == float(np.max(np.abs(lhs - rhs)))
     # independent inline check for one rate using plain numpy fft
     rate, n = 4, 256
     frame = buf.samples[:n] * WINDOW
@@ -185,7 +193,7 @@ def test_project_grid_matches_scalar_projection():
 
 def test_poorman_kernels_nearest_root_per_tap():
     for roots in (2, 4, 8):
-        poor = poorman_kernels(CFG, WINDOW, roots)
+        poor = poorman_kernels(CFG, roots)
         k = np.arange(129)[:, None]
         j = np.arange(256)[None, :]
         target = np.exp(-2j * np.pi * k * j / 256)
@@ -198,23 +206,27 @@ def test_poorman_kernels_nearest_root_per_tap():
 
 def test_poorman_large_l_converges():
     base = stft_kernels(CFG, WINDOW)
-    poor = poorman_kernels(CFG, WINDOW, 1 << 20)
+    poor = poorman_kernels(CFG, 1 << 20)
     assert np.max(np.abs(poor.real - base.real)) < 1e-5
     assert np.max(np.abs(poor.imag - base.imag)) < 1e-5
 
 
 def test_poorman_k0_kernel():
-    poor = poorman_kernels(CFG, WINDOW, 4)
+    poor = poorman_kernels(CFG, 4)
     assert np.allclose(poor.real[0], WINDOW)
     assert np.allclose(poor.imag[0], 0.0)
 
 
 def test_poorman_bound_holds_and_error_shrinks():
     buf = noise_buf(4096, seed=14)
+    energy = np.sqrt(np.sum(frame_signal(buf.samples, 256, 64) ** 2, axis=1))
     prev = None
     for roots in (4, 8, 16, 32, 64):
-        rep = poorman_bound_report(buf, CFG, WINDOW, roots)
+        rep = poorman_bound_report(buf, CFG, roots)
         assert rep.all_satisfied
+        # 2*|sin(pi/2L)| * ||frame||_2 * ||w||_2 with w the Hann window, bit for bit
+        bound = 2.0 * abs(np.sin(np.pi / (2.0 * roots))) * energy * np.sqrt(np.sum(WINDOW**2))
+        assert np.array_equal(rep.bound, np.broadcast_to(bound[:, None], rep.bound.shape))
         total = float(np.linalg.norm(rep.empirical))
         if prev is not None:
             assert total <= prev + 1e-12
@@ -261,7 +273,7 @@ def test_approx_kernels_shape_invariant():
              FreqAdaptiveWindow(n_min=32), Poorman(roots=4), L1Energy(),
              Cropping()]
     for spec in specs:
-        bank = approx_kernels(spec, CFG, WINDOW, FS)
+        bank = approx_kernels(spec, CFG, FS)
         assert bank.real.shape == (129, 256)
         assert bank.imag.shape == (129, 256)
 
@@ -280,7 +292,7 @@ def test_spec_validation():
 
 
 def test_fd_kernels_use_narrow_windows():
-    fd = fd_kernels(CFG, WINDOW, 32)
+    fd = fd_kernels(CFG, 32)
     # top bin kernel support matches the narrow centered window
     w_top = fd_window(128, 256, 32)
     envelope = np.hypot(fd.real[128], fd.imag[128])
@@ -299,14 +311,13 @@ def test_rewrites_without_a_base_bank_build_none(spec, bound):
     import tracemalloc
 
     cfg = StftConfig(1024, 256)
-    window = hann_window(1024)
     w = 2 * cfg.bins * 1024 * 8
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        bank = approx_kernels(spec, cfg, window, FS)
+        bank = approx_kernels(spec, cfg, FS)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
@@ -327,7 +338,7 @@ def test_approx_kernels_equal_the_half_formulas_bit_for_bit(n):
              Poorman(roots=4), Poorman(roots=3), L1Energy(),
              Cropping(f_min_hz=300.0, f_max_hz=4000.0))
     for spec in specs:
-        bank = approx_kernels(spec, cfg, window, FS)
+        bank = approx_kernels(spec, cfg, FS)
         real, imag = kernel_halves(spec, cfg, window, FS)
         assert bank.kernels.shape == (2 * cfg.bins, n), spec
         assert bank.real.tobytes() == real.tobytes(), spec

@@ -40,9 +40,11 @@ from fhespec.circuit import (
     CircuitOverflow,
     ConvNode,
     EdgeSpec,
+    LUT_SEMANTICS,
     LutNode,
     MatmulNode,
     RawSpec,
+    ReduceNode,
     Sweep,
     WeightBank,
     _row_blocks,
@@ -775,6 +777,18 @@ def test_calibration_errors():
         plan.calibrate([AudioBuffer(np.ones(CLIP_LEN), 8000)])  # rate mismatch
 
 
+@pytest.mark.parametrize("node_type, setting", [
+    (ReduceNode, {"op": "avg", "axis": "channels"}),
+    (ReduceNode, {"op": "sum", "axis": "frames"}),
+    (LutNode, {"semantic": "exp"}),
+])
+def test_nodes_refuse_unknown_settings_at_construction(node_type, setting):
+    """A reduce op or axis, or a lookup semantic, outside the known ones is
+    refused when the node is built, not when its two arms disagree."""
+    with pytest.raises(CircuitError, match="unknown"):
+        node_type("n", "x", **setting)
+
+
 # Properties over random configurations ----------------------------------------
 
 BITS_ST = st.builds(BitWidthConfig, *[st.integers(2, 8)] * 4)
@@ -982,9 +996,6 @@ def test_realized_dot_products_run_in_float32(kind, approx, cfg, configs):
                 assert node.partial_sum_bound <= hi - lo <= 1 << 17
 
 
-LUT_SEMANTICS = ("requant", "log", "sqrt", "normalize", "square", "abs")
-
-
 @st.composite
 def bound_luts(draw):
     """A lookup bound to a random input edge and, for a quantized semantic,
@@ -996,8 +1007,8 @@ def bound_luts(draw):
     in_spec = EdgeSpec.from_range(-draw(magnitude) if signed else 0.0, draw(magnitude),
                                   bits=draw(st.integers(1, 16)), signed=signed)
     norm = (draw(st.floats(-1e3, 1e3)), draw(magnitude))
-    node = LutNode(name="lut", src="src", semantic=draw(st.sampled_from(LUT_SEMANTICS)),
-                   norm_center=norm[0], norm_scale=norm[1])
+    node = LutNode(name="lut", src="src", semantic=draw(st.sampled_from(LUT_SEMANTICS)))
+    node.norm_center, node.norm_scale = norm
     lo, hi = in_spec.bounds
     out_spec = None  # a raw lookup derives its own
     if node.semantic not in ("square", "abs"):

@@ -808,7 +808,8 @@ def test_tracer_sees_the_descriptor_commands(tmp_path):
     a name that is gone; each layer it times must still show up."""
     names = traced_spans(tmp_path, "stattest")
     for want in ("evaluate.pair_tests", "evaluate.mann_whitney", "circuit.realize",
-                 "circuit.execute", "circuit.run_clear",
+                 "circuit.execute", "circuit.run_clear", "transforms.kernels",
+                 "approx.kernels",
                  *(f"node.{kind}" for kind in ("conv", "matmul", "lut", "reduce",
                                                "std", "concat"))):
         assert want in names, want

@@ -76,7 +76,7 @@ RECORDS = {
                           "equal", None, None),
     "QuantizedTensor": (lambda: QuantizedTensor(np.array([-2, 1]), EDGE), "arrays",
                         lambda: QuantizedTensor(np.array([2]), EDGE), CircuitError),
-    "KernelBank": (lambda: KernelBank(StftConfig(4, 2), np.ones(4), np.zeros((6, 4))),
+    "KernelBank": (lambda: KernelBank(StftConfig(4, 2), np.zeros((6, 4))),
                    "arrays", None, None),
     "BoundReport": (lambda: BoundReport(np.ones(2), np.zeros(2)), "arrays", None, None),
     "Clip": (lambda: Clip("a", "tone", _buffer()), "arrays", None, None),
