@@ -126,7 +126,7 @@ def _rewritten(bank: KernelBank, halves: np.ndarray) -> KernelBank:
     return bank._replace(kernels=halves.reshape(bank.kernels.shape))
 
 
-def dilation_kernels(bank: KernelBank, rate: int | None, per_bin_cap: bool = True) -> KernelBank:
+def dilation_kernels(bank: KernelBank, rate: int | None, per_bin_cap: bool) -> KernelBank:
     mask = dilation_mask(bank.cfg.window_length, bank.bins, rate, per_bin_cap)
     return _rewritten(bank, bank.halves * mask)
 
@@ -190,25 +190,6 @@ def fd_kernels(cfg: StftConfig, n_min: int) -> KernelBank:
 
 
 # Poorman ---------------------------------------------------------------------
-
-def poorman_project(angle: float, roots: int) -> int:
-    """Index l of the nearest root e^{-2j*pi*l/roots} to e^{j*angle}.
-
-    Ties in angular distance break toward the smaller index.
-    """
-    if roots < 2:
-        raise ApproxError("poorman needs at least 2 roots")
-    t = -angle * roots / (2.0 * np.pi)
-    a = int(np.floor(t))
-    best = None
-    for cand in (a, a + 1):
-        l = cand % roots
-        dist = abs(t - cand)
-        key = (dist, l)
-        if best is None or key < best:
-            best = key
-    return best[1]
-
 
 def poorman_root(l, roots: int) -> complex:
     ang = -2.0 * np.pi * np.asarray(l) / roots

@@ -248,11 +248,11 @@ def _accumulate(node, v):
     return acc, _check_range(node.name, acc, node.out_spec.v_lo, node.out_spec.v_hi)
 
 
-def _check_frames(node, v) -> None:
-    """Refuse a clip whose frame count is not the time fan-in that sized
-    the node's mean and worst case."""
-    if v.shape[1] != node.fan_in:
-        raise CircuitError(f"node {node.name}: clip has {v.shape[1]} frames, "
+def _check_fan_in(node, n: int, unit: str) -> None:
+    """Refuse a clip whose reduced axis holds `n` values, not the fan-in
+    that sized the node's mean and worst case."""
+    if n != node.fan_in:
+        raise CircuitError(f"node {node.name}: clip has {n} {unit}, "
                            f"but the node was sized for fan_in={node.fan_in}")
 
 
@@ -507,9 +507,8 @@ class ReduceNode(Node):
                           out_spec=RawSpec(scale=scale, v_lo=fan * lo, v_hi=fan * hi))
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
-        if self.axis == "time":
-            _check_frames(self, v)
         arr, ax = self._split(v)
+        _check_fan_in(self, arr.shape[ax], "frames" if self.axis == "time" else self.axis)
         return arr.sum(axis=ax)
 
     step = _accumulate
@@ -546,7 +545,7 @@ class StdNode(Node):
         return self._copy(in_spec=specs[self.src], out_spec=edge(self.name))
 
     def run_int(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _check_frames(self, v)
+        _check_fan_in(self, v.shape[1], "frames")
         t = self.fan_in
         s1 = v.sum(axis=1)
         s2 = (v * v).sum(axis=1)

@@ -40,11 +40,12 @@ class Clip(NamedTuple):
     buffer: AudioBuffer
 
 
-def read_wav(path, expected_rate_hz: int | None = None) -> AudioBuffer:
-    """Load a mono WAV file: 16-bit PCM (scaled by 2^15) or 32/64-bit float.
+def read_wav(path, expected_rate_hz: int) -> AudioBuffer:
+    """Load a mono WAV file at `expected_rate_hz`: 16-bit PCM (scaled by
+    2^15) or 32/64-bit float.
 
-    A `DatasetError` says what is wrong with the file, one cut short
-    included, but not its path, which the caller holds."""
+    A `DatasetError` says what is wrong with the file, one cut short or at
+    another rate included, but not its path, which the caller holds."""
     from scipy.io import wavfile  # on first use: most commands read no WAV
 
     with warnings.catch_warnings():
@@ -63,19 +64,12 @@ def read_wav(path, expected_rate_hz: int | None = None) -> AudioBuffer:
         samples = data.astype(np.float64)
     else:
         raise DatasetError(f"unsupported sample format {data.dtype}")
-    if expected_rate_hz is not None and rate != expected_rate_hz:
+    if rate != expected_rate_hz:
         raise DatasetError(f"sample rate {rate} Hz != expected {expected_rate_hz} Hz")
     return AudioBuffer(samples=samples, sample_rate_hz=rate)
 
 
-def write_wav(path, buf: AudioBuffer) -> None:
-    from scipy.io import wavfile
-
-    wavfile.write(path, buf.sample_rate_hz,
-                  buf.samples.astype(np.float32))
-
-
-def ingest(root, sample_rate_hz: int, min_samples: int = 1) -> tuple[list, list]:
+def ingest(root, sample_rate_hz: int, min_samples: int) -> tuple[list, list]:
     """Decode a directory-per-class tree: (clips, "path: reason" skip lines).
 
     A file of fewer than `min_samples` samples is skipped."""

@@ -40,10 +40,6 @@ class EvalError(ValueError):
     pass
 
 
-class UndefinedCorrelation(EvalError):
-    pass
-
-
 # Intrinsic spectrogram distance ----------------------------------------------
 
 def normalized_euclidean(s1: np.ndarray, s2: np.ndarray) -> float:
@@ -125,62 +121,43 @@ def _finite(x, what: str) -> np.ndarray:
     return x
 
 
-def mann_whitney_u(a, b, method: str = "auto") -> float:
+def mann_whitney_u(a, b) -> float:
     """Two-sided Mann-Whitney U p-value.
 
-    'auto' uses the exact U distribution when the pooled sample has at most
-    20 tie-free observations, and the normal approximation (tie-corrected,
-    continuity-corrected) otherwise.  Non-finite samples raise EvalError.
+    The exact U distribution when the pooled sample has at most
+    `EXACT_MW_POOLED_MAX` tie-free observations, the normal approximation
+    (tie-corrected, continuity-corrected) otherwise.  Non-finite samples
+    raise EvalError.
     """
     a = _finite(a, "mann_whitney_u sample a")
     b = _finite(b, "mann_whitney_u sample b")
     if a.size < 1 or b.size < 1:
         raise EvalError("both samples must be nonempty")
-    if method not in ("auto", "exact", "asymptotic"):
-        raise EvalError(f"unknown method {method!r}")
     n, m = a.size, b.size
     ranks, tie_sizes = _midranks(np.concatenate([a, b]))
     u1 = ranks[:n].sum() - n * (n + 1) / 2.0
-    tie_free = tie_sizes.size == n + m
-    if method == "exact" and not tie_free:
-        raise EvalError("exact Mann-Whitney path requires tie-free samples")
-    if method == "exact" or (method == "auto" and tie_free
-                             and n + m <= EXACT_MW_POOLED_MAX):
+    if tie_sizes.size == n + m and n + m <= EXACT_MW_POOLED_MAX:
         return _exact_p(u1, n, m)
     return _asymptotic_p(u1, n, m, tie_sizes)
 
 
 # Pearson ----------------------------------------------------------------------
 
-def pearson(a, b):
-    """Pearson r of two vectors, of each column pair of two (n, k) arrays,
-    or of each arm's column pairs in two (m, n, k) stacks of m arms.
+def pearson(a, b) -> np.ndarray:
+    """Pearson r of each arm's column pairs in two (m, n, k) stacks of m arms.
 
-    The stacked form does `np.corrcoef`'s arithmetic once over all m arms:
-    the row means, the centring, X @ Xᵀ, the factor 1/(n−1), the two
-    divisions by the standard deviations and the clip to [−1, 1], so each
-    row of the (m, k) result equals `np.corrcoef` of its arm bit for bit.
-    A column constant on either side gives nan.  The (n, k) form is the
-    m = 1 case and returns the k correlations, each equal to `np.corrcoef`
-    of the 2k-row stack [a | b]ᵀ at [j, k + j]; the vector form is its k = 1
-    case and raises `UndefinedCorrelation` on a constant input.  BLAS rounds
-    the product of a 2k-row stack and of a 2-row pair differently, so a
-    column of the (n, k) form can differ from the vector form of the same
-    column in the last bit."""
+    It does `np.corrcoef`'s arithmetic once over all m arms: the row
+    means, the centring, X @ Xᵀ, the factor 1/(n−1), the two divisions by
+    the standard deviations and the clip to [−1, 1], so row i of the
+    (m, k) result equals `np.corrcoef` of arm i's 2k-row stack
+    [a[i] | b[i]]ᵀ at [j, k + j], bit for bit.  A column constant on
+    either side gives nan."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    ndim = a.ndim
-    if ndim == 1:
-        a, b = a[:, None], b[:, None]
-    if ndim < 3:
-        a, b = a[None], b[None]
     if a.shape != b.shape or a.ndim != 3 or a.shape[1] < 2:
-        raise EvalError("pearson needs two equal-shape vectors, (n, k) arrays "
-                        "or (m, n, k) stacks with n >= 2")
+        raise EvalError("pearson needs two equal-shape (m, n, k) stacks with n >= 2")
     _finite(a, "pearson input a")
     _finite(b, "pearson input b")
     constant = (np.ptp(a, axis=1) == 0.0) | (np.ptp(b, axis=1) == 0.0)
-    if ndim == 1 and constant[0, 0]:
-        raise UndefinedCorrelation("pearson is undefined for constant input")
     n, k = a.shape[1:]
     # one C-contiguous row per arm and column, so each row's mean sums in
     # `np.corrcoef`'s order; X @ Xᵀ takes the BLAS path of `np.cov`'s dot
@@ -193,8 +170,7 @@ def pearson(a, b):
         c /= sd[:, :, None]
         c /= sd[:, None, :]
     np.clip(c, -1.0, 1.0, out=c)
-    r = np.where(constant, np.nan, c[:, np.arange(k), k + np.arange(k)])
-    return float(r[0, 0]) if ndim == 1 else r[0] if ndim == 2 else r
+    return np.where(constant, np.nan, c[:, np.arange(k), k + np.arange(k)])
 
 
 # Discovery errors -------------------------------------------------------------

@@ -10,7 +10,8 @@ The float transforms (`stft`, `power_spectrogram`, `apply_filterbank`,
 frame, without the kernel-bank and node machinery of `fhespec.circuit`; they
 are what `run_clear` is checked against.  `kernel_halves` computes each
 approximation's kernel bank as two separate (K, N) products, the formulas
-`approx_kernels` must reproduce bit for bit.  The approximation error terms
+`approx_kernels` must reproduce bit for bit, and `poorman_project` finds
+one tap's nearest root by a scalar search.  The approximation error terms
 (`dilation_error`, `fd_window_error_terms`, `l1_energy_error`,
 `cropping_error`) are the closed forms the approximation tests compare with
 direct subtraction.  Spectrograms are (T, C) arrays, complex before the
@@ -163,6 +164,25 @@ def gammatone_spectrogram(buf: AudioBuffer, kernels: np.ndarray,
 
 
 # Kernel banks -----------------------------------------------------------------
+
+def poorman_project(angle: float, roots: int) -> int:
+    """Index l of the nearest root e^{-2j*pi*l/roots} to e^{j*angle}, by a
+    scalar float search over the two neighbouring roots: the reference for
+    the integer grid `approx._project_grid`.
+
+    Ties in angular distance break toward the smaller index.
+    """
+    t = -angle * roots / (2.0 * np.pi)
+    a = int(np.floor(t))
+    best = None
+    for cand in (a, a + 1):
+        l = cand % roots
+        dist = abs(t - cand)
+        key = (dist, l)
+        if best is None or key < best:
+            best = key
+    return best[1]
+
 
 def kernel_halves(spec, cfg: StftConfig, window: np.ndarray,
                   sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,9 @@ from fhespec.circuit import (
 from fhespec.cli import main
 from fhespec.dataset import split_clips, synthetic_clips
 from fhespec.evaluate import (
+    _asymptotic_p,
+    _exact_p,
+    _midranks,
     discovery_errors,
     grid_search,
     mann_whitney_u,
@@ -273,15 +276,18 @@ def test_rank_test_exact_pvalues():
     a={1,2,3} vs b={10,11,12}: p = 2/C(6,3) exactly 0.1.  On tie-free
     samples with n=m=10, exact and asymptotic p agree within 0.02.
     """
-    p = mann_whitney_u([1.0, 2.0, 3.0], [10.0, 11.0, 12.0], method="exact")
+    p = mann_whitney_u([1.0, 2.0, 3.0], [10.0, 11.0, 12.0])  # exact: 6 tie-free
     assert p == pytest.approx(0.1, abs=1e-15)
     rng = np.random.default_rng(108)
     worst = 0.0
     for _ in range(20):
         a = rng.standard_normal(10)
         b = rng.standard_normal(10) + rng.uniform(-1.0, 1.0)
-        pe = mann_whitney_u(a, b, method="exact")
-        pa = mann_whitney_u(a, b, method="asymptotic")
+        ranks, sizes = _midranks(np.concatenate([a, b]))
+        u1 = ranks[:10].sum() - 55.0
+        pe = _exact_p(u1, 10, 10)
+        pa = _asymptotic_p(u1, 10, 10, sizes)
+        assert mann_whitney_u(a, b) == pe  # 20 tie-free: the exact path
         worst = max(worst, abs(pe - pa))
     assert worst <= 0.02
     print(f"PASS: exact p(separated 3v3) = 0.1; max |exact - asymptotic| "

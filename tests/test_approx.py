@@ -10,6 +10,7 @@ from oracles import (
     kernel_halves,
     l1_energy,
     l1_energy_error,
+    poorman_project,
 )
 from fhespec.approx import (
     ApproxError,
@@ -31,7 +32,6 @@ from fhespec.approx import (
     max_dilation_per_bin,
     poorman_bound_report,
     poorman_kernels,
-    poorman_project,
     poorman_root,
     _project_grid,
 )

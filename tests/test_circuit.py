@@ -43,6 +43,7 @@ from fhespec.circuit import (
     LUT_SEMANTICS,
     LutNode,
     MatmulNode,
+    PipelinePlan,
     RawSpec,
     ReduceNode,
     Sweep,
@@ -191,7 +192,7 @@ def edges_and_inputs(draw):
     return spec, x
 
 
-@settings(max_examples=500, deadline=None, database=None)
+@settings(max_examples=500)
 @given(case=edges_and_inputs())
 def test_to_v_equals_the_oracle_quantizer(case):
     """`to_v` rounds half away from zero and clamps like the oracle, on
@@ -214,7 +215,7 @@ def test_quantize_weights_refuses_a_scale_that_underflows():
     assert q.tolist() == [[1.0, 0.0]] and scale == 5e-324
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(bits=st.integers(2, 16), data=st.data())
 def test_quantize_weights_equals_the_oracle_rounding(bits, data):
     """Symmetric weight codes are the oracle's half-away rounding of
@@ -789,6 +790,21 @@ def test_nodes_refuse_unknown_settings_at_construction(node_type, setting):
         node_type("n", "x", **setting)
 
 
+def test_channel_reduce_refuses_another_fan_in():
+    """A channel mean sized for 4 channels refuses a clip of 8 instead of
+    dividing their sum by 4: clear gave 0.125 and the circuit 0.251."""
+    nodes = [LutNode("a", "input", "requant"),
+             ReduceNode("r", "a", op="mean", axis="channels", fan_in=4),
+             LutNode("out", "r", "requant")]
+    plan = PipelinePlan("stft", Conventional(), FS, nodes, "out")
+    bufs = [AudioBuffer(np.array([1.0] * ones + [0.0] * (8 - ones)), FS)
+            for ones in (1, 4)]
+    graph = plan.calibrate(bufs).realize(BitWidthConfig(6, 8, 4, 8))
+    assert graph.run_clear(bufs[0])["out"] == 0.125
+    with pytest.raises(CircuitError, match="clip has 8 channels.*fan_in=4"):
+        graph.execute(bufs[0])
+
+
 # Properties over random configurations ----------------------------------------
 
 BITS_ST = st.builds(BitWidthConfig, *[st.integers(2, 8)] * 4)
@@ -847,7 +863,7 @@ def test_realize_leaves_the_plan_nodes_as_they_were(kind):
         assert sorted(node.banks) == [3, DBITS.weight_bits, MAX_BITS]
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
        cfg=STFT_CONFIGS, n_frames=st.integers(2, 40), a=BITS_ST, b=BITS_ST)
 def test_realize_properties_over_random_configs(kind, approx, cfg, n_frames, a, b):
@@ -881,7 +897,7 @@ def test_realize_properties_over_random_configs(kind, approx, cfg, n_frames, a, 
                 assert np.array_equal(clear[name], reference[name])
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
        cfg=STFT_CONFIGS, n_frames=st.integers(2, 40), n_clips=st.integers(1, 4),
        configs=st.lists(BITS_ST, min_size=1, max_size=3))
@@ -926,7 +942,7 @@ def test_sweep_batch_equals_per_clip_execution(kind, approx, cfg, n_frames, n_cl
     assert all(slots[s].depth <= slots[n.name].depth for n in plan.nodes for s in n.inputs)
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
        cfg=STFT_CONFIGS, n_frames=st.integers(2, 40), n_clips=st.integers(1, 4))
 def test_calibration_equals_the_per_clip_clear_forwards(kind, approx, cfg, n_frames,
@@ -957,13 +973,61 @@ def test_calibration_equals_the_per_clip_clear_forwards(kind, approx, cfg, n_fra
     assert {n.name: (n.norm_center, n.norm_scale) for n in heads} == normalization
 
 
+# Metamorphic relations: two runs whose codes must agree, so no oracle is
+# needed.  MFCC is left out of the gain relation: its log reads the
+# linearly quantized Mel spectrum, so a gain moves most of its codes.
+INVARIANT_APPROXES = [Conventional(), Dilation(rate=4), Poorman(roots=4)]
+# powers of two scale every value exactly; the others round
+GAINS = st.sampled_from([0.125, 0.25, 0.5, 2.0, 4.0, 8.0]) | st.sampled_from(
+    [0.3, 0.7, 1.5, 3.0, 5.0]) | st.floats(0.1, 10.0)
+
+
+def louder(bufs, k):
+    return [AudioBuffer(buf.samples * k, buf.sample_rate_hz) for buf in bufs]
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(("stft", "mel", "gammatone", "descriptors")),
+       approx=st.sampled_from(INVARIANT_APPROXES), cfg=STFT_CONFIGS,
+       n_frames=st.integers(2, 40), bits=BITS_ST, k=GAINS)
+def test_codes_do_not_depend_on_the_recording_gain(kind, approx, cfg, n_frames, bits, k):
+    """Scaling every calibration and evaluation clip by one gain k scales
+    every calibrated range, so the same configs realize and every output
+    code stays where it was.  The descriptor plan's normalize heads z-score,
+    so a gain cancels there too."""
+    n = clip_length(cfg, n_frames)
+    calib, evalu = clips(4, seed=40, n=n), clips(2, seed=41, n=n)
+    graph = realize_or_none(uncalibrated_plan(kind, approx, cfg, n_frames)
+                            .calibrate(calib), bits)
+    loud = realize_or_none(uncalibrated_plan(kind, approx, cfg, n_frames)
+                           .calibrate(louder(calib, k)), bits)
+    assert (graph is None) == (loud is None)
+    for buf, loud_buf in zip(evalu, louder(evalu, k)) if graph is not None else ():
+        assert np.array_equal(loud.execute(loud_buf).output.data,
+                              graph.execute(buf).output.data)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(("stft", "mel", "mfcc", "gammatone")),
+       approx=st.sampled_from(INVARIANT_APPROXES), cfg=STFT_CONFIGS,
+       n_frames=st.integers(2, 40), bits=BITS_ST)
+def test_dropping_the_first_hop_drops_the_first_frame(kind, approx, cfg, n_frames, bits):
+    """Each frame is computed alone, so a clip without its first `hop`
+    samples gives the codes of the whole clip's frames 1..T-1."""
+    graph = realize_or_none(calibrated_plan(kind, approx, cfg, n_frames), bits)
+    for buf in clips(2, seed=44, n=clip_length(cfg, n_frames)) if graph is not None else ():
+        later = AudioBuffer(buf.samples[cfg.hop:], FS)
+        assert np.array_equal(graph.execute(later).output.data,
+                              graph.execute(buf).output.data[1:])
+
+
 def test_sweep_refuses_clips_of_unequal_length():
     plan = build_transform_plan("stft", Conventional(), CFG, FS).calibrate(clips(2))
     with pytest.raises(CircuitError, match=r"lengths \[992, 1024\]"):
         Sweep(plan, clips(2, seed=1) + clips(1, seed=2, n=1024))
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
        cfg=STFT_CONFIGS,
        configs=st.lists(st.tuples(*[st.integers(2, 7)] * 4), min_size=1, max_size=24))
@@ -978,7 +1042,7 @@ def test_budget_violations_persist_under_wider_widths(kind, approx, cfg, configs
                 assert realize_or_none(plan, wider) is None, (c, wider)
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(kind=st.sampled_from(PLAN_KINDS), approx=st.sampled_from(PROPERTY_APPROXES),
        cfg=STFT_CONFIGS,
        configs=st.lists(BITS_ST | st.builds(BitWidthConfig, *[st.integers(2, MAX_BITS)] * 4),
@@ -1033,7 +1097,7 @@ def bound_luts(draw):
     return node, codes
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(case=bound_luts())
 def test_lookup_equals_a_gather_from_the_whole_table(case):
     """`run_int` on any layout of the codes equals a gather from a table of

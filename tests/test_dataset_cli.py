@@ -39,13 +39,17 @@ from fhespec.dataset import (
     read_wav,
     split_clips,
     synthetic_clips,
-    write_wav,
 )
 from fhespec.quant import BitWidthConfig
 from fhespec.evaluate import SIGNIFICANCE_LEVEL
 from fhespec.transforms import N_MFCC, AudioBuffer, GammatoneSpec, MelSpec, StftConfig
 
 FS = 16000
+
+
+def write_wav(path, buf: AudioBuffer) -> None:
+    """Write `buf` as a mono 32-bit float WAV file: the suite's fixtures."""
+    wavfile.write(path, buf.sample_rate_hz, buf.samples.astype(np.float32))
 
 
 # WAV I/O ----------------------------------------------------------------------
@@ -55,7 +59,7 @@ def test_wav_float_round_trip(tmp_path):
     buf = AudioBuffer(x, FS)
     p = tmp_path / "a.wav"
     write_wav(p, buf)
-    back = read_wav(p, expected_rate_hz=FS)
+    back = read_wav(p, FS)
     assert back.sample_rate_hz == FS
     assert np.allclose(back.samples, x, atol=1e-6)  # float32 storage
 
@@ -63,7 +67,7 @@ def test_wav_float_round_trip(tmp_path):
 def test_wav_int16_scaling(tmp_path):
     p = tmp_path / "b.wav"
     wavfile.write(p, FS, np.array([0, 16384, -32768], dtype=np.int16))
-    back = read_wav(p)
+    back = read_wav(p, FS)
     assert np.allclose(back.samples, [0.0, 0.5, -1.0])
 
 
@@ -71,15 +75,15 @@ def test_wav_rejections(tmp_path):
     stereo = tmp_path / "stereo.wav"
     wavfile.write(stereo, FS, np.zeros((100, 2), dtype=np.int16))
     with pytest.raises(DatasetError):
-        read_wav(stereo)
+        read_wav(stereo, FS)
     wrong_rate = tmp_path / "rate.wav"
     wavfile.write(wrong_rate, 44100, np.zeros(100, dtype=np.int16))
     with pytest.raises(DatasetError):
-        read_wav(wrong_rate, expected_rate_hz=FS)
+        read_wav(wrong_rate, FS)
     int32 = tmp_path / "i32.wav"
     wavfile.write(int32, FS, np.zeros(100, dtype=np.int32))
     with pytest.raises(DatasetError):
-        read_wav(int32)
+        read_wav(int32, FS)
 
 
 # Ingestion and splits ---------------------------------------------------------
@@ -106,7 +110,7 @@ def test_ingest_layout_and_skips(tmp_path):
     wavfile.write(root / "beta" / "cd_rate.wav", 44100,
                   np.zeros(500, dtype=np.int16))
     write_wav(root / "beta" / "alpha_0.wav", AudioBuffer(np.ones(500) * 0.1, FS))
-    clips, skips = ingest(root, FS)
+    clips, skips = ingest(root, FS, min_samples=1)
     assert sorted({e.label for e in clips}) == ["alpha", "beta"]
     assert len(clips) == 9
     deep = next(e for e in clips if e.file_id == "deep")
@@ -121,13 +125,13 @@ def test_ingest_layout_and_skips(tmp_path):
     ]
     assert [e.label for e in clips if e.file_id == "alpha_0"] == ["alpha"]
     with pytest.raises(DatasetError):
-        ingest(tmp_path / "missing", FS)
+        ingest(tmp_path / "missing", FS, min_samples=1)
 
 
 def test_stratified_split_deterministic_and_proportional(tmp_path):
     root = tmp_path / "data"
     make_dataset(root, per_class=10)
-    clips, _ = ingest(root, FS)
+    clips, _ = ingest(root, FS, min_samples=1)
     cal1, ev1, warnings = split_clips(clips, 0.2, seed=7)
     cal2, ev2, _ = split_clips(clips, 0.2, seed=7)
     def keys(clips):
@@ -151,7 +155,7 @@ def test_single_file_class_goes_to_calibration(tmp_path, capsys):
     solo = root / "solo"
     solo.mkdir()
     write_wav(solo / "only.wav", AudioBuffer(np.ones(992) * 0.1, FS))
-    cal, ev, warnings = split_clips(ingest(root, FS)[0], 0.3, seed=0)
+    cal, ev, warnings = split_clips(ingest(root, FS, min_samples=1)[0], 0.3, seed=0)
     assert any(e.label == "solo" for e in cal)
     assert not any(e.label == "solo" for e in ev)
     assert len(warnings) == 1 and "solo" in warnings[0]
@@ -365,7 +369,7 @@ def test_cli_distances_csv_quotes_file_ids(tmp_path, capsys):
         for name in (stem, f"{label}_0", f"{label}_1"):
             write_wav(root / label / f"{name}.wav",
                       AudioBuffer(rng.standard_normal(992) * 0.3, FS))
-    entries, _ = ingest(root, FS)
+    entries, _ = ingest(root, FS, min_samples=1)
     seed = next(s for s in range(20) if {"a,b", "plain"} <= {
         c.file_id for c in split_clips(entries, 0.1, s)[1]})
     evaluated = {c.file_id for c in split_clips(entries, 0.1, seed)[1]}
@@ -659,7 +663,7 @@ def test_ingest_skips_files_shorter_than_min_samples(tmp_path):
     assert [c.file_id for c in clips] == ["n384", "n385"]
     assert skips == [f"{root / 'alpha' / 'n383.wav'}: 383 samples, fewer than "
                      "the 384 a clip needs"]
-    assert len(ingest(root, FS)[0]) == 3
+    assert len(ingest(root, FS, min_samples=1)[0]) == 3
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):

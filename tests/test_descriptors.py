@@ -224,4 +224,4 @@ def test_circuit_descriptors_track_clear_pipeline():
     clear = np.array([graph.run_clear(b)["descriptor_vector"] for b in evalu])
     fhe = np.array([graph.execute(b).dequantized for b in evalu])
     for i, name in enumerate(DESCRIPTOR_NAMES):
-        assert pearson(clear[:, i], fhe[:, i]) > 0.95, name
+        assert pearson(clear[None, :, i:i + 1], fhe[None, :, i:i + 1])[0, 0] > 0.95, name

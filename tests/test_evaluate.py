@@ -30,11 +30,12 @@ from fhespec.circuit import (
     build_transform_plan,
 )
 from fhespec.evaluate import (
+    _asymptotic_p,
+    _exact_p,
     _midranks,
     EvalError,
     GridSearchResult,
     PairTestResult,
-    UndefinedCorrelation,
     conv_feasible,
     default_grid,
     discovery_errors,
@@ -87,23 +88,25 @@ def test_distance_bounded_by_two():
 # Mann-Whitney -----------------------------------------------------------------
 
 def test_mw_exact_against_scipy():
+    # at most 18 tie-free observations: the exact path
     rng = np.random.default_rng(2)
     for _ in range(60):
         n = int(rng.integers(2, 10))
         m = int(rng.integers(2, 10))
         a = rng.standard_normal(n)
         b = rng.standard_normal(m) + rng.uniform(-1.0, 1.0)
-        ours = mann_whitney_u(a, b, method="exact")
+        ours = mann_whitney_u(a, b)
         ref = mannwhitneyu(a, b, alternative="two-sided", method="exact").pvalue
         assert ours == pytest.approx(ref, abs=1e-12)
 
 
 def test_mw_asymptotic_against_scipy():
+    # 75 observations: the normal approximation
     rng = np.random.default_rng(3)
     for _ in range(30):
         a = rng.standard_normal(40)
         b = rng.standard_normal(35) + rng.uniform(-0.5, 0.5)
-        ours = mann_whitney_u(a, b, method="asymptotic")
+        ours = mann_whitney_u(a, b)
         ref = mannwhitneyu(a, b, alternative="two-sided",
                            method="asymptotic").pvalue
         assert ours == pytest.approx(ref, abs=1e-10)
@@ -114,7 +117,7 @@ def test_mw_asymptotic_with_ties_against_scipy():
     for _ in range(20):
         a = rng.integers(0, 6, size=30).astype(float)
         b = rng.integers(0, 6, size=25).astype(float)
-        ours = mann_whitney_u(a, b, method="asymptotic")
+        ours = mann_whitney_u(a, b)
         ref = mannwhitneyu(a, b, alternative="two-sided",
                            method="asymptotic").pvalue
         assert ours == pytest.approx(ref, abs=1e-10)
@@ -137,13 +140,9 @@ def test_mw_edge_cases():
     assert p == pytest.approx(2.0 / 70.0)
     with pytest.raises(EvalError):
         mann_whitney_u([], [1.0])
-    with pytest.raises(EvalError):
-        mann_whitney_u([1.0], [1.0], method="exact")  # tie blocks exact path
-    with pytest.raises(EvalError):
-        mann_whitney_u([1.0], [2.0], method="nope")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 60).flatmap(lambda n: st.lists(
     st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 7.25]),
     min_size=n, max_size=n)))
@@ -160,7 +159,7 @@ def test_mw_nonfinite_small_sample_raises():
     with pytest.raises(EvalError, match="sample a contains non-finite"):
         mann_whitney_u([1.0, np.nan, 3.0], [2.0, 5.0])
     with pytest.raises(EvalError, match="sample b contains non-finite"):
-        mann_whitney_u([1.0, 3.0], [2.0, np.inf], method="exact")
+        mann_whitney_u([1.0, 3.0], [2.0, np.inf])
 
 
 def test_mw_nonfinite_large_sample_raises():
@@ -169,66 +168,89 @@ def test_mw_nonfinite_large_sample_raises():
     a, b = rng.standard_normal(15), rng.standard_normal(15) + 3.0
     assert mann_whitney_u(a, b) < 1e-4
     b[4] = np.nan
-    for method in ("auto", "asymptotic"):
-        with pytest.raises(EvalError, match="sample b contains non-finite"):
-            mann_whitney_u(a, b, method=method)
+    with pytest.raises(EvalError, match="sample b contains non-finite"):
+        mann_whitney_u(a, b)
 
 
 def test_pearson_nonfinite_raises():
-    a = np.arange(6, dtype=np.float64)
+    a = np.arange(6, dtype=np.float64).reshape(1, 6, 1)
     for bad in (np.nan, np.inf, -np.inf):
         b = a * 2.0
-        b[2] = bad
+        b[0, 2, 0] = bad
         with pytest.raises(EvalError, match="pearson input b contains non-finite"):
             pearson(a, b)
         with pytest.raises(EvalError, match="pearson input a contains non-finite"):
             pearson(b, a)
 
 
+def u_statistic(a, b):
+    """U of sample a and the tie-group sizes of the pooled sample."""
+    ranks, sizes = _midranks(np.concatenate([a, b]))
+    return ranks[:len(a)].sum() - len(a) * (len(a) + 1) / 2.0, sizes
+
+
 def test_mw_auto_switchover():
+    """Exact up to `EXACT_MW_POOLED_MAX` tie-free observations, the normal
+    approximation above it or with a tie."""
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal(10), rng.standard_normal(10)
-    assert mann_whitney_u(a, b) == mann_whitney_u(a, b, method="exact")
+    u1, _ = u_statistic(a, b)
+    assert mann_whitney_u(a, b) == _exact_p(u1, 10, 10)
     a, b = rng.standard_normal(11), rng.standard_normal(10)
-    assert mann_whitney_u(a, b) == mann_whitney_u(a, b, method="asymptotic")
+    u1, sizes = u_statistic(a, b)
+    assert mann_whitney_u(a, b) == _asymptotic_p(u1, 11, 10, sizes)
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([3.0, 4.0])  # one tie, 5 pooled
+    u1, sizes = u_statistic(a, b)
+    assert mann_whitney_u(a, b) == _asymptotic_p(u1, 3, 2, sizes)
+    assert mann_whitney_u(a, b) != _exact_p(u1, 3, 2)
 
 
 # Pearson ----------------------------------------------------------------------
+
+def column(x):
+    """A vector as a stack of one arm with one column."""
+    return np.asarray(x, dtype=np.float64).reshape(1, -1, 1)
+
 
 def test_pearson_formula_and_errors():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(50)
     b = 2.0 * a + rng.standard_normal(50) * 0.1
-    r = pearson(a, b)
+    r = pearson(column(a), column(b))
+    assert r.shape == (1, 1)
     da, db = a - a.mean(), b - b.mean()
     manual = (da @ db) / np.sqrt((da @ da) * (db @ db))
-    assert r == pytest.approx(manual, abs=1e-12)
-    assert pearson(a, -a) == pytest.approx(-1.0)
-    with pytest.raises(UndefinedCorrelation):
-        pearson(a, np.full(50, 3.0))
+    assert r[0, 0] == pytest.approx(manual, abs=1e-12)
+    assert pearson(column(a), column(-a))[0, 0] == pytest.approx(-1.0)
+    assert np.isnan(pearson(column(a), column(np.full(50, 3.0)))[0, 0])
     with pytest.raises(EvalError):
-        pearson([1.0], [2.0])
+        pearson(column([1.0]), column([2.0]))
+    with pytest.raises(EvalError, match="equal-shape"):
+        pearson(a, b)  # a vector is not a stack
 
 
 def assert_columns_equal_corrcoef_of_the_stack(a, b):
-    """Column j of `pearson(a, b)` equals `np.corrcoef` of the (n, 2k) stack
-    [a | b] at [j, k + j] bit for bit, and is nan, with no warning, for a
-    column constant on either side.  The stack goes to `np.corrcoef` as 2k
-    C-contiguous rows, the order in which `pearson` sums each row's mean.
-    The vector form equals the 1-D `np.corrcoef` bit for bit."""
+    """Column j of `pearson` of the one-arm stacks of the (n, k) arrays a
+    and b equals `np.corrcoef` of the (n, 2k) stack [a | b] at [j, k + j]
+    bit for bit, and is nan, with no warning, for a column constant on
+    either side.  The stack goes to `np.corrcoef` as 2k C-contiguous rows,
+    the order in which `pearson` sums each row's mean.  A one-column stack
+    equals the 1-D `np.corrcoef` of its pair bit for bit."""
     k = a.shape[1]
-    r = pearson(a, b)
-    assert r.shape == (k,)
+    r = pearson(a[None], b[None])
+    assert r.shape == (1, k)
+    r = r[0]
     constant = (np.ptp(a, axis=0) == 0.0) | (np.ptp(b, axis=0) == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.corrcoef(np.ascontiguousarray(np.concatenate([a, b], axis=1).T))
     want = np.where(constant, np.nan, c[np.arange(k), k + np.arange(k)])
     assert np.array_equal(r, want, equal_nan=True)
     for j in np.flatnonzero(~constant):
-        assert pearson(a[:, j], b[:, j]) == np.corrcoef(a[:, j], b[:, j])[0, 1]
+        assert (pearson(column(a[:, j]), column(b[:, j]))[0, 0]
+                == np.corrcoef(a[:, j], b[:, j])[0, 1])
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
        const_a=st.lists(st.booleans(), min_size=4, max_size=4),
        const_b=st.lists(st.booleans(), min_size=4, max_size=4))
@@ -240,31 +262,32 @@ def test_pearson_columns_equal_corrcoef_of_the_stacked_pair(n, seed, const_a, co
     b[:, const_b] = rng.uniform(-1.0, 1.0)
     assert_columns_equal_corrcoef_of_the_stack(a, b)
     with pytest.raises(EvalError, match="equal-shape"):
-        pearson(a, b[:, :3])
+        pearson(a[None], b[None, :, :3])
 
 
-def test_pearson_column_may_differ_from_the_vector_form_in_the_last_bit():
+def test_pearson_column_may_differ_from_a_one_column_stack_in_the_last_bit():
     """A fixed case where BLAS rounds the product of the 12-row stack and of
-    a 2-row pair differently: column 5 came out 1.0 in the column form and
-    0.9999999999999999 in the vector form (NumPy 2.4.6, OpenBLAS 0.3.31).
-    Each form still equals its own `np.corrcoef`."""
+    a 2-row pair differently: column 5 came out 1.0 in the six-column stack
+    and 0.9999999999999999 in the one-column stack of the same pair (NumPy
+    2.4.6, OpenBLAS 0.3.31).  Each still equals its own `np.corrcoef`."""
     rng = np.random.default_rng(1)
     a = rng.standard_normal((1, 2, 6)) * 73
     b = np.round((a + rng.standard_normal((1, 2, 6)) * 73 * 0.3) / 73) * 73
     assert_columns_equal_corrcoef_of_the_stack(a[0], b[0])
 
 
-@settings(max_examples=80, deadline=None, database=None)
+@settings(max_examples=80)
 @given(m=st.integers(1, 30), n=st.integers(2, 64), k=st.integers(1, 6),
        scale=st.floats(1e-3, 1e3), bits=st.integers(1, 8),
        const_share=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1),
        bad=st.sampled_from([None, None, None, "a", "b"]))
 def test_pearson_stack_equals_corrcoef_per_arm(m, n, k, scale, bits, const_share,
                                                 seed, bad):
-    """Each row of the stacked form equals `np.corrcoef` of its own arm's
-    2k rows bit for bit, and is nan for a column constant on either side.  The second arm holds dequantized
-    codes, as the grid search's arms do.  The (n, k) form is the stack of
-    one, and the vector form equals the 1-D `np.corrcoef`."""
+    """Each row of the stack's result equals `np.corrcoef` of its own arm's
+    2k rows bit for bit, and is nan for a column constant on either side.
+    The second arm holds dequantized codes, as the grid search's arms do.
+    A stack of one arm gives that arm's row, and a stack of one arm and
+    one column equals the 1-D `np.corrcoef`."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n, k)) * scale
     step = scale * 2.0 ** (2 - bits)
@@ -286,13 +309,13 @@ def test_pearson_stack_equals_corrcoef_per_arm(m, n, k, scale, bits, const_share
             c = np.corrcoef(np.ascontiguousarray(np.concatenate([a[i], b[i]], axis=1).T))
             want = np.where(constant[i], np.nan, c[np.arange(k), k + np.arange(k)])
             assert np.array_equal(r[i], want, equal_nan=True)
-            assert np.array_equal(pearson(a[i], b[i]), want, equal_nan=True)
+            assert np.array_equal(pearson(a[i:i + 1], b[i:i + 1])[0], want,
+                                  equal_nan=True)
     x, y = a[0, :, 0], b[0, :, 0]
     if constant[0, 0]:
-        with pytest.raises(UndefinedCorrelation):
-            pearson(x, y)
+        assert np.isnan(pearson(column(x), column(y))[0, 0])
     else:
-        assert pearson(x, y) == np.corrcoef(x, y)[0, 1]
+        assert pearson(column(x), column(y))[0, 0] == np.corrcoef(x, y)[0, 1]
 
 
 # Discovery accounting ---------------------------------------------------------
@@ -341,7 +364,7 @@ LABELS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\
                                                             "ß", "Ω", "ω", "中", "😀"))
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(labels=st.lists(LABELS, min_size=1, max_size=10), seed=st.integers(0, 2**32 - 1))
 def test_pair_tests_run_over_the_np_unique_pairs(labels, seed):
     """The results run over the class pairs in the order of `np.unique`'s
@@ -472,7 +495,7 @@ def subspace(widths):
     return sorted(BitWidthConfig(*t) for t in itertools.product(*widths))
 
 
-@settings(max_examples=15, deadline=None, database=None)
+@settings(max_examples=15)
 @given(approx=st.sampled_from([Conventional(), Dilation(rate=4), Poorman(roots=4),
                                L1Energy()]),
        widths=st.lists(st.sets(st.integers(2, 8), min_size=1, max_size=2),
@@ -616,7 +639,7 @@ def _shared_prefix(a, b) -> int:
     return fields.index(False) if False in fields else len(fields)
 
 
-@settings(max_examples=10, deadline=None, database=None)
+@settings(max_examples=10)
 @given(data=st.data())
 def test_sweep_binds_and_runs_only_the_changed_nodes(data):
     """Each node's `bind` and `step` calls, counted per config over a
@@ -895,7 +918,7 @@ _grid_results = st.lists(st.one_of(
     max_size=6)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(results=_grid_results)
 def test_write_grid_json_bytes_equal_the_indent_encoder(results, tmp_path_factory):
     path = tmp_path_factory.mktemp("grid") / "gridsearch.json"
@@ -908,7 +931,7 @@ def test_write_grid_json_bytes_equal_the_indent_encoder(results, tmp_path_factor
     assert path.read_bytes() == want.encode("ascii")
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(rows=st.integers(1, 40), cols=st.integers(1, 40),
        values=st.sampled_from(["normal", "subnormal", "codes"]),
        exponent=st.integers(-300, 300), special=st.sampled_from([0.0, 0.2]),
