@@ -1,14 +1,17 @@
 """Approximate STFT formulations as kernel-bank rewrites, with error bounds.
 
-Five rewrites of the conventional kernel bank: tap dilation (with a per-bin
-Nyquist cap), frequency-adaptive window widths, unit-root phase projection
-("poorman" DFT), l1 energy, and frequency-band cropping.  Each one only
-zeroes taps or bins, reshapes windows, or projects coefficients, so the bank
-shape is unchanged; each writes its rewrite into one new (2K, N) array.
-Dilation and cropping mask a conventional bank and leave it as it was; the
-window and phase rewrites need none.  The poorman error bound and the
-dilation aliasing identity are implemented alongside, so `validate-bounds`
-can check them on audio.
+Five rewrites of the conventional kernel bank: tap dilation (capped per bin
+at the Nyquist-derived maximum), frequency-adaptive window widths, unit-root
+phase projection ("poorman" DFT), l1 energy, and frequency-band cropping.
+Each one only zeroes taps or bins, reshapes windows, or projects
+coefficients, so the bank shape is unchanged; each writes its rewrite into
+one new (2K, N) array.  Dilation and cropping mask a conventional bank and
+leave it as it was; the window and phase rewrites need none.  The poorman
+error bound and the dilation aliasing identity, which holds for a uniform
+rate without the cap, are implemented alongside, so `validate-bounds` can
+check them on audio.  No other module names an approximation: this one
+parses and writes their `--approx` forms, builds their banks and names
+their energy lookups.
 """
 
 from __future__ import annotations
@@ -36,31 +39,38 @@ class ApproxError(ValueError):
 # Approximation specs (tagged union) ------------------------------------------
 
 # Each spec is a `Record`: specs of different kinds never compare equal,
-# even with equal fields, and `_fields` lists what `approx_label` prints.
+# even with equal fields.  `_readers` read the `_fields` that `approx_label`
+# writes back from their text; `energy` is the lookup over conv outputs.
 
-class Conventional(Record):
+class _Spec(Record):
+    __slots__ = ()
+    _readers: tuple = ()
+    energy = "square"
+
+
+class Conventional(_Spec):
     __slots__ = _fields = ()
     kind = "conventional"
 
 
-class Dilation(Record):
-    """Keep one tap every `rate` samples; rate=None means the per-bin maximum."""
+class Dilation(_Spec):
+    """Keep one tap every `rate` samples, capped per bin at
+    `max_dilation_per_bin`; rate=None keeps each bin at its cap."""
 
-    __slots__ = _fields = ("rate", "per_bin_cap")
+    __slots__ = _fields = ("rate",)
     kind = "dilation"
+    _readers = (lambda text: None if text == "max" else int(text),)
 
-    def __init__(self, rate: int | None = None, per_bin_cap: bool = True):
+    def __init__(self, rate: int | None = None):
         if rate is not None and rate < 1:
             raise ApproxError("dilation rate must be >= 1")
-        if rate is None and not per_bin_cap:
-            raise ApproxError("maximal dilation requires the per-bin cap")
         set_field(self, "rate", rate)
-        set_field(self, "per_bin_cap", per_bin_cap)
 
 
-class FreqAdaptiveWindow(Record):
+class FreqAdaptiveWindow(_Spec):
     __slots__ = _fields = ("n_min",)
     kind = "fdwindow"
+    _readers = (int,)
 
     def __init__(self, n_min: int = 80):
         if n_min < 2:
@@ -68,11 +78,12 @@ class FreqAdaptiveWindow(Record):
         set_field(self, "n_min", n_min)
 
 
-class Poorman(Record):
+class Poorman(_Spec):
     """Project each DFT coefficient onto the `roots`-th roots of unity."""
 
     __slots__ = _fields = ("roots",)
     kind = "poorman"
+    _readers = (int,)
 
     def __init__(self, roots: int = 4):
         if roots < 2:
@@ -80,14 +91,16 @@ class Poorman(Record):
         set_field(self, "roots", roots)
 
 
-class L1Energy(Record):
+class L1Energy(_Spec):
     __slots__ = _fields = ()
     kind = "l1"
+    energy = "abs"
 
 
-class Cropping(Record):
+class Cropping(_Spec):
     __slots__ = _fields = ("f_min_hz", "f_max_hz")
     kind = "crop"
+    _readers = (float, float)
 
     def __init__(self, f_min_hz: float = 0.0, f_max_hz: float = 1000.0):
         if not 0 <= f_min_hz < f_max_hz:
@@ -97,6 +110,29 @@ class Cropping(Record):
 
 
 ApproxSpec = Conventional | Dilation | FreqAdaptiveWindow | Poorman | L1Energy | Cropping
+
+# Every `--approx` form, in the order its help lists them, and the spec it
+# names: the kind, then one argument per field, or none for the defaults.
+FORMS = {"conventional": Conventional, "dilation:d": Dilation, "dilation:max": Dilation,
+         "fdwindow:Nmin": FreqAdaptiveWindow, "poorman:L": Poorman, "l1": L1Energy,
+         "crop": Cropping, "crop:fmin:fmax": Cropping}
+
+
+def parse_approx(text: str) -> ApproxSpec:
+    """The spec an `--approx` form names, such as 'dilation:4' or 'crop:0:1000'."""
+    kind, *args = text.split(":")
+    for form, spec in FORMS.items():
+        if form.split(":")[0] == kind and form.count(":") == len(args):
+            try:
+                return spec(*(read(a) for read, a in zip(spec._readers, args)))
+            except ValueError as exc:  # a bad number, or an ApproxError
+                raise ApproxError(f"bad approximation spec {text!r}: {exc}") from exc
+    raise ApproxError(f"bad approximation spec {text!r}")
+
+
+def approx_label(spec: ApproxSpec) -> str:
+    """The `--approx` form of `spec`, which `parse_approx` reads back."""
+    return ":".join([spec.kind, *("max" if v is None else str(v) for v in spec._values())])
 
 
 # Dilation --------------------------------------------------------------------
@@ -267,7 +303,7 @@ def approx_kernels(spec: ApproxSpec, cfg: StftConfig, sample_rate_hz: int) -> Ke
     if isinstance(spec, (Conventional, L1Energy)):
         return base
     if isinstance(spec, Dilation):
-        return dilation_kernels(base, spec.rate, spec.per_bin_cap)
+        return dilation_kernels(base, spec.rate, per_bin_cap=True)
     if isinstance(spec, Cropping):
         return crop_kernels(base, sample_rate_hz, spec.f_min_hz, spec.f_max_hz)
     raise ApproxError(f"unknown approximation spec: {spec!r}")

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .approx import ApproxSpec, L1Energy, approx_kernels
+from .approx import ApproxSpec, approx_kernels, approx_label
 from .quant import BitWidthConfig, width_of
 from .record import Record, set_field
 from .transforms import (
@@ -754,11 +754,6 @@ class CircuitGraph:
 
 # Pipeline construction -------------------------------------------------------
 
-def approx_label(spec: ApproxSpec) -> str:
-    """The spec's kind and each of its fields, joined by ':'."""
-    return ":".join([spec.kind, *(str(getattr(spec, f)) for f in spec._fields)])
-
-
 class PipelinePlan:
     """Structure plus calibration statistics; realize() binds bit widths.
 
@@ -1078,9 +1073,8 @@ class Sweep:
 
 def _energy_head(nodes: list, src: str, approx: ApproxSpec, prefix: str,
                  paired: bool) -> str:
-    """Square (or abs for l1) energy over conv outputs, summed over re/im."""
-    semantic = "abs" if isinstance(approx, L1Energy) else "square"
-    nodes.append(LutNode(name=f"{prefix}_energy", src=src, semantic=semantic))
+    """The energy lookup `approx` names over conv outputs, summed over re/im."""
+    nodes.append(LutNode(name=f"{prefix}_energy", src=src, semantic=approx.energy))
     head = f"{prefix}_energy"
     if paired:
         nodes.append(ReduceNode(name=f"{prefix}_energy_sum", src=head,

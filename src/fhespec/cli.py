@@ -23,14 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .approx import (
+    FORMS,
     ApproxError,
-    Conventional,
-    Cropping,
-    Dilation,
     dilation_aliasing_residual,
-    FreqAdaptiveWindow,
-    L1Energy,
-    Poorman,
+    parse_approx,
     poorman_bound_report,
 )
 from .circuit import (
@@ -86,8 +82,7 @@ EXIT_SKIPS = 3
 # file's [run] section, then the default decides each one.
 SETTINGS = {
     "transform": (str, "stft", None),
-    "approx": (str, "conventional", "conventional | dilation:d | dilation:max | "
-                                    "fdwindow:Nmin | poorman:L | l1 | crop:fmin:fmax"),
+    "approx": (str, "conventional", " | ".join(FORMS)),
     "bits": (str, "5,8,4,5", "Bi,Bo,Bw,Bm"),
     "calib_fraction": (float, 0.10, None),
     "seed": (int, 0, None),
@@ -144,31 +139,6 @@ def fix_allocator_thresholds() -> None:
 
 class CliError(ValueError):
     pass
-
-
-def parse_approx(text: str):
-    """Parse an approximation spec like 'dilation:4' or 'crop:0:1000'."""
-    parts = text.split(":")
-    name, args = parts[0], parts[1:]
-    try:
-        if name == "conventional" and not args:
-            return Conventional()
-        if name == "dilation" and len(args) == 1:
-            return Dilation(rate=None if args[0] == "max" else int(args[0]))
-        if name == "fdwindow" and len(args) == 1:
-            return FreqAdaptiveWindow(n_min=int(args[0]))
-        if name == "poorman" and len(args) == 1:
-            return Poorman(roots=int(args[0]))
-        if name == "l1" and not args:
-            return L1Energy()
-        if name == "crop":
-            if not args:
-                return Cropping()
-            if len(args) == 2:
-                return Cropping(f_min_hz=float(args[0]), f_max_hz=float(args[1]))
-    except (ValueError, ApproxError) as exc:
-        raise CliError(f"bad approximation spec {text!r}: {exc}") from exc
-    raise CliError(f"bad approximation spec {text!r}")
 
 
 def parse_bits(text: str, flag: str = "--bits") -> BitWidthConfig:

@@ -266,11 +266,10 @@ def conv_feasible(bits: BitWidthConfig, max_taps: int) -> bool:
 def _plan_max_taps(plan) -> int:
     """Largest nonzero tap count over the plan's input convolutions.
 
-    Only a kernel row thinned everywhere lowers it: uniform dilation
-    without the per-bin cap (which has no CLI form).  Every `--approx`
-    form keeps at least one row at N - 1 taps (the Hann window zeroes tap
-    0): the per-bin cap keeps high bins dense, and cropping drops whole
-    rows."""
+    Only a bank thinned in every row would lower it, and no approximation
+    spec builds one: each keeps at least one row at N - 1 taps (the Hann
+    window zeroes tap 0), as dilation's per-bin cap keeps high bins dense
+    and cropping drops whole rows."""
     return max(n.nonzero_taps() for n in plan.nodes if isinstance(n, ConvNode))
 
 

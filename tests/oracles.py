@@ -195,7 +195,7 @@ def kernel_halves(spec, cfg: StftConfig, window: np.ndarray,
     phase = 2.0 * np.pi * k * j / n
     real, imag = window * np.cos(phase), -window * np.sin(phase)
     if isinstance(spec, Dilation):
-        mask = dilation_mask(n, cfg.bins, spec.rate, spec.per_bin_cap)
+        mask = dilation_mask(n, cfg.bins, spec.rate, per_bin_cap=True)
         return real * mask, imag * mask
     if isinstance(spec, FreqAdaptiveWindow):
         ones = np.ones(n)

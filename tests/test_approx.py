@@ -1,7 +1,11 @@
 """Approximation tests: masks, projections, closed-form errors, bounds."""
 
+from typing import get_args
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     cropping_error,
@@ -13,7 +17,9 @@ from oracles import (
     poorman_project,
 )
 from fhespec.approx import (
+    FORMS,
     ApproxError,
+    ApproxSpec,
     Conventional,
     Cropping,
     Dilation,
@@ -21,6 +27,7 @@ from fhespec.approx import (
     L1Energy,
     Poorman,
     approx_kernels,
+    approx_label,
     crop_kernels,
     crop_mask,
     dilation_aliasing_residual,
@@ -30,6 +37,7 @@ from fhespec.approx import (
     fd_width,
     fd_window,
     max_dilation_per_bin,
+    parse_approx,
     poorman_bound_report,
     poorman_kernels,
     poorman_root,
@@ -278,6 +286,47 @@ def test_approx_kernels_shape_invariant():
         assert bank.imag.shape == (129, 256)
 
 
+# Forms and labels -------------------------------------------------------------
+
+_CROP_LOW = st.floats(0.0, 1e12) | st.integers(0, 10**6)
+SPECS = {
+    Conventional: st.builds(Conventional),
+    Dilation: st.builds(Dilation, st.none() | st.integers(1, 10**9)),
+    FreqAdaptiveWindow: st.builds(FreqAdaptiveWindow, st.integers(2, 10**9)),
+    Poorman: st.builds(Poorman, st.integers(2, 10**9)),
+    L1Energy: st.builds(L1Energy),
+    Cropping: _CROP_LOW.flatmap(lambda lo: st.builds(
+        Cropping, st.just(lo), st.floats(min_value=lo, exclude_min=True))),
+}
+
+
+def test_forms_cover_every_spec_class():
+    """Each spec class has an `--approx` form and a strategy in `SPECS`, and
+    each form starts with its class's kind and gives it one argument per
+    field, or none."""
+    assert set(FORMS.values()) == set(SPECS) == set(get_args(ApproxSpec))
+    for form, spec in FORMS.items():
+        kind, *args = form.split(":")
+        assert kind == spec.kind, form
+        assert len(args) in (0, len(spec._fields)), form
+
+
+@settings(max_examples=300)
+@given(spec=st.one_of(*SPECS.values()))
+def test_parse_approx_reads_back_every_label(spec):
+    """A spec's label is an `--approx` form that names an equal spec."""
+    assert parse_approx(approx_label(spec)) == spec
+
+
+def test_labels_are_the_cli_forms():
+    assert approx_label(Dilation(rate=4)) == "dilation:4"
+    assert approx_label(Dilation(rate=None)) == "dilation:max"
+    assert approx_label(Cropping()) == "crop:0.0:1000.0"
+    assert approx_label(L1Energy()) == "l1"
+    assert L1Energy().energy == "abs"
+    assert {spec().energy for spec in FORMS.values() if spec is not L1Energy} == {"square"}
+
+
 def test_spec_validation():
     with pytest.raises(ApproxError):
         Dilation(rate=0)
@@ -333,9 +382,8 @@ def test_approx_kernels_equal_the_half_formulas_bit_for_bit(n):
     of the one (2K, N) array the conv node multiplies."""
     cfg = StftConfig(n, n // 4)
     window = hann_window(n)
-    specs = (Conventional(), Dilation(rate=4), Dilation(rate=None),
-             Dilation(rate=3, per_bin_cap=False), FreqAdaptiveWindow(n_min=16),
-             Poorman(roots=4), Poorman(roots=3), L1Energy(),
+    specs = (Conventional(), Dilation(rate=4), Dilation(rate=None), Dilation(rate=3),
+             FreqAdaptiveWindow(n_min=16), Poorman(roots=4), Poorman(roots=3), L1Energy(),
              Cropping(f_min_hz=300.0, f_max_hz=4000.0))
     for spec in specs:
         bank = approx_kernels(spec, cfg, FS)

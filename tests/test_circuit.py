@@ -31,6 +31,9 @@ from fhespec.approx import (
     FreqAdaptiveWindow,
     L1Energy,
     Poorman,
+    approx_label,
+    dilation_kernels,
+    parse_approx,
 )
 from fhespec.circuit import (
     BUDGET_BITS,
@@ -49,12 +52,10 @@ from fhespec.circuit import (
     Sweep,
     WeightBank,
     _row_blocks,
-    approx_label,
     build_descriptor_plan,
     build_transform_plan,
     quantize_weights,
 )
-from fhespec.cli import parse_approx
 from fhespec.evaluate import normalized_euclidean
 from fhespec.quant import MAX_BITS, BitWidthConfig, width_of
 from fhespec.transforms import (
@@ -65,6 +66,7 @@ from fhespec.transforms import (
     gammatone_kernels,
     hann_window,
     mel_filterbank_matrix,
+    stft_kernels,
 )
 
 FS = 16000
@@ -685,7 +687,7 @@ def test_graph_json_contents():
     doc = json.loads(graph.to_json())
     assert doc["format_version"] == 1
     assert doc["kind"] == "mfcc"
-    assert doc["approx"] == approx_label(Poorman(roots=4))
+    assert doc["approx"] == approx_label(Poorman(roots=4)) == "poorman:4"
     names = {n["name"] for n in doc["nodes"]}
     assert {"stft_conv", "mel_matmul", "dct_matmul", "mfcc_out"} <= names
     conv = next(n for n in doc["nodes"] if n["name"] == "stft_conv")
@@ -703,14 +705,15 @@ def test_graph_json_contents():
 
 def test_realized_plan_json_is_pinned():
     """A fixed small realized plan serializes to the bytes pinned here: its
-    weight codes' int64 hashes, weight scales, accumulator ranges and edges.
+    approximation's `--approx` form, weight codes' int64 hashes, weight
+    scales, accumulator ranges and edges.
     The ranges are set by hand, so no float summation order reaches them."""
     plan = build_transform_plan("mfcc", Dilation(rate=4), CFG, FS, mel=MEL, n_mfcc=8)
     plan.ranges = {"input": (-1.0, 1.0),
                    **{n.name: (-0.25 * k, 1.0 + k) for k, n in enumerate(plan.nodes)}}
     doc = plan.realize(BITS).to_json()
     assert hashlib.sha256(doc.encode()).hexdigest() == \
-        "e4636e5e456c90a6660aa13280241954f236949386371f37c409f248f8df0efe"
+        "b3643fd2fdba288b81b31dd714a1693c035f22c8371f8b706c81fcb3630b7516"
 
 
 def test_bank_memory_is_one_float_kernel_and_one_float32_code_array():
@@ -752,12 +755,14 @@ def test_bank_memory_is_one_float_kernel_and_one_float32_code_array():
 
 def test_sparse_approximations_lower_conv_taps():
     dense = build_transform_plan("stft", Conventional(), CFG, FS)
-    # uniform dilation thins every kernel row; the per-bin cap would keep
-    # high bins dense, so the maximum tap count only drops without it
-    sparse = build_transform_plan("stft", Dilation(rate=4, per_bin_cap=False),
-                                  CFG, FS)
+    # uniform dilation, which no spec builds, thins every kernel row, so
+    # the maximum tap count drops; the per-bin cap keeps high bins dense
+    uniform = dilation_kernels(stft_kernels(CFG, hann_window(CFG.window_length)), 4,
+                               per_bin_cap=False)
+    sparse = ConvNode(name="stft_conv", src="input", weights_f=uniform.kernels,
+                      stride=CFG.hop)
     n_dense = dense.nodes[0].nonzero_taps()
-    n_sparse = sparse.nodes[0].nonzero_taps()
+    n_sparse = sparse.nonzero_taps()
     assert n_dense == CFG.window_length - 1  # the Hann window zeroes tap 0
     assert n_sparse <= (n_dense + 3) // 4 + 1
     # every --approx form keeps a row at N - 1 taps: the per-bin cap keeps
@@ -974,12 +979,17 @@ def test_calibration_equals_the_per_clip_clear_forwards(kind, approx, cfg, n_fra
 
 
 # Metamorphic relations: two runs whose codes must agree, so no oracle is
-# needed.  MFCC is left out of the gain relation: its log reads the
-# linearly quantized Mel spectrum, so a gain moves most of its codes.
-INVARIANT_APPROXES = [Conventional(), Dilation(rate=4), Poorman(roots=4)]
+# needed.  Both take every approximation of PROPERTY_APPROXES.  MFCC is
+# left out of the gain relation: its log reads the linearly quantized Mel
+# spectrum, so a gain moves most of its codes.
 # powers of two scale every value exactly; the others round
 GAINS = st.sampled_from([0.125, 0.25, 0.5, 2.0, 4.0, 8.0]) | st.sampled_from(
     [0.3, 0.7, 1.5, 3.0, 5.0]) | st.floats(0.1, 10.0)
+
+
+def edge_bounds(graph) -> list:
+    """The integer range of every edge: the input's, then each node's."""
+    return [graph.input_spec.bounds, *(n.out_spec.bounds for n in graph.nodes)]
 
 
 def louder(bufs, k):
@@ -988,13 +998,14 @@ def louder(bufs, k):
 
 @settings(max_examples=60)
 @given(kind=st.sampled_from(("stft", "mel", "gammatone", "descriptors")),
-       approx=st.sampled_from(INVARIANT_APPROXES), cfg=STFT_CONFIGS,
+       approx=st.sampled_from(PROPERTY_APPROXES), cfg=STFT_CONFIGS,
        n_frames=st.integers(2, 40), bits=BITS_ST, k=GAINS)
 def test_codes_do_not_depend_on_the_recording_gain(kind, approx, cfg, n_frames, bits, k):
     """Scaling every calibration and evaluation clip by one gain k scales
-    every calibrated range, so the same configs realize and every output
-    code stays where it was.  The descriptor plan's normalize heads z-score,
-    so a gain cancels there too."""
+    every calibrated range, so the same configs realize, every edge keeps
+    its integer range, and every code stays where it was: the output's, and
+    each node's largest accumulator.  The descriptor plan's normalize heads
+    z-score, so a gain cancels there too."""
     n = clip_length(cfg, n_frames)
     calib, evalu = clips(4, seed=40, n=n), clips(2, seed=41, n=n)
     graph = realize_or_none(uncalibrated_plan(kind, approx, cfg, n_frames)
@@ -1002,14 +1013,17 @@ def test_codes_do_not_depend_on_the_recording_gain(kind, approx, cfg, n_frames, 
     loud = realize_or_none(uncalibrated_plan(kind, approx, cfg, n_frames)
                            .calibrate(louder(calib, k)), bits)
     assert (graph is None) == (loud is None)
+    if graph is not None:
+        assert edge_bounds(loud) == edge_bounds(graph)
     for buf, loud_buf in zip(evalu, louder(evalu, k)) if graph is not None else ():
-        assert np.array_equal(loud.execute(loud_buf).output.data,
-                              graph.execute(buf).output.data)
+        quiet_run, loud_run = graph.execute(buf), loud.execute(loud_buf)
+        assert np.array_equal(loud_run.output.data, quiet_run.output.data)
+        assert loud_run.observed == quiet_run.observed
 
 
 @settings(max_examples=60)
 @given(kind=st.sampled_from(("stft", "mel", "mfcc", "gammatone")),
-       approx=st.sampled_from(INVARIANT_APPROXES), cfg=STFT_CONFIGS,
+       approx=st.sampled_from(PROPERTY_APPROXES), cfg=STFT_CONFIGS,
        n_frames=st.integers(2, 40), bits=BITS_ST)
 def test_dropping_the_first_hop_drops_the_first_frame(kind, approx, cfg, n_frames, bits):
     """Each frame is computed alone, so a clip without its first `hop`

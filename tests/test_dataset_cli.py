@@ -26,13 +26,12 @@ from fhespec.cli import (
     build_parser,
     gather_clips,
     main,
-    parse_approx,
     parse_bits,
     parse_grid,
     resolve_settings,
     truncate_to_common_length,
 )
-from fhespec.approx import Cropping, Dilation, Poorman
+from fhespec.approx import FORMS, ApproxError, Cropping, Dilation, Poorman, parse_approx
 from fhespec.dataset import (
     DatasetError,
     ingest,
@@ -243,8 +242,24 @@ def test_parse_approx_forms():
                                                      f_max_hz=2000.0)
     assert parse_approx("l1").kind == "l1"
     for bad in ("dilation", "poorman:1", "crop:5:1", "mystery"):
-        with pytest.raises(CliError):
+        with pytest.raises(ApproxError):
             parse_approx(bad)
+
+
+@pytest.mark.parametrize("form, message", [
+    ("dilation", "bad approximation spec 'dilation'"),
+    ("poorman:1", "bad approximation spec 'poorman:1': poorman needs at least 2 roots"),
+    ("crop:5:1", "bad approximation spec 'crop:5:1': need 0 <= f_min < f_max"),
+    ("mystery", "bad approximation spec 'mystery'"),
+    ("dilation:abc", "bad approximation spec 'dilation:abc': "
+                     "invalid literal for int() with base 10: 'abc'"),
+    ("crop:1", "bad approximation spec 'crop:1'"),
+])
+def test_refused_approx_forms_fail_the_run(tmp_path, capsys, form, message):
+    code, out = run_cli(tmp_path, "spectrogram", "--approx", form)
+    assert code == EXIT_FAILED
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_parse_bits_and_grid():
@@ -728,6 +743,11 @@ def test_readme_commands_run(tmp_path, capsys):
         args["--out"] = str(tmp_path / args["--out"])
         run = [argv[0], *(x for kv in args.items() for x in kv)]
         assert main(run) == EXIT_OK, (argv, capsys.readouterr().err)
+
+
+def test_readme_names_exactly_the_approx_forms():
+    sentence = re.search(r"`--approx` accepts (.*?)\.\s", README.read_text(), re.S).group(1)
+    assert re.findall(r"`([^`]+)`", sentence) == list(FORMS)
 
 
 def test_readme_library_example_runs(capsys):

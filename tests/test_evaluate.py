@@ -377,6 +377,42 @@ def test_pair_tests_run_over_the_np_unique_pairs(labels, seed):
     assert got == want
 
 
+def _by_unordered_pair(results, name=lambda label: label) -> dict:
+    """{({class names}, descriptor): (p_clear, p_fhe, outcome)}, with the
+    p-values as their exact bits and the classes renamed by `name`."""
+    keyed = {}
+    for r in results:
+        (a, descriptor), (b, _) = (side.rsplit("/", 1) for side in r.class_pair)
+        keyed[frozenset((name(a), name(b))), descriptor] = (
+            r.p_clear.hex(), r.p_fhe.hex(), r.outcome)
+    assert len(keyed) == len(results)
+    return keyed
+
+
+# tie-free floats take the exact U distribution, small integers the
+# tie-corrected normal approximation
+ARM_VALUES = st.floats(-1e3, 1e3) | st.integers(-2, 2).map(float)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), names=st.lists(LABELS, min_size=2, max_size=4, unique=True))
+def test_pair_tests_do_not_depend_on_the_class_names(data, names):
+    """Renaming the classes by any bijection reorders the class pairs and
+    may swap the two sides of one, but leaves every unordered pair's and
+    descriptor's p-values and outcome as they were, bit for bit."""
+    k = len(names)
+    renamed = data.draw(st.permutations(names) | st.lists(
+        LABELS, min_size=k, max_size=k, unique=True))
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    labels = [name for name, size in zip(names, sizes) for _ in range(size)]
+    clear, fhe = (np.array(data.draw(st.lists(st.lists(ARM_VALUES, min_size=4, max_size=4),
+                                              min_size=len(labels), max_size=len(labels))))
+                  for _ in range(2))
+    rename = dict(zip(names, renamed))
+    assert (_by_unordered_pair(pair_tests([rename[x] for x in labels], clear, fhe))
+            == _by_unordered_pair(pair_tests(labels, clear, fhe), rename.get))
+
+
 # Grid search ------------------------------------------------------------------
 
 def eval_clips(count, seed):

@@ -52,8 +52,7 @@ RECORDS = {
     "Conventional": (Conventional, "hash", None, None),
     "Dilation": (lambda: Dilation(rate=4), "hash",
                  lambda: Dilation(rate=0), ApproxError),
-    "Dilation-max": (Dilation, "hash",
-                     lambda: Dilation(rate=None, per_bin_cap=False), ApproxError),
+    "Dilation-max": (Dilation, "hash", None, None),
     "FreqAdaptiveWindow": (FreqAdaptiveWindow, "hash",
                            lambda: FreqAdaptiveWindow(n_min=1), ApproxError),
     "Poorman": (Poorman, "hash", lambda: Poorman(roots=1), ApproxError),
@@ -116,7 +115,7 @@ def test_records_of_different_kinds_never_compare_equal():
     assert FreqAdaptiveWindow(n_min=4) != Poorman(roots=4)
     assert MelSpec(n_mels=16) != GammatoneSpec(n_filters=16)
     assert len({Conventional(), L1Energy()}) == 2
-    assert repr(Dilation(rate=4)) == "Dilation(rate=4, per_bin_cap=True)"
+    assert repr(Dilation(rate=4)) == "Dilation(rate=4)"
     assert repr(L1Energy()) == "L1Energy()"
 
 
