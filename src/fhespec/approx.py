@@ -210,8 +210,7 @@ def fd_window(k: int, n: int, n_min: int) -> np.ndarray:
     width = fd_width(k, n, n_min)
     start = (n - width) // 2
     w = np.zeros(n)
-    j = np.arange(width)
-    w[start:start + width] = 0.5 * (1.0 - np.cos(2.0 * np.pi * j / width))
+    w[start:start + width] = hann_window(width)
     return w
 
 

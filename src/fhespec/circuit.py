@@ -472,18 +472,22 @@ class LutNode(Node):
 
 
 class ReduceNode(Node):
-    """Integer sum (or mean, as a rescaled sum) over one axis."""
+    """Integer sum (or mean, as a rescaled sum) of `fan_in` values along one axis."""
 
     def __init__(self, name: str, src: str, op: str, axis: str, fan_in: int | None = None):
         if op not in ("sum", "mean"):
             raise CircuitError(f"unknown reduce op {op!r}")
         if axis not in ("pair", "channels", "time"):
             raise CircuitError(f"unknown reduce axis {axis!r}")
+        if axis == "pair" and fan_in not in (None, 2):
+            raise CircuitError(f"reduce node {name} sums pairs, not fan_in={fan_in}")
+        if axis != "pair" and fan_in is None:
+            raise CircuitError(f"reduce node {name} needs fan_in")
         self.name = name
         self.src = src
         self.op = op
         self.axis = axis
-        self.fan_in = fan_in
+        self.fan_in = 2 if axis == "pair" else fan_in
 
     def _split(self, x: np.ndarray):
         if self.axis == "pair":
@@ -497,13 +501,10 @@ class ReduceNode(Node):
         return arr.sum(axis=ax) if self.op == "sum" else arr.mean(axis=ax)
 
     def bind(self, specs, bits, edge):
-        fan = 2 if self.axis == "pair" else self.fan_in
-        if fan is None:
-            raise CircuitError(f"reduce node {self.name} needs fan_in")
-        in_spec = specs[self.src]
+        in_spec, fan = specs[self.src], self.fan_in
         lo, hi = in_spec.bounds
         scale = in_spec.scale / fan if self.op == "mean" else in_spec.scale
-        return self._copy(in_spec=in_spec, fan_in=fan,
+        return self._copy(in_spec=in_spec,
                           out_spec=RawSpec(scale=scale, v_lo=fan * lo, v_hi=fan * hi))
 
     def run_int(self, v: np.ndarray) -> np.ndarray:
@@ -857,20 +858,19 @@ class _Slot:
 
 
 class _RunList(NamedTuple):
-    """What `Sweep.execute` runs once every slot deeper than a prefix
-    length k was rebound: the nodes deeper than k, in plan order."""
+    """The slots deeper than a prefix length k, which `Sweep.realize`
+    rebinds and `Sweep.execute` reruns, and what their rerun needs."""
 
-    nodes: list  # the nodes' indices in the plan
-    drops: list  # `_drop_lists` of those nodes
-    reads: list  # the names of the kept values they read, no deeper than k
-    input: bool  # whether the input edge reruns (k = 0)
+    slots: list  # the slots deeper than k, in plan order, 'input' first
+    drops: list  # `_drop_lists` of their plan nodes ('input' has none)
+    reads: list  # the names of the kept values those nodes read, no deeper than k
 
 
 class Sweep:
     """Realizes and executes one calibrated plan at many configurations,
     rebinding and rerunning only the nodes whose widths changed.
 
-    The clips must have equal lengths: `execute` runs the graph realized
+    The clips must have equal lengths: `execute` runs the nodes realized
     last once over all of them, stacked into one (B, L) batch, and
     `clear_output` so runs the plan's own nodes, before or after any realize.
 
@@ -879,10 +879,11 @@ class Sweep:
     inputs have, whichever is deeper.  Which widths a bind reads is a
     property of the plan, so the sweep learns every depth once, from the
     first realize whose binds all complete, through a recording `_ReadLog`,
-    and from the depths, for each prefix length, the slots deeper than it
-    (`rebind`) and the `_RunList` that reruns their nodes (`runs`), and the
-    keep flags.  Each node has one slot: its depth, the bound node, its
-    budget entry and, once executed, its batched value if it is kept.
+    and from the depths the keep flags and, for each prefix length, the
+    one `_RunList` of the slots deeper than it (`runs`).  Each node has one
+    slot: its depth, the bound node, its budget entry and, once executed,
+    its batched value if it is kept.  The sweep keeps no graph: the slots
+    hold everything a config leaves behind.
 
     One rule decides reuse: `realize` keeps a slot iff its depth is at
     most the length of the `SWEEP_ORDER` prefix the config shares with
@@ -890,14 +891,14 @@ class Sweep:
     node in place, dropping its value, otherwise; after a failed bind every
     node rebinds.  A kept node was bound at the same first `depth` widths,
     so a reused value was range-checked by the same bound node on the same
-    input.  A config costs what its changed nodes cost: `realize` walks
-    only the slots deeper than the shared prefix, the verdict is the set
-    of slots whose entry violates the budget (the report is built only for
-    a refusal), `execute` runs only the run list of `pending`, and each
+    input.  A config costs what its changed nodes cost: `realize` rebinds
+    the run list of the shared prefix, the verdict is the set of slots
+    whose entry violates the budget (the report is built only for a
+    refusal), `execute` reruns the run list of `pending`, and each
     quantized edge is computed once per range and width.  `pending` is
     the shortest prefix shared by a realize since the last execution; the
-    `rebind` lists are nested, so its list holds every slot rebound since
-    then, those of refused configs and failed binds included.
+    run lists are nested, so its list holds every slot rebound since then,
+    those of refused configs and failed binds included.
 
     `visit` realizes configs sorted by the fields in `SWEEP_ORDER`, so
     consecutive configs share the longest prefix.  `PipelinePlan.realize`
@@ -913,15 +914,12 @@ class Sweep:
         self.slots = {"input": _Slot("input", None),
                       **{n.name: _Slot(n.name, n) for n in plan.nodes}}
         self.node_slots = [self.slots[n.name] for n in plan.nodes]
-        self.drops = _drop_lists(plan.nodes)
-        self.rebind: list | None = None  # prefix length -> the slots deeper than it
         self.runs: list | None = None  # prefix length -> its `_RunList`
         self.pending = 0  # the shortest prefix shared by a realize since the last execute
         self.violating: set = set()  # names of the slots whose entry violates the budget
         self.specs: dict = {}  # name -> the output edge of the node in its slot
         self.edges: dict = {}  # (group of node names, width) -> EdgeSpec
         self.realized: tuple | None = None  # the last config whose binds all completed
-        self.graph: CircuitGraph | None = None  # the graph realized last
         self.label = approx_label(plan.approx)
         # Heads feeding a multi-input node (the descriptor concat) must land
         # on one shared quantized edge, so their ranges are pooled.
@@ -944,23 +942,22 @@ class Sweep:
         return spec
 
     def _learn(self) -> None:
-        """With every depth known: the slots deeper than each prefix length,
-        their run list, and each slot's keep flag.  A slot keeps its value
-        for the output, and for a node with a deeper reader, since only
-        such a reader can run again while the node is reused; so what a run
-        list reads from outside it is kept."""
-        slots, nodes = self.slots, self.plan.nodes
-        self.rebind, self.runs = [], []
+        """With every depth known: the run list of each prefix length, and
+        each slot's keep flag.  A slot keeps its value for the output, and
+        for a node with a deeper reader, since only such a reader can run
+        again while the node is reused; so what a run list reads from
+        outside it is kept."""
+        slots = self.slots
+        self.runs = []
         for k in range(len(SWEEP_ORDER) + 1):
-            self.rebind.append([s for s in slots.values() if s.depth > k])
-            run = [i for i, s in enumerate(self.node_slots) if s.depth > k]
-            reads = dict.fromkeys(s for i in run for s in nodes[i].inputs
+            deeper = [s for s in slots.values() if s.depth > k]
+            nodes = [s.plan_node for s in deeper if s.plan_node is not None]
+            reads = dict.fromkeys(s for n in nodes for s in n.inputs
                                   if slots[s].depth <= k)
-            self.runs.append(_RunList(run, _drop_lists([nodes[i] for i in run]),
-                                      list(reads), slots["input"].depth > k))
+            self.runs.append(_RunList(deeper, _drop_lists(nodes), list(reads)))
         for slot in slots.values():
             slot.keep = slot.name == self.plan.output_node
-        for n in nodes:
+        for n in self.plan.nodes:
             for s in n.inputs:
                 slots[s].keep = slots[s].keep or slots[n.name].depth > slots[s].depth
 
@@ -971,17 +968,16 @@ class Sweep:
         plan = self.plan
         if plan.ranges is None:
             raise CircuitError("plan must be calibrated before realization")
-        self.graph = None
         config = _sweep_key(bits)
         last, self.realized = self.realized, None  # None stays if a bind raises
         shared = 0 if last is None else next(
             (i for i, (a, b) in enumerate(zip(config, last)) if a != b), len(config))
         self.pending = min(self.pending, shared)
-        learning = self.rebind is None
+        learning = self.runs is None
         widths = _ReadLog(bits) if learning else bits
         edge = partial(self._edge, widths)
         slots, specs, violating = self.slots, self.specs, self.violating
-        for slot in slots.values() if learning else self.rebind[shared]:
+        for slot in slots.values() if learning else self.runs[shared].slots:
             n = slot.plan_node
             if learning:
                 widths.depth = 0
@@ -1007,7 +1003,7 @@ class Sweep:
         if violating:
             raise BudgetViolation(AccumulatorReport(
                 entries=[s.entry for s in self.node_slots if s.entry is not None]))
-        self.graph = CircuitGraph(
+        return CircuitGraph(
             kind=plan.kind,
             approx_label=self.label,
             bits=bits,
@@ -1015,7 +1011,6 @@ class Sweep:
             nodes=[s.node for s in self.node_slots],
             output_node=plan.output_node,
         )
-        return self.graph
 
     def _samples(self) -> np.ndarray:
         if self.samples is None:
@@ -1023,21 +1018,23 @@ class Sweep:
         return self.samples
 
     def execute(self) -> np.ndarray:
-        """The dequantized output of the graph realized last over all clips,
-        leading with the clip axis.  The forward runs the run list of
-        `pending`, the nodes rebound since the last execution, on the kept
+        """The dequantized output of the config realized last over all
+        clips, leading with the clip axis; refused unless that realize
+        completed within the budget.  The forward reruns the run list of
+        `pending`, the slots rebound since the last execution, on the kept
         values it reads.  The values a run computes and keeps are stored
         once the whole run succeeded, so a failed run leaves every slot and
         `pending` as they were."""
-        graph, slots = self.graph, self.slots
-        if graph is None:
+        slots = self.slots
+        if self.realized is None or self.violating:
             raise CircuitError("the sweep has no realized graph to execute")
         run = self.runs[self.pending]
         values = {s: slots[s].value for s in run.reads}
         kept: dict = {}  # name -> its value in this run, for the slots that keep it
-        if run.input:
-            values["input"] = kept["input"] = graph.input_spec.to_v(self._samples())
-        nodes = [graph.nodes[i] for i in run.nodes]
+        source = slots["input"]
+        if source.depth > self.pending:  # the input edge leads the run list
+            values["input"] = kept["input"] = source.node.to_v(self._samples())
+        nodes = [s.node for s in run.slots if s is not source]
         for name, v, _ in _forward(nodes, run.drops, values, clear=False):
             if slots[name].keep:
                 kept[name] = v
@@ -1054,8 +1051,8 @@ class Sweep:
         plan = self.plan
         if plan.ranges is None:
             raise CircuitError("plan must be calibrated before its clear output")
-        values = {"input": self._samples()}
-        for name, v, _ in _forward(plan.nodes, self.drops, values, clear=True):
+        values, drops = {"input": self._samples()}, _drop_lists(plan.nodes)
+        for name, v, _ in _forward(plan.nodes, drops, values, clear=True):
             if name == plan.output_node:
                 return v
 
@@ -1083,8 +1080,8 @@ def _energy_head(nodes: list, src: str, approx: ApproxSpec, prefix: str,
     return head
 
 
-def _stft_power_nodes(approx: ApproxSpec, cfg: StftConfig,
-                      sample_rate_hz: int) -> tuple[list, str]:
+def _stft_power_nodes(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: int) -> list:
+    """The STFT's power spectrogram, ending in the node `stft_power`."""
     bank = approx_kernels(approx, cfg, sample_rate_hz)
     nodes = [
         ConvNode(name="stft_conv", src="input", weights_f=bank.kernels,
@@ -1093,7 +1090,7 @@ def _stft_power_nodes(approx: ApproxSpec, cfg: StftConfig,
     ]
     head = _energy_head(nodes, "stft_conv_requant", approx, "stft", paired=True)
     nodes.append(LutNode(name="stft_power", src=head, semantic="requant"))
-    return nodes, "stft_power"
+    return nodes
 
 
 def _gamma_nodes(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: int,
@@ -1108,10 +1105,10 @@ def _gamma_nodes(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: int,
     return nodes
 
 
-def _mel_nodes(power: str, mel: MelSpec, cfg: StftConfig, sample_rate_hz: int) -> list:
-    """Mel filterbank over the power spectrogram `power`, requantized."""
+def _mel_nodes(mel: MelSpec, cfg: StftConfig, sample_rate_hz: int) -> list:
+    """Mel filterbank over the power spectrogram `stft_power`, requantized."""
     matrix = mel_filterbank_matrix(mel, cfg, sample_rate_hz)
-    return [MatmulNode(name="mel_matmul", src=power, weights_f=matrix),
+    return [MatmulNode(name="mel_matmul", src="stft_power", weights_f=matrix),
             LutNode(name="mel_spec", src="mel_matmul", semantic="requant")]
 
 
@@ -1127,11 +1124,11 @@ def build_transform_plan(kind: str, approx: ApproxSpec, cfg: StftConfig,
         nodes = _gamma_nodes(approx, cfg, sample_rate_hz, gamma or GammatoneSpec())
         output = "gamma_spec"
     else:
-        nodes, power = _stft_power_nodes(approx, cfg, sample_rate_hz)
-        output = power
+        nodes = _stft_power_nodes(approx, cfg, sample_rate_hz)
+        output = "stft_power"
         if kind in ("mel", "mfcc"):
             mspec = mel or MelSpec()
-            nodes += _mel_nodes(power, mspec, cfg, sample_rate_hz)
+            nodes += _mel_nodes(mspec, cfg, sample_rate_hz)
             output = "mel_spec"
             if kind == "mfcc":
                 if not 1 <= n_mfcc <= mspec.n_mels:
@@ -1164,10 +1161,10 @@ def build_descriptor_plan(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: i
     mspec = mel or MelSpec()
     gspec = gamma or GammatoneSpec()
 
-    nodes, power = _stft_power_nodes(approx, cfg, sample_rate_hz)
+    nodes = _stft_power_nodes(approx, cfg, sample_rate_hz)
 
     # mean/std over time of per-frame RMS of the STFT power spectrogram
-    nodes.append(ReduceNode(name="rms_mean_power", src=power, op="mean",
+    nodes.append(ReduceNode(name="rms_mean_power", src="stft_power", op="mean",
                             axis="channels", fan_in=cfg.bins))
     nodes.append(LutNode(name="rms", src="rms_mean_power", semantic="sqrt"))
     nodes.append(ReduceNode(name="mean_rms_sum", src="rms", op="mean", axis="time",
@@ -1177,7 +1174,7 @@ def build_descriptor_plan(approx: ApproxSpec, cfg: StftConfig, sample_rate_hz: i
     nodes.append(LutNode(name="std_rms", src="std_rms_val", semantic="normalize"))
 
     # mean over Mel channels of the per-channel std over time
-    nodes += _mel_nodes(power, mspec, cfg, sample_rate_hz)
+    nodes += _mel_nodes(mspec, cfg, sample_rate_hz)
     nodes.append(StdNode(name="mel_stds", src="mel_spec", fan_in=n_frames))
     nodes.append(ReduceNode(name="m_mstds_sum", src="mel_stds", op="mean",
                             axis="channels", fan_in=mspec.n_mels))

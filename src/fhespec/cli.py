@@ -228,6 +228,8 @@ def gather_clips(settings) -> tuple[list, list, list]:
     skipped.  Single-file-class warnings from the split are printed to
     stderr.
     """
+    if settings.get("synthetic") and settings.get("dataset"):
+        raise CliError("give either --dataset or --synthetic, not both")
     if settings.get("synthetic"):
         items = synthetic_clips(str(settings["synthetic"]), settings["clips"],
                                 settings["seed"], settings["sample_rate"],

@@ -795,6 +795,19 @@ def test_nodes_refuse_unknown_settings_at_construction(node_type, setting):
         node_type("n", "x", **setting)
 
 
+def test_reduce_nodes_set_their_fan_in_when_built():
+    """A pair sum reduces two values and refuses any other fan-in, and a
+    reduce over another axis without its fan-in is refused when it is
+    built, not at its first bind."""
+    assert ReduceNode("n", "x", op="sum", axis="pair").fan_in == 2
+    assert ReduceNode("n", "x", op="sum", axis="pair", fan_in=2).fan_in == 2
+    with pytest.raises(CircuitError, match="reduce node n sums pairs, not fan_in=3"):
+        ReduceNode("n", "x", op="sum", axis="pair", fan_in=3)
+    for axis in ("channels", "time"):
+        with pytest.raises(CircuitError, match="reduce node n needs fan_in"):
+            ReduceNode("n", "x", op="mean", axis=axis)
+
+
 def test_channel_reduce_refuses_another_fan_in():
     """A channel mean sized for 4 channels refuses a clip of 8 instead of
     dividing their sum by 4: clear gave 0.125 and the circuit 0.251."""

@@ -705,6 +705,24 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     assert "error: bad window value 'abc'" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_dataset_and_a_synthetic_corpus_together(tmp_path, capsys):
+    """Given both, by flags or by a config file, a run refuses instead of
+    reading the synthetic clips and ignoring the dataset."""
+    root = tmp_path / "data"
+    make_dataset(root)
+    error = "error: give either --dataset or --synthetic, not both\n"
+    code, out = run_cli(tmp_path, "budget", "--dataset", str(root))
+    assert code == EXIT_FAILED
+    assert capsys.readouterr().err == error
+    assert not out.exists()
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\ndataset = {root}\nsynthetic = tones\n")
+    assert main(["descriptors", "--config", str(cfg),
+                 "--out", str(tmp_path / "from_config")]) == EXIT_FAILED
+    assert capsys.readouterr().err == error
+    assert not (tmp_path / "from_config").exists()
+
+
 @pytest.mark.parametrize("command", ["spectrogram", "descriptors", "stattest",
                                      "budget"])
 def test_cli_defaults_realize(tmp_path, command, capsys):

@@ -668,6 +668,42 @@ DEPTHS = {"input": 1, "stft_conv": 2, "gamma_conv": 2,
               "gamma_energy", "gamma_spec", "gamma_stds", "m_gstds_sum")}}
 
 
+def test_sweep_keeps_one_run_list_per_shared_prefix():
+    """The run list of prefix length k holds the slots deeper than k, in
+    plan order with the input edge first: the slots `realize` rebinds at a
+    config sharing k widths with the last one, and those `execute` reruns.
+    `execute` refuses before any realize, after a refused config and after
+    a failed bind, since then no realized graph matches the slots."""
+    plan = descriptor_plan(eval_clips(3, 30))
+    sweep = Sweep(plan, eval_clips(2, 31))
+    with pytest.raises(circuit.CircuitError, match="no realized graph"):
+        sweep.execute()
+    fits, over = BitWidthConfig(4, 4, 5, 3), BitWidthConfig(5, 6, 4, 8)
+    sweep.realize(fits)
+    order = ["input", *(n.name for n in plan.nodes)]
+    for k in range(len(SWEEP_ORDER) + 1):
+        assert [s.name for s in sweep.runs[k].slots] == \
+            [name for name in order if DEPTHS[name] > k]
+    with pytest.raises(BudgetViolation):
+        sweep.realize(over)
+    with pytest.raises(circuit.CircuitError, match="no realized graph"):
+        sweep.execute()
+    sweep.realize(fits)
+    want = sweep.execute()
+
+    def failing(node, *args):
+        raise RuntimeError("injected")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuit.ConcatNode, "bind", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            sweep.realize(fits._replace(output_bits=5))
+    with pytest.raises(circuit.CircuitError, match="no realized graph"):
+        sweep.execute()
+    sweep.realize(fits)
+    assert np.array_equal(sweep.execute(), want)
+
+
 def _shared_prefix(a, b) -> int:
     if a is None:
         return 0
