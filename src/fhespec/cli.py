@@ -15,7 +15,9 @@ skipped files, 1 failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import ctypes
+import gc
 import json
 import sys
 from pathlib import Path
@@ -186,8 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_settings(args) -> dict:
-    """Merge built-in defaults, the optional config file, and flags (flags win)."""
+    """Merge built-in defaults, the optional config file, and flags (flags win).
+
+    `settings["given"]` is the set of settings a flag or the config file set."""
     settings = {name: default for name, (_, default, _) in SETTINGS.items()}
+    given = settings["given"] = set()
     if args.config is not None:
         import configparser  # on first use: most runs read no config file
 
@@ -199,9 +204,13 @@ def resolve_settings(args) -> dict:
             if key not in SETTINGS:
                 raise CliError(f"unknown config key {key!r}")
             settings[key] = value
+            given.add(key)
     for name, (convert, _, _) in SETTINGS.items():
         value = getattr(args, name, None)
-        value = settings[name] if value is None else value
+        if value is None:
+            value = settings[name]
+        else:
+            given.add(name)
         try:
             settings[name] = None if value is None else convert(value)
         except ValueError:
@@ -224,9 +233,10 @@ def resolve_settings(args) -> dict:
 def gather_clips(settings) -> tuple[list, list, list]:
     """Return (calibration clips, evaluation clips, skip messages).
 
-    A dataset file shorter than the command can use (`min_samples`) is
-    skipped.  Single-file-class warnings from the split are printed to
-    stderr.
+    A run given both corpora, or a dataset run given the synthetic-only
+    settings (`clips`, `duration`), is refused.  A dataset file shorter
+    than the command can use (`min_samples`) is skipped.  Single-file-class
+    warnings from the split are printed to stderr.
     """
     if settings.get("synthetic") and settings.get("dataset"):
         raise CliError("give either --dataset or --synthetic, not both")
@@ -236,6 +246,11 @@ def gather_clips(settings) -> tuple[list, list, list]:
                                 settings["duration"])
         skips = []
     elif settings.get("dataset"):
+        unread = [f"--{name}" for name in ("clips", "duration")
+                  if name in settings["given"]]
+        if unread:
+            raise CliError(f"--dataset refuses {' and '.join(unread)}: "
+                           "only synthetic corpora read them")
         items, skips = ingest(settings["dataset"], settings["sample_rate"],
                               settings["min_samples"])
     else:
@@ -420,6 +435,13 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     fix_allocator_thresholds()
+    # At interpreter exit, move every live object to the permanent
+    # generation: the final collection then skips them, and the OS takes the
+    # memory back (README, "Exit is part of every command's time").  Sound
+    # because every file a command writes is closed when main returns.
+    # Registering anew keeps one registration, however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         settings = resolve_settings(args)

@@ -62,6 +62,21 @@ MUTANTS = [
            "    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)\n",
            "",
            ("tests/test_evaluate.py",)),
+    Mutant("no-exit-freeze",  # the final collection walks the whole heap again
+           "src/fhespec/cli.py",
+           "    atexit.unregister(gc.freeze)\n"
+           "    atexit.register(gc.freeze)\n",
+           "",
+           ("tests/test_dataset_cli.py",)),
+    Mutant("output-left-open",  # a report file is closed only when collected
+           "src/fhespec/evaluate.py",
+           "    with open(path, \"w\") as fh:\n"
+           "        json.dump(doc, fh, indent=2, sort_keys=True)\n"
+           "        fh.write(\"\\n\")\n",
+           "    fh = open(path, \"w\")\n"
+           "    json.dump(doc, fh, indent=2, sort_keys=True)\n"
+           "    fh.write(\"\\n\")\n",
+           ("tests/test_dataset_cli.py",)),
     Mutant("reduce-any-op",  # an unknown op sums in one arm, averages in the other
            "src/fhespec/circuit.py",
            "        if op not in (\"sum\", \"mean\"):\n"

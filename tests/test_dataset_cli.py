@@ -1,6 +1,7 @@
 """Dataset ingestion, splits, synthetic corpora, and CLI end-to-end runs."""
 
 import csv
+import gc
 import inspect
 import io
 import json
@@ -9,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -723,6 +725,33 @@ def test_cli_refuses_a_dataset_and_a_synthetic_corpus_together(tmp_path, capsys)
     assert not (tmp_path / "from_config").exists()
 
 
+@pytest.mark.parametrize("extra, config, refused", [
+    (["--clips", "5"], "", "--clips"),
+    (["--duration", "9"], "", "--duration"),
+    (["--clips", "5", "--duration", "9"], "", "--clips and --duration"),
+    ([], "clips = 5\n", "--clips"),
+    (["--clips", "30"], "duration = 1.0\n", "--clips and --duration"),
+], ids=["clips", "duration", "both", "clips-in-config", "defaults-given"])
+def test_cli_refuses_synthetic_settings_on_a_dataset_run(tmp_path, capsys, extra,
+                                                          config, refused):
+    """A dataset run given `--clips` or `--duration`, by flag or in the
+    config file, even at their defaults, refuses instead of ignoring them;
+    the defaults alone run."""
+    root = tmp_path / "data"
+    make_dataset(root, per_class=3, n=FS // 2)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\ndataset = {root}\n{config}")
+    flags = ["--config", str(cfg), "--window", "256", "--hop", "128"]
+    out = tmp_path / "out"
+    assert main(["budget", *flags, *extra, "--out", str(out)]) == EXIT_FAILED
+    assert capsys.readouterr().err == (
+        f"error: --dataset refuses {refused}: only synthetic corpora read them\n")
+    assert not out.exists()
+    cfg.write_text(f"[run]\ndataset = {root}\n")
+    assert main(["budget", *flags, "--out", str(out)]) == EXIT_OK
+    assert (out / "budget.json").is_file()
+
+
 @pytest.mark.parametrize("command", ["spectrogram", "descriptors", "stattest",
                                      "budget"])
 def test_cli_defaults_realize(tmp_path, command, capsys):
@@ -827,6 +856,54 @@ def test_stattest_loads_no_numpy_ma(tmp_path):
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "summary.json").is_file()
+
+
+# Counts the calls of `gc.freeze` and registers, before `cli.main` registers
+# its freeze, an exit handler that runs after it (handlers run last in,
+# first out) and prints those calls and whether the heap is frozen; in
+# between it runs `budget` argv[2] times.
+EXIT_PROBE = """
+import atexit, gc, sys
+freeze, calls = gc.freeze, []
+gc.freeze = lambda: calls.append(freeze())
+atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0))
+import fhespec.cli
+for _ in range(int(sys.argv[2])):
+    code = fhespec.cli.main(["budget", "--synthetic", "tones", "--clips", "4",
+                             "--window", "256", "--hop", "128", "--out", sys.argv[1]])
+    assert code == 0, code
+"""
+
+
+@pytest.mark.parametrize("runs, printed", [(0, "0 False"), (2, "1 True")])
+def test_cli_freezes_the_heap_at_exit(tmp_path, runs, printed):
+    """`cli.main` has the interpreter freeze its heap at exit, so the final
+    collection skips every live object; the freeze runs once however often
+    `main` ran, and a program that only imports `fhespec` exits as it would
+    without it."""
+    src = str(Path(sys.modules["fhespec"].__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", EXIT_PROBE, str(tmp_path), str(runs)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == printed
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_cli_leaves_no_file_open(tmp_path, capsys, command):
+    """Every file a command writes is closed when `main` returns, which the
+    exit freeze relies on: a frozen file object that only the collector
+    could free, one in a reference cycle, is never finalized, so it would
+    lose what it had not flushed."""
+    extra = ["--grid", "5,6,4,5;8,6,8,6"] if command == "gridsearch" else []
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _ = run_cli(tmp_path, command, *extra)
+        gc.collect()
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 TRACER = README.parent / "perfbench" / "trace_cli.py"
